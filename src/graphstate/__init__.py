@@ -61,7 +61,6 @@ from .montecarlo import (
     ResourceCapError,
     assemble_state,
     estimate,
-    ginibre_mode,
     ginibre_product_spectra,
     haar_unitary,
     partial_trace,

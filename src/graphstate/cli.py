@@ -22,8 +22,9 @@ from .graphs import GraphSpec, GraphValidationError, MarginalSpec
 from .flow import SINK, SOURCE, build_network, max_flow
 from .moments import (
     BudgetExceededError,
+    BudgetSettingError,
     DistributionId,
-    classify,
+    classify_reports,
     exact_moment,
     moment_table,
 )
@@ -153,7 +154,7 @@ def _entropy_forecast(dist: DistributionId, x: int):
 def cmd_analyze(marginal: MarginalSpec, p_max: int = 6) -> dict:
     """Flow, asymptotic moment table, law tag, and entropy/purity forecast."""
     reports = moment_table(marginal, p_max)
-    dist = classify(marginal, p_max)
+    dist = classify_reports(reports)
     x = -reports[1].exponent if p_max >= 2 else 0
     log_term, const = _entropy_forecast(dist, x)
     entropy = {"log_term": log_term, "constant": const}
@@ -420,7 +421,7 @@ def run(argv) -> tuple[int, str]:
                                     p_max=args.pmax, threads=args.threads,
                                     ladder=ladder)
         return 0, render(report, args.format)
-    except UsageError as exc:
+    except (UsageError, BudgetSettingError) as exc:
         return 1, f"usage error: {exc}\n"
     except (GraphFileError, GraphValidationError, EnumerationCapError,
             SingularWeingartenError, ValueError) as exc:

@@ -11,6 +11,7 @@ between blocks) is derived here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -75,10 +76,7 @@ class GraphSpec:
 
     def dim_product(self, ids) -> int:
         """d_I = product of d_i over a set of subsystem ids."""
-        out = 1
-        for i in ids:
-            out *= self.dim_of[i]
-        return out
+        return math.prod(self.dim_of[i] for i in ids)
 
     def block_index(self, subsystem: int) -> int:
         for idx, b in enumerate(self.vertex_blocks):
@@ -205,18 +203,13 @@ class MarginalSpec:
 
     def cross_dim(self, i: int, j: int) -> int:
         """Product of bond dimension factors over bonds between blocks i, j."""
-        out = 1
-        for a, _ in self.cross_bonds.get(tuple(sorted((i, j))), ()):
-            out *= self.graph.dim_of[a]
-        return out
+        bonds = self.cross_bonds.get(tuple(sorted((i, j))), ())
+        return math.prod(self.graph.dim_of[a] for a, _ in bonds)
 
     @property
     def dim_all_sqrt(self) -> int:
         """sqrt of prod_i d_i: equals the product of bond dimension factors."""
-        out = 1
-        for a, _ in self.graph.bonds:
-            out *= self.graph.dim_of[a]
-        return out
+        return math.prod(self.graph.dim_of[a] for a, _ in self.graph.bonds)
 
     def swap(self) -> "MarginalSpec":
         """The dual marginal with kept and traced subsystems exchanged."""
@@ -228,15 +221,6 @@ class MarginalSpec:
             "traced": sorted(self.traced),
             "block_types": [b.kind for b in self.blocks],
         }
-
-
-def derive_marginal_views(marginal: MarginalSpec):
-    """Per-block views (kept/traced splits, bond buckets, type tag).
-
-    The same data the MarginalSpec caches; exposed as an operation so the
-    derivation can be tested against its invariants directly.
-    """
-    return marginal.blocks
 
 
 def entangle_partition(marginal: MarginalSpec):

@@ -1,15 +1,15 @@
 """Moment engines and limit-law classification for graph-state marginals.
 
-Two independent routes to the same quantities:
-
-* `asymptotic_moment` enumerates the minimizing tuples of geodesic
-  permutations (one per vertex block) whose cost functional saturates the
-  max-flow bound X(p-1), and sums their dimension weights exactly.
-* `exact_moment` evaluates the full finite-N Haar average as a double
-  sum over permutation tuples against exact Weingarten tables.
-
-The closed-form family classifiers (single surviving vertex, stars,
-cycles) and the conservative moment-matching `classify` sit on top.
+Every moment is a sum over labelings of the vertex blocks, with a factor
+per block label and one per pair of bonded blocks.  `_contract` sums it by
+bucket elimination for the NC(p) geodesic labels of `asymptotic_moment`
+(least cost X(p-1), summed weights) and the S_p labels of `exact_moment`
+(Weingarten weights) and `exact_moment_gaussian` (Wick weights).  The Haar
+engines pin fully traced blocks to the identity and fully kept ones to the
+long cycle: a Haar unitary with all legs traced or all kept integrates
+out, so its factor is exactly 1 there.  The Wick sum pins nothing, as a
+Gaussian block does not drop out.  `minimizer_set` and `f_beta` check the
+asymptotic engine by brute force; the law classifiers sit on top.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from .combinatorics import (
     ConstraintPoset,
+    EnumerationCapError,
     NCPartition,
     Perm,
     all_perms,
@@ -55,16 +56,28 @@ class MinimizerConsistencyError(AssertionError):
     """The enumerated minimum disagrees with the max-flow bound."""
 
 
+class BudgetSettingError(ValueError):
+    """A budget environment variable does not hold an integer."""
+
+
 def tuples_budget(override=None) -> int:
-    if override is not None:
-        return int(override)
-    return int(os.environ.get(TUPLES_BUDGET_ENV, TUPLES_BUDGET_DEFAULT))
+    return _budget(override, TUPLES_BUDGET_ENV, TUPLES_BUDGET_DEFAULT)
 
 
 def terms_budget(override=None) -> int:
+    return _budget(override, TERMS_BUDGET_ENV, TERMS_BUDGET_DEFAULT)
+
+
+def _budget(override, env, default) -> int:
     if override is not None:
         return int(override)
-    return int(os.environ.get(TERMS_BUDGET_ENV, TERMS_BUDGET_DEFAULT))
+    raw = os.environ.get(env, str(default))
+    try:
+        if float(raw).is_integer():     # any integer-valued notation, such as 5e6
+            return int(float(raw))
+    except ValueError:
+        pass
+    raise BudgetSettingError(f"{env} must be an integer such as 5e6, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +126,10 @@ class MinimizerSet:
 
 
 @lru_cache(maxsize=None)
-def _nc_tables(p: int):
-    """Shared per-order tables: partitions, geodesics, length vectors."""
-    parts = enumerate_nc(p)
+def _nc_tables(p: int, full: bool = True):
+    """Per-order tables over NC(p), or over its least and greatest partitions
+    alone: partitions, geodesics, length vectors."""
+    parts = enumerate_nc(p) if full else (NCPartition.zero(p), NCPartition.one(p))
     perms = [nc_to_geodesic(q) for q in parts]
     gamma = Perm.full_cycle(p)
     len_beta = [sig.length for sig in perms]
@@ -219,6 +233,106 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
 
 
 # ---------------------------------------------------------------------------
+# labeling sums over the block graph
+# ---------------------------------------------------------------------------
+
+def _plan(sizes, scopes, cap, env, extra=0):
+    """Elimination order for `_contract`, refused if its work exceeds `cap`.
+
+    Single-label (pinned) blocks go first.  The rest go in min-degree
+    order, ties to the lower index; eliminating block v with neighbours
+    joins them and fills |D_v| * prod |D_n| entries.  The work is those
+    entries plus the `extra` entries of the caller's own tables (its label
+    table among them); callers plan from the sizes before building any
+    table.
+    """
+    adj = {v: set() for v, size in enumerate(sizes) if size > 1}
+    for scope in scopes:
+        for b in adj.keys() & set(scope):
+            adj[b] |= adj.keys() & set(scope) - {b}
+    order, work = [v for v, size in enumerate(sizes) if size == 1], extra
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        nbrs = adj.pop(v)
+        work += sizes[v] * math.prod(sizes[n] for n in nbrs) if nbrs else 0
+        for n in nbrs:
+            adj[n] = (adj[n] | nbrs) - {n, v}
+        order.append(v)
+    if work > cap:
+        raise BudgetExceededError(f"moment sum needs {work} table entries (> budget {cap}); "
+                                  f"lower p or raise {env}", work)
+    return order
+
+
+def _contract(domains, factors, order):
+    """Sum over all labelings of the blocks, eliminating them in `order`.
+
+    A factor is (scope, lookup); lookup(labels of the scope's blocks) is
+    an entry (cost, weight, count).  Products add costs and multiply the
+    rest; sums keep the least cost and add the rest at it.  With every
+    cost 0 the weight is the plain sum.
+    """
+    for v in order:
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        if len(domains[v]) == 1:
+            # a single-label block is fixed in each factor apart: no fill-in
+            groups = [[f] for f in bucket]
+        else:
+            groups = [bucket]
+        for group in groups:
+            factors.append(_eliminate(v, group, domains))
+    total = (0, 1, 1)
+    for _, lookup in factors:
+        total = _times(total, lookup(()))
+    return total
+
+
+def _eliminate(v, group, domains):
+    """Sum block v out of the product of `group`: a factor on the other blocks."""
+    nbrs = tuple(sorted({b for scope, _ in group for b in scope} - {v}))
+    message = {}
+    for labels in itertools.product(*(domains[n] for n in nbrs)):
+        fixed = dict(zip(nbrs, labels))
+        best, weight, count = None, 0, 0
+        for x in domains[v]:
+            fixed[v] = x
+            entries = [lookup(tuple([fixed[b] for b in scope])) for scope, lookup in group]
+            cost = sum([e[0] for e in entries])
+            if best is not None and cost > best:
+                continue    # weights are multiplied only at the least cost
+            w, c = 1, 1
+            for e in entries:
+                w *= e[1]
+                c *= e[2]
+            if best is None or cost < best:
+                best, weight, count = cost, w, c
+            else:
+                weight += w
+                count += c
+        message[labels] = (best, weight, count)
+    return nbrs, message.__getitem__
+
+
+def _times(a, b):
+    return a[0] + b[0], a[1] * b[1], a[2] * b[2]
+
+
+def _block_factor(i, entries):
+    """Factor on block i alone; `entries` maps each of its labels to an entry."""
+    return (i,), lambda key: entries[key[0]]
+
+
+def _pair_factor(i, j, mult, rows, table, weights):
+    """Bond factor (mult * t, weights[t], 1), t from `rows` at pinned labels, else table()."""
+    def lookup(key):
+        a, b = key[::-1] if key[1] in rows else key
+        t = (rows[a] if a in rows else table()[a])[b]
+        return mult * t, weights[t], 1
+    return (i, j), lookup
+
+
+# ---------------------------------------------------------------------------
 # asymptotic moments
 # ---------------------------------------------------------------------------
 
@@ -238,43 +352,45 @@ class MomentReport:
 def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentReport:
     """Exact leading coefficient of E tr(rho^p) and its N-exponent.
 
-    The sum runs over the minimizer set; each tuple contributes a product
-    of dimension factors raised to cycle counts.  The loop-bond factor and
-    the global square-root normalization are included, which forces the
-    p=1 report to (0, 1) for every valid marginal.
+    Labels are NC(p) geodesics, T blocks pinned to id and S blocks to
+    gamma.  A labeling costs `f_beta` and weighs dimension factors raised
+    to cycle counts; the coefficient sums the weights at the least cost,
+    which must equal the max-flow bound X(p-1).  With the loop-bond factor
+    and the square-root normalization, p=1 always reports (0, 1).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    mins = minimizer_set(marginal, p, budget=budget)
-    parts = mins.partitions
-    n_parts = len(parts)
-    num_blocks = [q.num_blocks for q in parts]
-    kw = [p + 1 - nb for nb in num_blocks]  # #(gamma^-1 beta) = p + 1 - #beta
+    x = max_flow(build_network(marginal)).value
+    free = [v.kind not in ("T", "S") for v in marginal.blocks]
+    # a graph without free blocks labels by id and gamma alone: NC(p) is never built
+    n_labels = catalan(p) if any(free) else 2
+    order = _plan([n_labels if f else 1 for f in free], marginal.cross_bonds,
+                  tuples_budget(budget), TUPLES_BUDGET_ENV, n_labels)
+    parts, _, len_beta, len_to_gamma, idx_zero, idx_one = _nc_tables(p, any(free))
 
-    blocks = marginal.blocks
-    cross_dims = {pair: marginal.cross_dim(*pair) for pair in marginal.cross_bonds
-                  if marginal.cross_dim(*pair) != 1}
-    # pair cycle counts #(b_i^-1 b_j) only matter for weighted cross bonds
-    pair_len = _nc_pair_lengths(p) if cross_dims else None
+    pins = {"T": idx_zero, "S": idx_one}
+    domains = [(pins[v.kind],) if v.kind in pins else range(len(parts)) for v in marginal.blocks]
+    rows = {idx_zero: len_beta, idx_one: len_to_gamma}     # |a^-1 b| for a = id, gamma
+    factors = [_pair_factor(i, j, len(bonds), rows, lambda: _nc_pair_lengths(p),
+                            [marginal.cross_dim(i, j) ** (p - t) for t in range(p + 1)])
+               for (i, j), bonds in marginal.cross_bonds.items()]
 
-    total = Fraction(0)
-    for t in mins.tuples:
-        term = Fraction(1)
-        for i, view in enumerate(blocks):
-            c = t[i]
-            term *= Fraction(view.dim_kept) ** kw[c]
-            term *= Fraction(view.dim_traced) ** num_blocks[c]
-            term /= Fraction(view.dim_block) ** p
-        for (i, j), dprod in cross_dims.items():
-            term *= Fraction(dprod) ** (p - pair_len[t[i]][t[j]])
-        total += term
-
+    # each block's 1/dim_block^p moves into the prefactor: the sum stays integral
     prefactor = Fraction(1, marginal.dim_all_sqrt ** p)
-    for view in blocks:
-        prefactor *= Fraction(view.dim_loops) ** p
-    coeff = prefactor * total
-    return MomentReport(p=p, exponent=-mins.x * (p - 1), coefficient=coeff,
-                        minimizer_count=len(mins))
+    for i, (view, dom) in enumerate(zip(marginal.blocks, domains)):
+        prefactor *= Fraction(view.dim_loops, view.dim_block) ** p
+        entries = {}
+        for c in dom:
+            cost = len(view.kept) * len_to_gamma[c] + len(view.traced) * len_beta[c]
+            nb = parts[c].num_blocks
+            entries[c] = (cost, view.dim_kept ** (p + 1 - nb) * view.dim_traced ** nb, 1)
+        factors.append(_block_factor(i, entries))
+    cost, weight, count = _contract(domains, factors, order)
+    if cost != x * (p - 1):
+        raise MinimizerConsistencyError(
+            f"least labeling cost {cost} != X(p-1) = {x * (p - 1)} at p={p}")
+    return MomentReport(p=p, exponent=-x * (p - 1), coefficient=prefactor * weight,
+                        minimizer_count=count)
 
 
 def moment_table(marginal: MarginalSpec, p_max: int, budget=None):
@@ -287,162 +403,96 @@ def moment_table(marginal: MarginalSpec, p_max: int, budget=None):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _perm_tables(p: int):
-    """Index tables over S_p: cycle counts, gamma products, pair class ids."""
-    perms = all_perms(p)
+def _perm_tables(p: int, full: bool = True):
+    """Index tables over S_p, or over id and gamma alone: cycle counts,
+    gamma products, cycle types."""
     gamma = Perm.full_cycle(p)
+    perms = all_perms(p) if full else (Perm.identity(p), gamma)
     ncyc = [sig.num_cycles for sig in perms]
     ncyc_to_gamma = [(gamma * sig.inverse()).num_cycles for sig in perms]
-    types = sorted({sig.cycle_type() for sig in perms})
+    return perms, ncyc, ncyc_to_gamma, sorted({sig.cycle_type() for sig in perms})
+
+
+@lru_cache(maxsize=None)
+def _perm_pair_tables(p: int):
+    """Class id and cycle count of a^-1 b over all pairs; only unpinned blocks need them."""
+    perms, _, _, types = _perm_tables(p)
     type_idx = {t: i for i, t in enumerate(types)}
-    pair_type = []
-    pair_ncyc = []
-    for a in perms:
-        ainv = a.inverse()
-        row_t = []
-        row_c = []
-        for b in perms:
-            prod = ainv * b
-            row_t.append(type_idx[prod.cycle_type()])
-            row_c.append(prod.num_cycles)
-        pair_type.append(row_t)
-        pair_ncyc.append(row_c)
-    return perms, ncyc, ncyc_to_gamma, types, pair_type, pair_ncyc
+    pair_type = [[type_idx[(a.inverse() * b).cycle_type()] for b in perms] for a in perms]
+    return pair_type, [[len(types[t]) for t in row] for row in pair_type]
 
 
 def exact_moment(marginal: MarginalSpec, p: int, N: int, budget=None) -> Fraction:
     """E tr(rho^p) at finite N, exactly, via the full Weingarten sum.
 
-    One Weingarten table per vertex block at dimension d_block * N^b; the
-    double permutation sum factorizes so each block's first tuple index is
-    summed out against its own table before the joint sum over the second.
+    Label b of a block weighs h[b] = sum_a weight(a) Wg(a^-1 b), from the
+    Weingarten table at the block's dimension.  h is delta(b, id) on a
+    fully traced block and delta(b, gamma) on a fully kept one, so those
+    are pinned and need no table, even where it would be singular.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    k = marginal.k
-    est = factorial_pow(p, 2 * k)
-    cap = terms_budget(budget)
-    if est > cap:
-        raise BudgetExceededError(
-            f"exact sum has {est} terms (> budget {cap}); "
-            f"lower p or raise {TERMS_BUDGET_ENV}", est)
-
-    perms, ncyc, ncyc_gamma, types, pair_type, pair_ncyc = _perm_tables(p)
-    n_perm = len(perms)
-    blocks = marginal.blocks
-
-    tables = []
-    for view in blocks:
-        dim = view.dim_block * N ** len(view.members)
-        table = wg_exact(p, dim)
-        tables.append([table.by_type(t) for t in types])
-
-    # per-block: h[b] = sum_a weight(a) * Wg(a^-1 b), weight from kept/traced factors
-    h = []
-    for i, view in enumerate(blocks):
-        dk = view.dim_kept * N ** len(view.kept)
-        dt = view.dim_traced * N ** len(view.traced)
-        weight = [dk ** ncyc_gamma[a] * dt ** ncyc[a] for a in range(n_perm)]
-        wg_vals = tables[i]
-        col = []
-        for b in range(n_perm):
-            acc = [0] * len(types)
-            pt = pair_type
-            for a in range(n_perm):
-                acc[pt[a][b]] += weight[a]
-            col.append(sum(Fraction(acc_t) * wg_vals[ti] for ti, acc_t in enumerate(acc) if acc_t))
-        h.append(col)
-
-    cross = []
-    for (i, j), bonds in marginal.cross_bonds.items():
-        base = marginal.cross_dim(i, j) * N ** len(bonds)
-        cross.append((i, j, base))
-
-    total = Fraction(0)
-    for combo in itertools.product(range(n_perm), repeat=k):
-        term = Fraction(1)
-        for i in range(k):
-            term *= h[i][combo[i]]
-            if term == 0:
-                break
-        else:
-            for i, j, base in cross:
-                term *= base ** pair_ncyc[combo[i]][combo[j]]
-            total += term
-
-    prefactor = Fraction(1, (marginal.dim_all_sqrt * N ** marginal.graph.m) ** p)
-    for view in blocks:
-        loops = view.dim_loops * N ** len(view.loop_bonds)
-        prefactor *= Fraction(loops) ** p
-    return prefactor * total
+    return _finite_n_moment(marginal, p, N, budget, haar=True)
 
 
 def exact_moment_gaussian(marginal: MarginalSpec, p: int, N: int, budget=None) -> Fraction:
     """E tr(rho^p) at finite N for the Gaussian-block model, exactly.
 
-    Same contraction structure as `exact_moment` but with Wick pairings:
-    a single permutation per block and kernel dim^-p instead of the
-    Weingarten factor.  This is the exact oracle for the Ginibre sampling
-    mode, a separate ensemble from the Haar model.  The two agree to
-    leading order in N on `one_loop` and the RRRR and SRR cycles but not
-    in general: on TSRR, N^4 times this tends to 5 while N^4 times
-    `exact_moment` tends to 3.
+    The sum of `exact_moment` with Wick weights (kept/traced factor over
+    dim^p) and no pinned blocks: the exact oracle for the Ginibre sampling
+    mode, an ensemble apart from the Haar one.  The two agree to leading
+    order on `one_loop` and the RRRR and SRR cycles but not in general: on
+    TSRR, N^4 times this tends to 5 and N^4 times `exact_moment` to 3.
     """
+    return _finite_n_moment(marginal, p, N, budget, haar=False)
+
+
+def _finite_n_moment(marginal, p, N, budget, haar):
+    """The S_p labeling sum of both finite-N engines; they differ in the block factor."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if N < 1:
         raise ValueError("N must be >= 1")
-    k = marginal.k
-    est = factorial_pow(p, k)
-    cap = terms_budget(budget)
-    if est > cap:
-        raise BudgetExceededError(
-            f"Wick sum has {est} terms (> budget {cap}); "
-            f"lower p or raise {TERMS_BUDGET_ENV}", est)
+    free = [not haar or v.kind not in ("T", "S") for v in marginal.blocks]
+    # a graph without free blocks labels by id and gamma alone: S_p is never built
+    n_labels = math.factorial(p) if any(free) else 2
+    sizes = [n_labels if f else 1 for f in free]
+    # a free Haar block needs a Weingarten column per label
+    columns = sum(s ** 2 for s in sizes if s > 1) if haar else 0
+    order = _plan(sizes, marginal.cross_bonds, terms_budget(budget), TERMS_BUDGET_ENV,
+                  n_labels + columns)
 
-    perms, ncyc, ncyc_gamma, types, pair_type, pair_ncyc = _perm_tables(p)
-    n_perm = len(perms)
-    blocks = marginal.blocks
+    perms, ncyc, ncyc_gamma, types = _perm_tables(p, any(free))
+    ident, gamma = perms.index(Perm.identity(p)), perms.index(Perm.full_cycle(p))
+    pins = {"T": ident, "S": gamma} if haar else {}
+    domains = [(pins[v.kind],) if v.kind in pins else range(len(perms)) for v in marginal.blocks]
+    rows = {ident: ncyc, gamma: ncyc_gamma}      # #(a^-1 b) for a = id, gamma
+    factors = []
+    for (i, j), bonds in marginal.cross_bonds.items():
+        base = marginal.cross_dim(i, j) * N ** len(bonds)
+        factors.append(_pair_factor(i, j, 0, rows, lambda: _perm_pair_tables(p)[1],
+                                    [base ** t for t in range(p + 1)]))
 
-    weight = []
-    for view in blocks:
+    prefactor = Fraction(1, (marginal.dim_all_sqrt * N ** marginal.graph.m) ** p)
+    for i, (view, dom) in enumerate(zip(marginal.blocks, domains)):
+        prefactor *= (view.dim_loops * N ** len(view.loop_bonds)) ** p
         dk = view.dim_kept * N ** len(view.kept)
         dt = view.dim_traced * N ** len(view.traced)
         dim = view.dim_block * N ** len(view.members)
-        weight.append([Fraction(dk ** ncyc_gamma[b] * dt ** ncyc[b], dim ** p)
-                       for b in range(n_perm)])
-
-    cross = []
-    for (i, j), bonds in marginal.cross_bonds.items():
-        base = marginal.cross_dim(i, j) * N ** len(bonds)
-        cross.append((i, j, base))
-
-    total = Fraction(0)
-    for combo in itertools.product(range(n_perm), repeat=k):
-        term = Fraction(1)
-        for i in range(k):
-            term *= weight[i][combo[i]]
-        for i, j, base in cross:
-            term *= base ** pair_ncyc[combo[i]][combo[j]]
-        total += term
-
-    prefactor = Fraction(1, (marginal.dim_all_sqrt * N ** marginal.graph.m) ** p)
-    for view in blocks:
-        loops = view.dim_loops * N ** len(view.loop_bonds)
-        prefactor *= Fraction(loops) ** p
-    return prefactor * total
-
-
-def factorial_pow(p: int, e: int) -> int:
-    out = 1
-    fact = 1
-    for i in range(2, p + 1):
-        fact *= i
-    for _ in range(e):
-        out *= fact
-    return out
+        weight = {b: dk ** ncyc_gamma[b] * dt ** ncyc[b] for b in dom}
+        if not haar:
+            prefactor /= dim ** p   # the Wick kernel, kept out of the integer sum
+        elif len(dom) == 1:
+            weight = dict.fromkeys(dom, 1)
+        else:
+            wg = [wg_exact(p, dim).by_type(t) for t in types]
+            column = {}
+            for b, type_row in enumerate(_perm_pair_tables(p)[0]):  # class(b^-1 a) = class(a^-1 b)
+                acc = [0] * len(types)
+                for a, t in enumerate(type_row):
+                    acc[t] += weight[a]
+                column[b] = sum(Fraction(n) * wg[t] for t, n in enumerate(acc) if n)
+            weight = column
+        factors.append(_block_factor(i, {b: (0, w, 1) for b, w in weight.items()}))
+    return prefactor * _contract(domains, factors, order)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +554,7 @@ def _is_geometric(coeffs):
     if len(coeffs) < 2:
         return Fraction(1)
     r = coeffs[1]
-    for p, c in enumerate(coeffs, start=1):
-        if c != r ** (p - 1):
-            return None
-    return r
+    return r if all(c == r ** (p - 1) for p, c in enumerate(coeffs, start=1)) else None
 
 
 def _match_free_poisson(coeffs):
@@ -541,13 +588,8 @@ def _match_free_poisson(coeffs):
         d = (1 + v) / c2 if c2 else None
         if d is None or d <= 0:
             continue
-        ok = True
-        for p, coeff in enumerate(coeffs, start=1):
-            predicted = d ** (1 - p) * c ** (-p) * mp_moment_exact(c, p)
-            if coeff != predicted:
-                ok = False
-                break
-        if ok:
+        if all(coeff == d ** (1 - p) * c ** (-p) * mp_moment_exact(c, p)
+               for p, coeff in enumerate(coeffs, start=1)):
             return c, d
     return None
 
@@ -557,17 +599,10 @@ def _rational_sqrt(x: Fraction):
     x = Fraction(x)
     if x < 0:
         return None
-    num = _isqrt_exact(x.numerator)
-    den = _isqrt_exact(x.denominator)
-    if num is None or den is None:
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
         return None
     return Fraction(num, den)
-
-
-def _isqrt_exact(v: int):
-    from math import isqrt
-    r = isqrt(v)
-    return r if r * r == v else None
 
 
 def _factorizations(target: int, min_part: int = 2):
@@ -582,16 +617,20 @@ def _factorizations(target: int, min_part: int = 2):
 
 
 def classify(marginal: MarginalSpec, p_max: int = 6, posets=None, budget=None) -> DistributionId:
-    """Conservative tag for the limiting law of the rescaled marginal.
+    """Conservative tag for the limiting law: `classify_reports` of the moment table."""
+    return classify_reports(moment_table(marginal, p_max, budget=budget), posets)
 
-    Works purely off the asymptotic coefficient sequence; a family is
-    reported only when it reproduces every tested order exactly.  Checks,
-    most specific first: flat spectrum (Dirac / maximally mixed), free
-    Poisson with rational parameter, Fuss-Catalan, classical products of
-    Fuss-Catalan laws, then the supplied label posets.
+
+def classify_reports(reports, posets=None) -> DistributionId:
+    """Tag the limiting law from the reports of `moment_table` for p = 1..p_max.
+
+    A family is reported only when it reproduces every order exactly.
+    Checks, most specific first: flat spectrum (Dirac / maximally mixed),
+    free Poisson with rational parameter, Fuss-Catalan, classical products
+    of Fuss-Catalan laws, then the supplied label posets.
     """
-    reports = moment_table(marginal, p_max, budget=budget)
     coeffs = [r.coefficient for r in reports]
+    p_max = len(coeffs)
     x = -reports[1].exponent if p_max >= 2 else 0
 
     r = _is_geometric(coeffs)
@@ -606,22 +645,20 @@ def classify(marginal: MarginalSpec, p_max: int = 6, posets=None, budget=None) -
         return DistributionId(kind="free_poisson", c=c,
                               rank_coeff=scale, rank_exponent=x)
 
-    for s in range(2, max(p_max, 8) + 1):
-        if all(coeffs[p - 1] == fuss_catalan(s, p) for p in range(1, p_max + 1)):
+    c2 = coeffs[1]      # p_max >= 2 here: shorter sequences are geometric
+    if c2.denominator == 1 and c2 > 1:
+        # FC(s, 2) = s + 1 fixes the only Fuss-Catalan order to try
+        s = int(c2) - 1
+        if s >= 2 and all(coeffs[p - 1] == fuss_catalan(s, p) for p in range(1, p_max + 1)):
             return DistributionId(kind="fuss_catalan", s=s)
-
-    c2 = coeffs[1] if len(coeffs) > 1 else None
-    if c2 is not None and c2.denominator == 1 and c2 > 1:
         for combo in _factorizations(int(c2)):
             orders = tuple(part - 1 for part in combo)
             if len(orders) < 2:
                 continue
-            if all(coeffs[p - 1] == _product_fc(orders, p) for p in range(1, p_max + 1)):
-                factors = tuple(
-                    DistributionId(kind="free_poisson", c=Fraction(1)) if s == 1
-                    else DistributionId(kind="fuss_catalan", s=s)
-                    for s in orders)
-                return DistributionId(kind="classical_product", factors=factors)
+            if all(coeffs[p - 1] == math.prod(fuss_catalan(s, p) for s in orders)
+                   for p in range(1, p_max + 1)):
+                return DistributionId(kind="classical_product",
+                                      factors=tuple(_fc_law(s) for s in orders))
 
     candidates = list(posets) if posets is not None else [
         ConstraintPoset(k=3, relations=[(0, 1), (0, 2)]),
@@ -630,17 +667,17 @@ def classify(marginal: MarginalSpec, p_max: int = 6, posets=None, budget=None) -
         try:
             if all(coeffs[p - 1] == count_poset_tuples(poset, p) for p in range(1, p_max + 1)):
                 return DistributionId(kind="poset_law", poset=poset)
-        except Exception:
+        except EnumerationCapError:
             continue
 
     return DistributionId(kind="unknown", moments=tuple(coeffs))
 
 
-def _product_fc(orders, p: int) -> int:
-    out = 1
-    for s in orders:
-        out *= fuss_catalan(s, p)
-    return out
+def _fc_law(s: int) -> DistributionId:
+    """Fuss-Catalan law of order s; order 1 is free Poisson with c = 1."""
+    if s == 1:
+        return DistributionId(kind="free_poisson", c=Fraction(1))
+    return DistributionId(kind="fuss_catalan", s=s)
 
 
 def law_moments(dist: DistributionId, p_max: int):
@@ -664,13 +701,7 @@ def law_moments(dist: DistributionId, p_max: int):
         return [Fraction(fuss_catalan(dist.s, p)) for p in ps]
     if dist.kind == "classical_product":
         seqs = [law_moments(f, p_max) for f in dist.factors]
-        out = []
-        for idx in range(p_max):
-            prod = Fraction(1)
-            for seq in seqs:
-                prod *= seq[idx]
-            out.append(prod)
-        return out
+        return [math.prod(col) for col in zip(*seqs)]
     if dist.kind == "poset_law":
         return [Fraction(count_poset_tuples(dist.poset, p)) for p in ps]
     raise ValueError(f"no moment rule for tag {dist.kind!r}")
@@ -828,19 +859,13 @@ def cycle_marginal(types: str) -> FamilyReport:
     if not orders:
         law = DistributionId(kind="dirac", rank_coeff=Fraction(1), rank_exponent=x)
     elif len(orders) == 1:
-        s = orders[0]
-        law = (DistributionId(kind="free_poisson", c=Fraction(1)) if s == 1
-               else DistributionId(kind="fuss_catalan", s=s))
+        law = _fc_law(orders[0])
     else:
-        law = DistributionId(kind="classical_product", factors=tuple(
-            DistributionId(kind="free_poisson", c=Fraction(1)) if s == 1
-            else DistributionId(kind="fuss_catalan", s=s)
-            for s in orders))
+        law = DistributionId(kind="classical_product",
+                             factors=tuple(_fc_law(s) for s in orders))
 
     entropy_const = -sum(sum(Fraction(1, j) for j in range(2, a + 2)) for a in orders)
-    purity = Fraction(1)
-    for a in arcs:
-        purity *= fuss_catalan(a, 2)
+    purity = Fraction(math.prod(fuss_catalan(a, 2) for a in arcs))
     return FamilyReport(law=law, flow=x, entropy_log_term=x,
                         entropy_constant=float(entropy_const),
                         purity_coeff=purity, purity_exponent=-x)

@@ -98,9 +98,7 @@ def assemble_state(marginal_or_graph, N: int, rng=None, mode: str = "haar",
     if mode not in ("haar", "ginibre"):
         raise ValueError(f"unknown mode {mode!r}")
     dims = tuple(graph.dim_of[i] * N for i in range(1, graph.n + 1))
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if total > MAX_AMPLITUDES:
         raise ResourceCapError(f"state needs {total} amplitudes, cap {MAX_AMPLITUDES}")
 
@@ -321,13 +319,6 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
         entropy_bits_mean=h_mean / math.log(2.0),
         purity_mean=purity_mean, purity_stderr=purity_stderr,
         raw_moment_mean=raw_mean, raw_moment_stderr=raw_stderr)
-
-
-def ginibre_mode(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
-                 threads: int = 1) -> EstimateReport:
-    """`estimate` with Gaussian blocks instead of Haar unitaries."""
-    return estimate(marginal, N, trials, p_list=p_list, seed=seed,
-                    mode="ginibre", threads=threads)
 
 
 @dataclass

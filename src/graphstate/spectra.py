@@ -177,13 +177,7 @@ def product_moments(seqs):
     length = len(seqs[0])
     if any(len(s) != length for s in seqs):
         raise ValueError(f"length mismatch: {[len(s) for s in seqs]}")
-    out = []
-    for p in range(length):
-        prod = Fraction(1)
-        for s in seqs:
-            prod *= Fraction(s[p])
-        out.append(prod)
-    return out
+    return [math.prod(Fraction(s[p]) for s in seqs) for p in range(length)]
 
 
 def poset_law_moments(poset: ConstraintPoset, p_max: int):

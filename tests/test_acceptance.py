@@ -38,7 +38,6 @@ from graphstate.moments import (
 )
 from graphstate.montecarlo import (
     estimate,
-    ginibre_mode,
     ginibre_product_spectra,
     haar_unitary,
 )
@@ -175,7 +174,7 @@ def test_criterion_09_cycle_theorem():
     gin = {}
     for N in (3, 4, 5):
         haar[N] = estimate(marginal, N, 120, p_list=(1, 2), seed=20 + N)
-        gin[N] = ginibre_mode(marginal, N, 120, p_list=(1, 2), seed=120 + N)
+        gin[N] = estimate(marginal, N, 120, p_list=(1, 2), seed=120 + N, mode="ginibre")
 
     rescaled = {N: N ** 4 * haar[N].moment_mean[2] for N in haar}
     gaps = [abs(rescaled[N] - 3.0) for N in (3, 4, 5)]

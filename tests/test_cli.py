@@ -158,6 +158,23 @@ class TestRun:
         code, _ = run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])
         assert code == 0
 
+    def test_env_budget_accepts_exponent_notation(self, monkeypatch):
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "5e6")
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "1e7")
+        assert run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])[0] == 0
+        assert run(["exact", str(DATA / "one_loop.json"), "--N", "4"])[0] == 0
+
+    @pytest.mark.parametrize("env,argv", [
+        ("GRAPHSTATE_BUDGET_TUPLES", ["analyze", str(DATA / "one_loop.json")]),
+        ("GRAPHSTATE_BUDGET_TERMS", ["exact", str(DATA / "one_loop.json"), "--N", "4"]),
+    ])
+    @pytest.mark.parametrize("value", ["lots", "2.5", "inf", ""])
+    def test_env_budget_not_an_integer_exit_1(self, monkeypatch, env, argv, value):
+        monkeypatch.setenv(env, value)
+        code, text = run(argv)
+        assert code == 1
+        assert env in text
+
     def test_dist_csv(self):
         code, text = run(["dist", "fc", "--s", "2", "--grid", "8",
                           "--format", "csv"])

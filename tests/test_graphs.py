@@ -7,7 +7,6 @@ from graphstate.graphs import (
     GraphSpec,
     GraphValidationError,
     entangle_partition,
-    derive_marginal_views,
     partition_join,
     restrict_partition,
     validate,
@@ -50,7 +49,7 @@ class TestValidate:
 class TestMarginalViews:
     def test_figure_example_block3(self):
         m = figure_example()
-        views = derive_marginal_views(m)
+        views = m.blocks
         v3 = views[2]
         assert v3.kept == (6,)
         assert v3.traced == (4, 5)

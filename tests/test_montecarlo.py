@@ -19,7 +19,6 @@ from graphstate.montecarlo import (
     ResourceCapError,
     assemble_state,
     estimate,
-    ginibre_mode,
     ginibre_product_spectra,
     haar_unitary,
     partial_trace,
@@ -171,27 +170,28 @@ class TestEstimate:
 
 class TestGinibreMode:
     def test_first_moment_exactly_one(self):
-        rep = ginibre_mode(fc_template(2), 3, 20, p_list=(1, 2), seed=13)
+        rep = estimate(fc_template(2), 3, 20, p_list=(1, 2), seed=13, mode="ginibre")
         assert rep.moment_mean[1] == pytest.approx(1.0, abs=1e-12)
         assert rep.moment_stderr[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_loop_matches_haar_distribution(self):
         # a normalized Gaussian vector is a Haar vector: same ensemble
         haar = estimate(one_loop(), 64, 150, p_list=(2,), seed=21)
-        gin = ginibre_mode(one_loop(), 64, 150, p_list=(2,), seed=22)
+        gin = estimate(one_loop(), 64, 150, p_list=(2,), seed=22, mode="ginibre")
         combined = math.hypot(haar.moment_stderr[2], gin.moment_stderr[2])
         assert abs(haar.moment_mean[2] - gin.moment_mean[2]) <= 3 * combined
 
     def test_raw_moments_match_wick_oracle(self):
         m = cycle_graph("TSRR")
-        rep = ginibre_mode(m, 3, 200, p_list=(1, 2), seed=23)
+        rep = estimate(m, 3, 200, p_list=(1, 2), seed=23, mode="ginibre")
         target = float(exact_moment_gaussian(m, 2, 3))
         assert abs(rep.raw_moment_mean[2] - target) <= 3 * rep.raw_moment_stderr[2]
 
     def test_fc2_rescaled_trend_toward_three(self):
         values = []
         for N in (3, 4, 5, 6):
-            rep = ginibre_mode(fc_template(2), N, 120, p_list=(1, 2), seed=300 + N)
+            rep = estimate(fc_template(2), N, 120, p_list=(1, 2), seed=300 + N,
+                           mode="ginibre")
             values.append(N ** 3 * rep.moment_mean[2])
         gaps = [abs(v - 3.0) for v in values]
         assert gaps[-1] < gaps[0]
