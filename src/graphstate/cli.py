@@ -208,9 +208,11 @@ def cmd_verify(marginal: MarginalSpec, N: int, trials: int, seed: int,
     """Analytic vs Monte Carlo comparison with deviation flags.
 
     Each sampled moment is compared against the exact finite-N value when
-    the budget allows (else the asymptotic leading term); deviations above
-    4 standard errors are flagged.  An optional N-ladder reports the
-    rescaled drift toward the asymptotic coefficient.
+    the budget allows, else against the asymptotic leading term, with
+    `reference_reason` "budget", or "singular_weingarten" when a mixed
+    block's dimension is below p.  Deviations above 4 standard errors are
+    flagged.  An optional N-ladder reports the rescaled drift toward the
+    asymptotic coefficient.
     """
     analysis = cmd_analyze(marginal, p_max=p_max)
     rep = estimate(marginal, N, trials, p_list=tuple(range(1, p_max + 1)),
@@ -221,12 +223,16 @@ def cmd_verify(marginal: MarginalSpec, N: int, trials: int, seed: int,
     all_ok = True
     for row in analysis["moments"]:
         p = row["p"]
+        reason = None
         try:
             reference = float(exact_moment(marginal, p, N))
-            ref_kind = "exact"
-        except (BudgetExceededError, SingularWeingartenError):
+        except BudgetExceededError:
+            reason = "budget"
+        except SingularWeingartenError:
+            reason = "singular_weingarten"
+        if reason is not None:
             reference = float(Fraction(row["coefficient"])) * N ** row["exponent"]
-            ref_kind = "asymptotic"
+        ref_kind = "exact" if reason is None else "asymptotic"
         mean = rep.moment_mean[p]
         err = rep.moment_stderr[p]
         gap = mean - reference
@@ -238,6 +244,7 @@ def cmd_verify(marginal: MarginalSpec, N: int, trials: int, seed: int,
         all_ok = all_ok and ok
         checks.append({
             "p": p, "reference": reference, "reference_kind": ref_kind,
+            "reference_reason": reason,
             "mc_mean": mean, "mc_stderr": err,
             "rescaled_mc": mean * N ** (x * (p - 1)),
             "asymptotic_coefficient": row["coefficient"],
@@ -404,6 +411,8 @@ def run(argv) -> tuple[int, str]:
         if args.command == "dist":
             report = cmd_dist(args.family, c=args.c, s=args.s, grid=args.grid)
         else:
+            if getattr(args, "threads", 1) < 1:
+                raise UsageError(f"--threads must be >= 1, got {args.threads}")
             marginal = parse_graph(args.graph, trace_override=_parse_trace(args.trace))
             if args.command == "analyze":
                 report = cmd_analyze(marginal, p_max=args.pmax)

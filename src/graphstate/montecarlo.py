@@ -11,20 +11,44 @@ fully traced or fully kept block drops out of the spectrum, a Gaussian
 there does not, and the limits can differ (on the TSRR 4-cycle
 N^4 tr rho^2 tends to 3 for Haar blocks and to 5 for Ginibre blocks).
 
-Applying a Haar matrix to a state whose reshaped block matrix has fewer
-columns than rows only ever sees the matrix through a random isometry on
-the column space, so the sampler draws that isometry directly instead of
-a full unitary; one-vertex graphs at N = 64 then cost QR of a vector, not
-of a 4096 x 4096 matrix.
+State assembly.  A block's transform U only ever acts on the block's
+share of the pair state: a fixed |Phi> on each loop bond and one open
+leg per cross bond.  So the block enters as the isometry W = U V, where
+the frame V maps the cross-bond legs into the block space.  For Haar U,
+W is a Haar isometry of shape block_dim x prod(cross legs); for a
+normalized Gaussian U it is a thin Gaussian divided by sqrt(block_dim).
+The sampler draws W directly and contracts the isometries along the
+cross bonds, with 1/sqrt(D) per bond, in a pairwise order fixed once per
+call.  No product state and no full unitary is formed: a one-vertex
+graph at N = 64 costs the QR of one vector.
+
+Haar fold.  A Haar unitary on a fully traced (T) or fully kept (S) block
+leaves the reduced spectrum unchanged (the graphical-calculus rule of
+Collins and Nechita, "Random quantum channels I", CMP 2010).  So in Haar
+mode `estimate` leaves those blocks untransformed and samples the
+`haar_fold` of the marginal: every bond whose two ends lie in S/T blocks
+is a tensor factor of the state and is removed.  A traced-kept one adds
+a flat factor I/D to rho (D = d N), which `estimate` puts back (moments
+times D^(1-p), entropy plus ln D); a traced-traced or kept-kept one
+leaves the nonzero spectrum unchanged.  The S/T blocks shrink to their
+remaining members.  Ginibre mode folds nothing, because a Gaussian on an
+S/T block changes the spectrum.
+
+Both caps apply to the arrays actually built: MAX_AMPLITUDES to every
+isometry, intermediate and state of the contraction (after any fold),
+MAX_DENSITY_DIM to the side of the Gram matrix.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .graphs import GraphSpec, MarginalSpec
 
 MAX_AMPLITUDES = 2 ** 22
 MAX_DENSITY_DIM = 4096
@@ -87,72 +111,210 @@ class StateVector:
 
 
 def assemble_state(marginal_or_graph, N: int, rng=None, mode: str = "haar",
-                   unitaries: dict | None = None) -> StateVector:
-    """Entangled-pair product state with one random transform per block.
+                   unitaries: dict | None = None, pinned=()) -> StateVector:
+    """Entangled-pair state with one random transform per block.
 
-    `mode` picks Haar unitaries or normalized Ginibre matrices for the
-    block transforms; `unitaries` (block index -> matrix) overrides the
-    random draw, with the identity simply skipped.
+    Each transformed block enters as its isometry (module docstring),
+    Haar or thin Gaussian by `mode`, and the isometries are contracted
+    along the cross bonds.  `unitaries` (block index -> matrix) overrides
+    a block's draw; an identity override pins the block.  Blocks in
+    `pinned` keep the identity transform and draw nothing.  Given a
+    marginal, the amplitudes are stored kept subsystems first, so that
+    splitting them along its trace set copies nothing.
     """
     graph = getattr(marginal_or_graph, "graph", marginal_or_graph)
     if mode not in ("haar", "ginibre"):
         raise ValueError(f"unknown mode {mode!r}")
-    dims = tuple(graph.dim_of[i] * N for i in range(1, graph.n + 1))
-    total = math.prod(dims)
-    if total > MAX_AMPLITUDES:
-        raise ResourceCapError(f"state needs {total} amplitudes, cap {MAX_AMPLITUDES}")
+    unitaries = unitaries or {}
+    pinned = set(pinned) | {idx for idx, u in unitaries.items() if _is_identity(u)}
+    dim = {x: graph.dim_of[x] * N for x in range(1, graph.n + 1)}
+    legs, pairs, scale = _bond_legs(graph, pinned, dim)
 
-    # product of normalized identity tensors, one per bond, then reorder
-    vec = np.ones(1, dtype=complex)
-    axis_order = []
+    # operands: one isometry per transformed block, one |Phi> per pinned pair
+    specs = [(idx, members + tuple(label for _, label in legs[idx]))
+             for idx, members in enumerate(graph.vertex_blocks) if idx not in pinned]
+    specs += [(None, pair) for pair in pairs]
+    size = dict(dim)
+    for block_legs in legs.values():
+        size.update((label, dim[x]) for x, label in block_legs)
+    order, largest = _contraction_order([labels for _, labels in specs], size)
+    if largest > MAX_AMPLITUDES:
+        raise ResourceCapError(f"state assembly needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
+
+    operands = []
+    for idx, labels in specs:
+        if idx is None:
+            w = np.eye(size[labels[0]], dtype=complex) / math.sqrt(size[labels[0]])
+        elif idx in unitaries:
+            w = unitaries[idx] @ _frame(graph, idx, legs[idx], dim)
+        else:
+            rows = math.prod(dim[x] for x in graph.vertex_blocks[idx])
+            cols = math.prod(dim[x] for x, _ in legs[idx])
+            if mode == "haar":
+                w = haar_isometry(rng, rows, cols)
+            else:
+                w = standard_complex_gaussian(rng, rows, cols) / math.sqrt(rows)
+        operands.append((w.reshape([size[label] for label in labels]), labels))
+    if scale != 1.0:
+        i = min(range(len(operands)), key=lambda j: operands[j][0].size)
+        operands[i] = (operands[i][0] * scale, operands[i][1])
+
+    traced = getattr(marginal_or_graph, "traced", frozenset())
+    layout = sorted(dim, key=lambda x: (x in traced, x))
+    stored = np.asarray(_contract(operands, order, layout), order="C")
+    return StateVector(tensor=np.transpose(stored, np.argsort(layout)),
+                       dims=tuple(dim[x] for x in sorted(dim)))
+
+
+def _bond_legs(graph, pinned, dim):
+    """Index labels of the contraction, bond by bond.
+
+    Subsystem x's axis is labelled x.  Returns each transformed block's
+    open legs as sorted (member, label) pairs, the bonds with both ends
+    pinned (each a |Phi> operand of its own), and the product of
+    1/sqrt(D) over the other cross bonds.  A cross bond between two
+    transformed blocks gets a fresh label above n, summed over; a leg
+    towards a pinned block carries the pinned subsystem's own label,
+    since an identity transform passes the bond index through.  Loop
+    bonds of a transformed block live inside its isometry.
+    """
+    block_of = {x: idx for idx, members in enumerate(graph.vertex_blocks) for x in members}
+    legs = {idx: [] for idx in range(graph.k) if idx not in pinned}
+    pairs = []
+    scale = 1.0
+    fresh = graph.n
     for a, b in graph.bonds:
-        bond_dim = dims[a - 1]
-        vec = np.kron(vec, np.eye(bond_dim, dtype=complex).ravel() / math.sqrt(bond_dim))
-        axis_order.extend([a, b])
-    tensor = vec.reshape([dims[i - 1] for i in axis_order])
-    perm = [axis_order.index(i) for i in range(1, graph.n + 1)]
-    tensor = np.transpose(tensor, perm)
+        ia, ib = block_of[a], block_of[b]
+        if ia in pinned and ib in pinned:
+            pairs.append((a, b))
+        elif ia != ib:
+            scale /= math.sqrt(dim[a])
+            if ia in pinned:
+                legs[ib].append((b, a))
+            elif ib in pinned:
+                legs[ia].append((a, b))
+            else:
+                fresh += 1
+                legs[ia].append((a, fresh))
+                legs[ib].append((b, fresh))
+    for block_legs in legs.values():
+        block_legs.sort()
+    return legs, pairs, scale
 
-    for idx, members in enumerate(graph.vertex_blocks):
-        override = None if unitaries is None else unitaries.get(idx)
-        tensor = _apply_block(tensor, [i - 1 for i in members], rng, mode, override)
-    return StateVector(tensor=tensor, dims=dims)
+
+def _frame(graph, idx, block_legs, dim):
+    """The block's share of the pair state, as an isometry from its legs.
+
+    Rows are the block space (members in order), columns its open legs:
+    a |Phi> on each loop bond, the identity from each leg to its member.
+    A unitary override U enters the contraction as U times this frame.
+    """
+    members = graph.vertex_blocks[idx]
+    parts = [(np.eye(dim[a], dtype=complex) / math.sqrt(dim[a]), (a, b))
+             for a, b in graph.bonds if a in members and b in members]
+    parts += [(np.eye(dim[x], dtype=complex), (x, -x)) for x, _ in block_legs]
+    frame = _contract(parts, range(len(parts)), members + tuple(-x for x, _ in block_legs))
+    return frame.reshape(math.prod(dim[x] for x in members), -1)
 
 
-def _apply_block(tensor, axes, rng, mode, override):
-    shape = tensor.shape
-    block_dim = 1
-    for ax in axes:
-        block_dim *= shape[ax]
-    rest = tensor.size // block_dim
+def _contraction_order(operand_labels, size):
+    """Pairwise contraction order, and the largest array it builds.
 
-    moved = np.moveaxis(tensor, axes, range(len(axes)))
-    kept_shape = moved.shape
-    mat = moved.reshape(block_dim, rest)
+    Greedy from each start, absorbing next the operand that gives the
+    smallest result; of those orders, the one with the fewest
+    multiply-adds (a step costs the product of the sizes of every label
+    it touches).  Labels shared by two operands are summed, the others
+    are axes of the result.
+    """
+    def volume(labels):
+        return math.prod(size[label] for label in labels)
 
-    if override is not None:
-        out = override @ mat if not _is_identity(override) else mat
-    elif block_dim <= rest:
-        if mode == "haar":
-            out = haar_unitary(block_dim, rng) @ mat
-        else:
-            out = (standard_complex_gaussian(rng, block_dim, block_dim)
-                   / math.sqrt(block_dim)) @ mat
-    else:
-        # the block transform only acts on the column space of `mat`:
-        # draw its restriction there (isometry / thin Gaussian) directly
-        q, r = np.linalg.qr(mat, mode="reduced")
-        if mode == "haar":
-            w = haar_isometry(rng, block_dim, rest)
-        else:
-            w = standard_complex_gaussian(rng, block_dim, rest) / math.sqrt(block_dim)
-        out = w @ r
+    largest = max((volume(labels) for labels in operand_labels), default=1)
+    best = None
+    for start in range(len(operand_labels)):
+        acc, order, cost, peak = set(operand_labels[start]), [start], 0, 0
+        rest = [i for i in range(len(operand_labels)) if i != start]
+        while rest:
+            nxt = min(rest, key=lambda i: (volume(acc ^ set(operand_labels[i])), i))
+            rest.remove(nxt)
+            cost += volume(acc | set(operand_labels[nxt]))
+            acc ^= set(operand_labels[nxt])
+            order.append(nxt)
+            peak = max(peak, volume(acc))
+        if best is None or cost < best[0]:
+            best = (cost, order, peak)
+    if best is None:
+        return [], largest
+    return best[1], max(largest, best[2])
 
-    return np.moveaxis(out.reshape(kept_shape), range(len(axes)), axes)
+
+def _contract(operands, order, out):
+    """Contract (array, labels) operands pairwise in `order`.
+
+    Labels shared by two operands are summed; the result's axes follow
+    `out`.  No operands contract to the scalar 1.
+    """
+    if not operands:
+        return np.ones((), dtype=complex)
+    first, *rest = order
+    acc, acc_labels = operands[first]
+    acc_labels = list(acc_labels)
+    for i in rest:
+        t, labels = operands[i]
+        shared = [label for label in acc_labels if label in labels]
+        acc = np.tensordot(acc, t, axes=([acc_labels.index(label) for label in shared],
+                                         [labels.index(label) for label in shared]))
+        acc_labels = ([label for label in acc_labels if label not in shared]
+                      + [label for label in labels if label not in shared])
+    return np.transpose(acc, [acc_labels.index(label) for label in out])
 
 
 def _is_identity(mat) -> bool:
     return mat.shape[0] == mat.shape[1] and np.array_equal(mat, np.eye(mat.shape[0]))
+
+
+@dataclass(frozen=True)
+class HaarFold:
+    """A marginal with its S/T-only bonds taken out, for Haar sampling.
+
+    `marginal` is what remains: its subsystems are the original ones in
+    `subsystems` order, renumbered 1..n; mixed blocks are whole and S/T
+    blocks keep only their members bonded to mixed blocks.  `flat_dim` is
+    the D of the flat factor I/D the removed traced-kept bonds add to rho.
+    """
+
+    marginal: MarginalSpec
+    subsystems: tuple
+    flat_dim: int
+
+    @property
+    def pinned(self) -> tuple:
+        """The folded S/T blocks: their Haar transform is left out."""
+        return tuple(idx for idx, view in enumerate(self.marginal.blocks) if view.kind != "mixed")
+
+
+def haar_fold(marginal: MarginalSpec, N: int) -> HaarFold:
+    """Remove every bond whose two ends lie in fully traced or fully kept blocks.
+
+    With those blocks untransformed such a bond is a tensor factor of the
+    state: traced-kept it puts a flat factor I/D (D = d N) on rho,
+    traced-traced or kept-kept it leaves the nonzero spectrum unchanged.
+    """
+    graph = marginal.graph
+    fixed = {x for view in marginal.blocks if view.kind != "mixed" for x in view.members}
+    removed = [(a, b) for a, b in graph.bonds if a in fixed and b in fixed]
+    gone = {x for bond in removed for x in bond}
+    keep = [x for x in range(1, graph.n + 1) if x not in gone]
+    new_id = {x: i for i, x in enumerate(keep, start=1)}
+    folded = GraphSpec(
+        vertex_blocks=[[new_id[x] for x in members if x in new_id]
+                       for members in graph.vertex_blocks if not set(members) <= gone],
+        bonds=[(new_id[a], new_id[b]) for a, b in graph.bonds if a in new_id],
+        dims={new_id[x]: graph.dim_of[x] for x in keep})
+    flat_dim = math.prod(graph.dim_of[a] * N for a, b in removed
+                         if (a in marginal.traced) != (b in marginal.traced))
+    return HaarFold(marginal=folded.marginal(new_id[x] for x in marginal.traced if x in new_id),
+                    subsystems=tuple(keep), flat_dim=flat_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +434,35 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
     """Sample the marginal and report moment and entropy statistics.
 
     Trials are independent with their own RNG streams, so the report is
-    bit-identical for a given seed regardless of thread count.  In
-    Ginibre mode each sampled spectrum is normalized to unit trace.
+    bit-identical for a given seed regardless of thread count; at most
+    min(threads, trials, cpu count) threads run.  In Haar mode every
+    trial samples the `haar_fold` of the marginal and puts its flat factor
+    back.  In Ginibre mode each sampled spectrum is normalized to unit
+    trace.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     p_list = tuple(p_list)
     rngs = trial_rngs(seed, trials)
+    if mode == "haar":
+        fold = haar_fold(marginal, N)
+        target, pinned, flat = fold.marginal, fold.pinned, fold.flat_dim
+    else:
+        target, pinned, flat = marginal, (), 1
 
     def one_trial(t):
-        state = assemble_state(marginal, N, rngs[t], mode=mode)
-        raw = np.clip(reduced_spectrum(state, marginal.traced), 0.0, None)
-        raw_moments = [float(np.sum(raw ** p)) for p in p_list]
+        state = assemble_state(target, N, rngs[t], mode=mode, pinned=pinned)
+        raw = np.clip(reduced_spectrum(state, target.traced), 0.0, None)
+        raw_moments = [float(np.sum(raw ** p)) * flat ** (1 - p) for p in p_list]
         lam = raw / raw.sum() if mode == "ginibre" else raw
-        moments = [float(np.sum(lam ** p)) for p in p_list]
+        moments = [float(np.sum(lam ** p)) * flat ** (1 - p) for p in p_list]
         pos = lam[lam > 0]
-        entropy = float(-np.sum(pos * np.log(pos)))
+        entropy = float(-np.sum(pos * np.log(pos))) + math.log(flat)
         return moments, raw_moments, entropy
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_trial, range(trials)))
     else:
         results = [one_trial(t) for t in range(trials)]

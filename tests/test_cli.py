@@ -16,7 +16,7 @@ from graphstate.cli import (
     parse_graph,
     run,
 )
-from graphstate.catalog import exotic_graph, fc_template, one_loop
+from graphstate.catalog import cycle_graph, exotic_graph, fc_template, one_loop
 
 DATA = Path(__file__).parent / "data"
 
@@ -100,6 +100,16 @@ class TestCommands:
         assert report["all_ok"]
         assert all(row["ok"] for row in report["checks"])
         assert report["checks"][1]["reference_kind"] == "exact"
+
+    def test_verify_reference_reason(self, monkeypatch):
+        report = cmd_verify(one_loop(), N=1, trials=4, seed=0, p_max=2)
+        reasons = [(row["reference_kind"], row["reference_reason"]) for row in report["checks"]]
+        assert reasons == [("exact", None), ("asymptotic", "singular_weingarten")]
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "30")
+        report = cmd_verify(one_loop(), N=4, trials=4, seed=0, p_max=3)
+        assert report["checks"][2]["reference_kind"] == "asymptotic"
+        assert report["checks"][2]["reference_reason"] == "budget"
+        assert report["checks"][1]["reference_reason"] is None
 
     def test_verify_ladder(self):
         report = cmd_verify(one_loop(), N=16, trials=40, seed=9, p_max=2,
@@ -200,6 +210,20 @@ class TestRun:
         assert est["mode"] == "ginibre"
         assert est["moments"]["1"]["mean"] == pytest.approx(1.0, abs=1e-12)
         assert est["raw_moments"]["1"]["mean"] != 1.0
+
+    def test_verify_tsrr_at_n8(self, tmp_path):
+        # 8^8 amplitudes are over the cap; the Haar fold samples 8^6
+        path = write_graph(tmp_path, graph_to_dict(cycle_graph("TSRR")))
+        code, text = run(["verify", path, "--N", "8", "--trials", "12", "--pmax", "2"])
+        assert code == 0, text
+        assert json.loads(text)["all_ok"]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_threads_below_one_exit_1(self, command):
+        code, text = run([command, str(DATA / "one_loop.json"), "--N", "4",
+                          "--threads", "0"])
+        assert code == 1
+        assert "--threads" in text
 
     def test_determinism(self):
         args = ["simulate", str(DATA / "one_loop.json"), "--N", "8",
