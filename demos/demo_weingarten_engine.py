@@ -1,9 +1,10 @@
 """Under the hood: Weingarten tables, Moebius asymptotics, Haar sampling.
 
 Every exact moment reduces to tables of the Weingarten function, the
-convolution inverse of sigma -> n^(#cycles).  Its large-n behavior is a
-Moebius function weighted by Catalan numbers, which is what turns moment
-sums into non-crossing partition counts.
+convolution inverse of sigma -> n^(#cycles) (its pseudo-inverse when
+n < p, where the Haar integration formula still holds).  Its large-n
+behavior is a Moebius function weighted by Catalan numbers, which is what
+turns moment sums into non-crossing partition counts.
 """
 
 import math
@@ -21,6 +22,9 @@ for p, n in ((2, 8), (3, 8), (4, 16)):
     print(f"  p={p}, n={n}: {len(table.values)} cycle types, "
           f"max identity defect {worst} (exact zero)")
 print("  p=2, n=2 table:", {t: str(v) for t, v in wg_exact(2, 2).values.items()})
+below = wg_exact(3, 2)
+print(f"  p=3, n=2 (below the order): 3! sum Wg = "
+      f"{6 * sum(below(s) for s in all_perms(3))} = E|U11|^6 on U(2)")
 print()
 
 print("=== Moebius asymptotics: Wg ~ n^-(p+|sigma|) Mob(sigma) ===")

@@ -352,11 +352,6 @@ def nc_to_geodesic(part: NCPartition) -> Perm:
     return Perm.from_cycles(part.p, [list(b) for b in part.blocks])
 
 
-def geodesic_to_nc(sigma: Perm) -> NCPartition:
-    """[sigma]: inverse of `nc_to_geodesic` on geodesic permutations."""
-    return sigma.cycle_partition()
-
-
 def is_geodesic(sigma: Perm) -> bool:
     gamma = Perm.full_cycle(sigma.p)
     return (gamma * sigma.inverse()).length + sigma.length == sigma.p - 1
@@ -397,6 +392,19 @@ def fuss_catalan(s: int, p: int) -> int:
     q, r = divmod(comb(s * p + p, p), s * p + 1)
     assert r == 0
     return q
+
+
+def mp_moment(c, p: int) -> Fraction:
+    """p-th free-Poisson moment sum_k N(p, k) c^k, exactly.
+
+    N(p, k) = C(p, k) C(p, k-1) / p, the Narayana number, counts the
+    partitions in NC(p) with k blocks, so this equals the sum over NC(p)
+    of c^(number of blocks).
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    c = Fraction(c)
+    return sum(comb(p, k) * comb(p, k - 1) // p * c ** k for k in range(1, p + 1))
 
 
 def mobius(sigma: Perm) -> int:
@@ -557,15 +565,4 @@ def mobius_inversion_defect(beta: Perm) -> int:
         if leq(part, target):
             alpha = nc_to_geodesic(part)
             total += mobius(alpha.inverse() * beta)
-    return total
-
-
-def mp_moment_exact(c: Fraction, p: int, cap: int = NC_CAP_DEFAULT) -> Fraction:
-    """Sum over NC(p) of c^(number of blocks): p-th free-Poisson moment."""
-    if p > cap:
-        raise EnumerationCapError(f"p={p} exceeds enumeration cap {cap}")
-    c = Fraction(c)
-    total = Fraction(0)
-    for part in enumerate_nc(p):
-        total += c ** part.num_blocks
     return total

@@ -31,7 +31,7 @@ from .combinatorics import (
     count_poset_tuples,
     enumerate_nc,
     fuss_catalan,
-    mp_moment_exact,
+    mp_moment,
     nc_to_geodesic,
 )
 from .flow import build_network, max_flow
@@ -345,9 +345,6 @@ class MomentReport:
     coefficient: Fraction
     minimizer_count: int
 
-    def value_at(self, n: float) -> float:
-        return float(self.coefficient) * float(n) ** self.exponent
-
 
 def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentReport:
     """Exact leading coefficient of E tr(rho^p) and its N-exponent.
@@ -428,7 +425,7 @@ def exact_moment(marginal: MarginalSpec, p: int, N: int, budget=None) -> Fractio
     Label b of a block weighs h[b] = sum_a weight(a) Wg(a^-1 b), from the
     Weingarten table at the block's dimension.  h is delta(b, id) on a
     fully traced block and delta(b, gamma) on a fully kept one, so those
-    are pinned and need no table, even where it would be singular.
+    are pinned and need no table.
     """
     return _finite_n_moment(marginal, p, N, budget, haar=True)
 
@@ -588,7 +585,7 @@ def _match_free_poisson(coeffs):
         d = (1 + v) / c2 if c2 else None
         if d is None or d <= 0:
             continue
-        if all(coeff == d ** (1 - p) * c ** (-p) * mp_moment_exact(c, p)
+        if all(coeff == d ** (1 - p) * c ** (-p) * mp_moment(c, p)
                for p, coeff in enumerate(coeffs, start=1)):
             return c, d
     return None
@@ -696,7 +693,7 @@ def law_moments(dist: DistributionId, p_max: int):
     if dist.kind == "free_poisson":
         scale = Fraction(dist.rank_coeff if dist.rank_coeff is not None else 1)
         c = Fraction(dist.c)
-        return [scale ** (1 - p) * c ** -p * mp_moment_exact(c, p) for p in ps]
+        return [scale ** (1 - p) * c ** -p * mp_moment(c, p) for p in ps]
     if dist.kind == "fuss_catalan":
         return [Fraction(fuss_catalan(dist.s, p)) for p in ps]
     if dist.kind == "classical_product":

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from .combinatorics import ConstraintPoset, count_poset_tuples, fuss_catalan, mp_moment_exact
+from .combinatorics import ConstraintPoset, count_poset_tuples, fuss_catalan
+from .combinatorics import mp_moment  # noqa: F401  (the free-Poisson moments of this module)
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,6 @@ def mp_density(c) -> DensityFn:
 
     return DensityFn(lo=lo, hi=hi, atom=max(1.0 - c, 0.0), pdf=pdf,
                      zero_power=0.5 if lo == 0.0 else 0.0)
-
-
-def mp_moment(c, p: int) -> Fraction:
-    """Exact p-th moment: sum over non-crossing partitions of c^blocks."""
-    return mp_moment_exact(Fraction(c), p)
 
 
 def mp_entropy(c) -> float:

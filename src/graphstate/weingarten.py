@@ -1,25 +1,25 @@
 """Exact and first-order Weingarten functions for Haar unitary integration.
 
-`wg_exact` inverts sigma -> n^(#sigma) under group-algebra convolution on
-S_p, exactly, in rational arithmetic.  The inversion is done on conjugacy
-classes (both sides are class functions), so the linear system has one row
-per cycle type instead of one per permutation.  `wg_asym` is the leading
-1/n term used by the asymptotic moment engine.
+`wg_exact` evaluates the character formula of Collins and Sniady,
+
+    Wg(sigma, n) = (1/p!) sum over lambda |- p with at most n rows of
+                   chi^lambda(e) chi^lambda(sigma) / prod_cells (n + content),
+
+the Haar integration weight at every dimension n >= 1.  For n >= p it
+inverts sigma -> n^(#sigma) under convolution on S_p; for n < p that map
+is singular and the table is its pseudo-inverse.  Characters come from
+the Murnaghan-Nakayama rule on partitions, so S_p is never built.
+`wg_asym` is the leading 1/n term used by the asymptotic moment engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import Perm, all_perms, mobius
-
-WG_ORDER_CAP = 6
-
-
-class SingularWeingartenError(ValueError):
-    """n^(#sigma) is not invertible at this dimension (needs n >= p)."""
 
 
 @dataclass(frozen=True)
@@ -38,73 +38,55 @@ class WeingartenTable:
 
 
 @lru_cache(maxsize=None)
-def _classes(p: int):
-    """Conjugacy classes of S_p grouped by cycle type."""
-    groups = {}
-    for sigma in all_perms(p):
-        groups.setdefault(sigma.cycle_type(), []).append(sigma)
-    return groups
-
-
-def wg_exact(p: int, n: int) -> WeingartenTable:
-    """Exact Weingarten table at order p and integer dimension n.
-
-    Solves sum_tau Wg(sigma tau^-1) n^(#tau) = delta(sigma, id) over the
-    rationals.  Requires n >= p; smaller n makes the Gram matrix singular
-    and raises SingularWeingartenError.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p > WG_ORDER_CAP:
-        raise ValueError(f"exact Weingarten capped at p <= {WG_ORDER_CAP}")
-    if n < p:
-        raise SingularWeingartenError(f"need n >= p for invertibility (n={n}, p={p})")
-    return _wg_exact_cached(p, n)
+def _partitions(p: int, largest: int = None):
+    """Partitions of p as descending tuples, parts at most `largest`."""
+    if p == 0:
+        return ((),)
+    top = p if largest is None else min(p, largest)
+    return tuple((k,) + rest for k in range(top, 0, -1) for rest in _partitions(p - k, k))
 
 
 @lru_cache(maxsize=None)
-def _wg_exact_cached(p: int, n: int) -> WeingartenTable:
-    groups = _classes(p)
-    types = sorted(groups)
-    t_idx = {t: i for i, t in enumerate(types)}
-    reps = {t: groups[t][0] for t in types}
+def _character(shape, rho) -> int:
+    """chi^shape on cycle type rho, by Murnaghan-Nakayama on beta-sets.
 
-    # G[c][d] = sum over rho in class d of n^(#(rho^-1 sigma_c))
-    size = len(types)
-    gram = [[Fraction(0)] * size for _ in range(size)]
-    for ci, ct in enumerate(types):
-        sig = reps[ct]
-        for di, dt in enumerate(types):
-            total = 0
-            for rho in groups[dt]:
-                total += n ** (rho.inverse() * sig).num_cycles
-            gram[ci][di] = Fraction(total)
-
-    rhs = [Fraction(0)] * size
-    rhs[t_idx[tuple([1] * p)]] = Fraction(1)
-
-    sol = _solve_rational(gram, rhs)
-    if sol is None:
-        raise SingularWeingartenError(f"Gram matrix singular at n={n}, p={p}")
-    return WeingartenTable(p=p, n=n, values={t: sol[i] for i, t in enumerate(types)})
+    Removing a border strip of length k from `shape` moves one beta
+    number b = shape[i] + (rows - 1 - i) down to a free b - k; the sign
+    is -1 to the number of beta numbers it jumps over.
+    """
+    if not rho:
+        return 1
+    k, rest = rho[0], rho[1:]
+    rows = len(shape)
+    beta = [part + rows - 1 - i for i, part in enumerate(shape)]
+    total = 0
+    for i, b in enumerate(beta):
+        if b < k or b - k in beta:
+            continue
+        jumped = sum(1 for c in beta if b - k < c < b)
+        moved = sorted(beta[:i] + [b - k] + beta[i + 1:], reverse=True)
+        smaller = tuple(x for x in (c - (rows - 1 - j) for j, c in enumerate(moved)) if x)
+        total += (-1) ** jumped * _character(smaller, rest)
+    return total
 
 
-def _solve_rational(mat, rhs):
-    """Gaussian elimination over Fraction; returns None if singular."""
-    size = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][size] for r in range(size)]
+def _content_product(shape, n: int) -> int:
+    """prod over the cells (i, j) of `shape` of n + j - i."""
+    return math.prod(n + j - i for i, part in enumerate(shape) for j in range(part))
+
+
+def wg_exact(p: int, n: int) -> WeingartenTable:
+    """Exact Weingarten table at order p and integer dimension n >= 1."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    shapes = [lam for lam in _partitions(p) if len(lam) <= n]
+    ones = (1,) * p
+    weights = [Fraction(_character(lam, ones), _content_product(lam, n)) for lam in shapes]
+    values = {rho: sum(w * _character(lam, rho) for lam, w in zip(shapes, weights))
+              / math.factorial(p) for rho in sorted(_partitions(p))}
+    return WeingartenTable(p=p, n=n, values=values)
 
 
 def wg_asym(p: int, n: float, sigma: Perm) -> float:
@@ -115,7 +97,8 @@ def wg_asym(p: int, n: float, sigma: Perm) -> float:
 def convolution_defect(table: WeingartenTable, sigma: Perm) -> Fraction:
     """sum_tau Wg(sigma tau^-1) n^(#tau) minus its target delta(sigma, id).
 
-    Zero for every sigma when the table is correct; used as a self-test.
+    Zero for every sigma when n >= p; below that n^(#tau) is singular and
+    the table is its pseudo-inverse, so the defect need not vanish.
     """
     total = Fraction(0)
     for tau in all_perms(table.p):

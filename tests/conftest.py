@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from graphstate.catalog import random_marginal
+from graphstate.catalog import random_marginal, star_graph
+from graphstate.montecarlo import estimate
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,9 @@ def small_corpus():
     """Smaller instances, cheap enough for exact-engine cross-checks."""
     rng = np.random.default_rng(91)
     return [random_marginal(rng, max_bonds=2, max_dim=2) for _ in range(20)]
+
+
+@pytest.fixture(scope="session")
+def star_estimate():
+    """Haar estimate of star(1,1) at N = 16: 300 trials, p = 1, 2, seed 11."""
+    return estimate(star_graph(2, 1, 1), 16, 300, p_list=(1, 2), seed=11)

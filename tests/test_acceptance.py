@@ -146,9 +146,9 @@ def test_criterion_07_ginibre_product_oracle():
                           f"and (1,3,12,55) at N=256 ({elapsed:.1f}s)")
 
 
-def test_criterion_08_star_table():
+def test_criterion_08_star_table(star_estimate):
     marginal = star_graph(2, 1, 1)
-    rep = estimate(marginal, 16, 300, p_list=(1, 2), seed=11)
+    rep = star_estimate
     finite_ref = float(exact_moment(marginal, 2, 16))
     ok_exact = abs(rep.purity_mean - finite_ref) <= 3 * rep.purity_stderr
     asym = 2 / 16 ** 2

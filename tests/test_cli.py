@@ -104,12 +104,18 @@ class TestCommands:
     def test_verify_reference_reason(self, monkeypatch):
         report = cmd_verify(one_loop(), N=1, trials=4, seed=0, p_max=2)
         reasons = [(row["reference_kind"], row["reference_reason"]) for row in report["checks"]]
-        assert reasons == [("exact", None), ("asymptotic", "singular_weingarten")]
+        assert reasons == [("exact", None), ("exact", None)]
         monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "30")
         report = cmd_verify(one_loop(), N=4, trials=4, seed=0, p_max=3)
         assert report["checks"][2]["reference_kind"] == "asymptotic"
         assert report["checks"][2]["reference_reason"] == "budget"
         assert report["checks"][1]["reference_reason"] is None
+
+    def test_verify_deviation_zero_within_floor(self):
+        # at N = 1 every moment is 1 and the sample stderr is rounding noise
+        report = cmd_verify(one_loop(), N=1, trials=4, seed=0, p_max=3)
+        assert [row["deviation_stderr"] for row in report["checks"]] == [0.0, 0.0, 0.0]
+        assert report["all_ok"]
 
     def test_verify_ladder(self):
         report = cmd_verify(one_loop(), N=16, trials=40, seed=9, p_max=2,
@@ -162,6 +168,16 @@ class TestRun:
         code, text = run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])
         assert code == 3
         assert "budget" in text.lower()
+
+    def test_enumeration_cap_exit_3(self):
+        code, text = run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])
+        assert code == 3
+        assert "enumeration cap" in text
+
+    def test_exact_below_order(self):
+        code, text = run(["exact", str(DATA / "one_loop.json"), "--N", "1", "--pmax", "3"])
+        assert code == 0, text
+        assert [row["value"] for row in json.loads(text)["moments"]] == ["1", "1", "1"]
 
     def test_env_budget_override_allows_more(self, monkeypatch):
         monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "100000000")

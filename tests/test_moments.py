@@ -31,7 +31,6 @@ from graphstate.moments import (
     star_marginal,
 )
 from graphstate.spectra import fc_entropy, mp_moment
-from graphstate.weingarten import SingularWeingartenError
 
 
 class TestFBeta:
@@ -199,9 +198,10 @@ class TestExactMoment:
         with pytest.raises(BudgetExceededError):
             exact_moment(cycle_graph("TSRR"), 4, 4, budget=1000)
 
-    def test_singular_dimension_error(self):
-        with pytest.raises(SingularWeingartenError):
-            exact_moment(one_loop(), 3, 1)   # block dimension 1 < p
+    def test_scalar_state_at_dimension_one(self):
+        # at N = 1 the mixed block has dimension 1 < p and the state is a scalar
+        for p in range(2, 6):
+            assert exact_moment(one_loop(), p, 1) == 1
 
     def test_gaussian_one_loop_closed_form(self):
         for N in (2, 4, 8):

@@ -244,8 +244,8 @@ class TestEstimate:
         assert a.moment_mean == b.moment_mean
         assert a.raw_moment_mean == b.raw_moment_mean
 
-    def test_star_purity(self):
-        rep = estimate(star_graph(2, 1, 1), 16, 300, p_list=(1, 2), seed=11)
+    def test_star_purity(self, star_estimate):
+        rep = star_estimate
         exact = float(exact_moment(star_graph(2, 1, 1), 2, 16))
         assert abs(rep.purity_mean - exact) <= 3 * rep.purity_stderr
         # asymptotic table value at 10% tolerance
@@ -266,6 +266,14 @@ class TestEstimate:
         for p in (2, 3):
             target = float(oracle(marginal, p, N))
             assert abs(rep.raw_moment_mean[p] - target) <= 4 * rep.raw_moment_stderr[p]
+
+    def test_exact_below_order_matches_haar_sampling(self):
+        # at N = 2 the R blocks of TSRR have dimension 4, below p = 5
+        marginal = cycle_graph("TSRR")
+        rep = estimate(marginal, 2, 2000, p_list=(4, 5), seed=7)
+        for p in (4, 5):
+            target = float(exact_moment(marginal, p, 2))
+            assert abs(rep.moment_mean[p] - target) <= 4 * rep.moment_stderr[p]
 
     def test_threads_clamped_to_trials_and_cpus(self, monkeypatch):
         seen = []

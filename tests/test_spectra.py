@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphstate.catalog import exotic_poset
-from graphstate.combinatorics import ConstraintPoset, catalan
+from graphstate.combinatorics import ConstraintPoset, catalan, enumerate_nc
 from graphstate.spectra import (
     fc2_density,
     fc_density,
@@ -62,6 +62,15 @@ class TestMPMoments:
 
     def test_mean_is_c(self):
         assert mp_moment(Fraction(3, 7), 1) == Fraction(3, 7)
+
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 3), Fraction(4), Fraction(7, 2)])
+    def test_equals_noncrossing_sum(self, c):
+        for p in range(1, 11):
+            assert mp_moment(c, p) == sum(c ** q.num_blocks for q in enumerate_nc(p))
+
+    def test_no_enumeration_cap(self):
+        # catalan(20) non-crossing partitions, without enumerating them
+        assert mp_moment(1, 20) == catalan(20)
 
 
 class TestMPEntropy:

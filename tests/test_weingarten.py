@@ -1,16 +1,49 @@
 """Exact Weingarten tables and their first-order asymptotics."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from graphstate import combinatorics, weingarten
 from graphstate.combinatorics import Perm, all_perms
-from graphstate.weingarten import (
-    SingularWeingartenError,
-    convolution_defect,
-    wg_asym,
-    wg_exact,
-)
+from graphstate.weingarten import convolution_defect, wg_asym, wg_exact
+
+
+def gram_solver_table(p, n):
+    """Wg(n, .) by cycle type, from the class Gram matrix of n^(#sigma).
+
+    Solves sum_tau Wg(sigma tau^-1) n^(#tau) = delta(sigma, id) on one
+    representative per class by Fraction Gaussian elimination; the system
+    is invertible only for n >= p.
+    """
+    groups = {}
+    for sigma in all_perms(p):
+        groups.setdefault(sigma.cycle_type(), []).append(sigma)
+    types = sorted(groups)
+    rows = [[Fraction(sum(n ** (rho.inverse() * groups[ct][0]).num_cycles for rho in groups[dt]))
+             for dt in types] + [Fraction(ct == (1,) * p)] for ct in types]
+    for col in range(len(types)):
+        pivot = next(r for r in range(col, len(types)) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(len(types)):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return {t: row[-1] for t, row in zip(types, rows)}
+
+
+def class_size(cycle_type):
+    """Number of permutations with this cycle type: p! / z_lambda."""
+    z = math.prod(k ** m * math.factorial(m) for k, m in Counter(cycle_type).items())
+    return math.factorial(sum(cycle_type)) // z
+
+
+def u11_moment(table):
+    """p! sum_sigma Wg(n, sigma), which is E|U_11|^(2p) for U Haar on U(n)."""
+    return math.factorial(table.p) * sum(class_size(t) * v for t, v in table.values.items())
 
 
 class TestExact:
@@ -43,13 +76,34 @@ class TestExact:
                 conj = tau * sigma * tau.inverse()
                 assert table(conj) == table(sigma)
 
-    def test_singular_below_order(self):
-        with pytest.raises(SingularWeingartenError):
-            wg_exact(3, 2)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_equals_gram_solver(self, p):
+        for n in range(p, 13):
+            assert wg_exact(p, n).values == gram_solver_table(p, n)
 
-    def test_order_cap(self):
+    def test_below_order_is_u2_moment(self):
+        # S_3 at n = 2 keeps the shapes (3) and (2, 1); E|U_11|^6 on U(2) is 1/4
+        assert u11_moment(wg_exact(3, 2)) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])
+    def test_u11_moment_at_every_dimension(self, p):
+        for n in range(1, 10):
+            want = Fraction(math.factorial(p) * math.factorial(n - 1), math.factorial(n + p - 1))
+            assert u11_moment(wg_exact(p, n)) == want
+
+    def test_order_seven_without_enumeration(self, monkeypatch):
+        def unbuilt(p):
+            raise AssertionError(f"enumerated S_{p}")
+        monkeypatch.setattr(combinatorics, "all_perms", unbuilt)
+        monkeypatch.setattr(weingarten, "all_perms", unbuilt)
+        table = wg_exact(7, 100)
+        assert u11_moment(table) == Fraction(math.factorial(7) * math.factorial(99),
+                                             math.factorial(106))
+
+    @pytest.mark.parametrize("p,n", [(0, 3), (2, 0)])
+    def test_rejects_empty_order_or_dimension(self, p, n):
         with pytest.raises(ValueError):
-            wg_exact(7, 100)
+            wg_exact(p, n)
 
 
 class TestAsymptotic:
