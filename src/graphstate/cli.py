@@ -177,10 +177,10 @@ def cmd_analyze(marginal: MarginalSpec, p_max: int = 6) -> dict:
 
 def cmd_exact(marginal: MarginalSpec, N: int, p_max: int = 3) -> dict:
     """Exact finite-N moment table (rationals, plus float renderings)."""
-    rows = []
-    for p in range(1, p_max + 1):
-        value = exact_moment(marginal, p, N)
-        rows.append({"p": p, "value": str(value), "float": float(value)})
+    # p_max first, so that a refused top order is refused before the lower orders run
+    orders = list(range(1, p_max + 1))
+    values = {p: exact_moment(marginal, p, N) for p in orders[-1:] + orders[:-1]}
+    rows = [{"p": p, "value": str(values[p]), "float": float(values[p])} for p in orders]
     return {
         "schema": REPORT_SCHEMA,
         "command": "exact",

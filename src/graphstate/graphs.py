@@ -197,10 +197,6 @@ class MarginalSpec:
     def k(self) -> int:
         return self.graph.k
 
-    def cross_count(self, i: int, j: int) -> int:
-        """Number of bonds between blocks i and j (i != j)."""
-        return len(self.cross_bonds.get(tuple(sorted((i, j))), ()))
-
     def cross_dim(self, i: int, j: int) -> int:
         """Product of bond dimension factors over bonds between blocks i, j."""
         bonds = self.cross_bonds.get(tuple(sorted((i, j))), ())

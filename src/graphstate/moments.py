@@ -1,15 +1,19 @@
 """Moment engines and limit-law classification for graph-state marginals.
 
-Every moment is a sum over labelings of the vertex blocks, with a factor
-per block label and one per pair of bonded blocks.  `_contract` sums it by
-bucket elimination for the NC(p) geodesic labels of `asymptotic_moment`
-(least cost X(p-1), summed weights) and the S_p labels of `exact_moment`
-(Weingarten weights) and `exact_moment_gaussian` (Wick weights).  The Haar
-engines pin fully traced blocks to the identity and fully kept ones to the
-long cycle: a Haar unitary with all legs traced or all kept integrates
-out, so its factor is exactly 1 there.  The Wick sum pins nothing, as a
-Gaussian block does not drop out.  `minimizer_set` and `f_beta` check the
-asymptotic engine by brute force; the law classifiers sit on top.
+Every moment is one sum over labelings of the vertex blocks, with a factor
+per block label and one per pair of bonded blocks.  `_labeling_sum` builds
+it for all three engines and `_contract` sums it by bucket elimination.
+Each weight is a monomial d^t N^(e t) in a cycle count t.
+`asymptotic_moment` keeps N formal over the NC(p) geodesics: a monomial is
+the entry (e (p - t), d^t, 1), and the sum keeps the least N-deficit,
+X(p-1).  `exact_moment` and `exact_moment_gaussian` plug N in over S_p,
+(0, (d N^e)^t, 1), with a Weingarten or a Wick (1/dim^p) block kernel.
+The Haar engines pin fully traced blocks to the identity and fully kept
+ones to the long cycle: a Haar unitary with all legs traced or all kept
+integrates out, so its factor is exactly 1 there.  The Wick sum pins
+nothing, as a Gaussian block does not drop out.  `minimizer_set` and
+`f_beta` check the asymptotic engine by brute force; the law classifiers
+sit on top.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from functools import lru_cache
 from .combinatorics import (
     ConstraintPoset,
     EnumerationCapError,
-    NCPartition,
     Perm,
     all_perms,
     catalan,
@@ -121,29 +124,33 @@ class MinimizerSet:
     def __len__(self):
         return len(self.tuples)
 
-    def as_partitions(self, t):
-        return tuple(self.partitions[i] for i in t)
-
 
 @lru_cache(maxsize=None)
-def _nc_tables(p: int, full: bool = True):
-    """Per-order tables over NC(p), or over its least and greatest partitions
-    alone: partitions, geodesics, length vectors."""
-    parts = enumerate_nc(p) if full else (NCPartition.zero(p), NCPartition.one(p))
-    perms = [nc_to_geodesic(q) for q in parts]
+def _label_table(p: int, nc: bool, full: bool):
+    """Labels at order p: the NC(p) geodesics (nc) or S_p, or id and gamma
+    alone (not full).  Returns them with #b, #(gamma b^-1) and the indices
+    of id and gamma."""
     gamma = Perm.full_cycle(p)
-    len_beta = [sig.length for sig in perms]
-    len_to_gamma = [(gamma * sig.inverse()).length for sig in perms]
-    idx_zero = parts.index(NCPartition.zero(p))
-    idx_one = parts.index(NCPartition.one(p))
-    return parts, perms, len_beta, len_to_gamma, idx_zero, idx_one
+    if not full:
+        perms = (Perm.identity(p), gamma)
+    else:
+        perms = tuple(map(nc_to_geodesic, enumerate_nc(p))) if nc else all_perms(p)
+    ncyc = [sig.num_cycles for sig in perms]
+    ncyc_gamma = [(gamma * sig.inverse()).num_cycles for sig in perms]
+    return perms, ncyc, ncyc_gamma, perms.index(Perm.identity(p)), perms.index(gamma)
 
 
 @lru_cache(maxsize=None)
-def _nc_pair_lengths(p: int):
-    """|a^-1 b| over all geodesic pairs; quadratic in catalan(p), built lazily."""
-    _, perms, _, _, _, _ = _nc_tables(p)
-    return [[(a.inverse() * b).length for b in perms] for a in perms]
+def _pair_table(p: int, nc: bool):
+    """#(a^-1 b) over all label pairs, quadratic in the labels and built
+    lazily; over S_p also the class of a^-1 b, indexing the cycle types."""
+    perms = _label_table(p, nc, True)[0]
+    if nc:
+        return [[(a.inverse() * b).num_cycles for b in perms] for a in perms], None, None
+    types = sorted({sig.cycle_type() for sig in perms})
+    index = {t: c for c, t in enumerate(types)}
+    classes = [[index[(a.inverse() * b).cycle_type()] for b in perms] for a in perms]
+    return [[len(types[c]) for c in row] for row in classes], classes, types
 
 
 def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
@@ -156,7 +163,6 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
     """
     x = max_flow(build_network(marginal)).value
     target = x * (p - 1)
-    parts, perms, len_beta, len_to_gamma, idx_zero, idx_one = _nc_tables(p)
 
     pinned = {}
     free = []
@@ -171,13 +177,15 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
     k = marginal.k
     cross = {pair: len(bonds) for pair, bonds in marginal.cross_bonds.items()}
 
-    est = len(parts) ** len(free) + (len(parts) ** 2 if cross else 0)
+    est = catalan(p) ** len(free) + (catalan(p) ** 2 if cross else 0)
     cap = tuples_budget(budget)
     if est > cap:
         raise BudgetExceededError(
             f"minimizer search needs ~{est} table entries (> budget {cap}); "
             f"lower p or raise {TUPLES_BUDGET_ENV}", est)
-    pair_len = _nc_pair_lengths(p) if cross else None
+    parts = enumerate_nc(p)
+    _, ncyc, ncyc_gamma, idx_zero, idx_one = _label_table(p, True, True)
+    pair_ncyc = _pair_table(p, True)[0] if cross else None
     kept_w = [len(v.kept) for v in marginal.blocks]
     traced_w = [len(v.traced) for v in marginal.blocks]
 
@@ -212,12 +220,12 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
             return
         blk = order[t]
         for c in choices[t]:
-            step = kept_w[blk] * len_to_gamma[c] + traced_w[blk] * len_beta[c]
+            # lengths are p - #: |gamma b^-1| on kept legs, |b| on traced ones
+            step = kept_w[blk] * (p - ncyc_gamma[c]) + traced_w[blk] * (p - ncyc[c])
             for other_t, weight in earlier_cross[t]:
-                step += weight * pair_len[assign[other_t]][c]
+                step += weight * (p - pair_ncyc[assign[other_t]][c])
             assign[t] = c
             rec(t + 1, cost + step)
-        return
 
     rec(0, 0)
 
@@ -228,13 +236,82 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
     # restore block order inside each tuple
     unscramble = [pos[blk] for blk in range(k)]
     tuples = [tuple(hit[unscramble[blk]] for blk in range(k)) for hit in hits]
-    return MinimizerSet(p=p, x=x, partitions=parts, tuples=tuples,
-                        pinned={blk: pin for blk, pin in pinned.items()})
+    return MinimizerSet(p=p, x=x, partitions=parts, tuples=tuples, pinned=pinned)
 
 
 # ---------------------------------------------------------------------------
 # labeling sums over the block graph
 # ---------------------------------------------------------------------------
+
+def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
+    """(least cost, prefactor * weight, count) of the labeling sum behind every engine.
+
+    Every weight is a monomial d^t N^(e t) in a cycle count t.  N=None keeps
+    N formal: labels are NC(p) geodesics, and the monomial is the entry
+    (e (p - t), d^t, 1), whose cost is its N-deficit.  An integer N labels
+    by S_p and plugs N in: (0, (d N^e)^t, 1).  Haar sums pin T blocks to id
+    and S blocks to gamma, whose factor is then exactly 1.  A free Haar
+    block at finite N weighs a Weingarten column at its dimension; every
+    other free block weighs its monomials, over dim_block^p in the prefactor.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if N is not None and N < 1:
+        raise ValueError("N must be >= 1")
+    nc = N is None
+    free = [not haar or v.kind not in ("T", "S") for v in marginal.blocks]
+    # a graph without free blocks labels by id and gamma alone: NC(p) or S_p is never built
+    n_labels = (catalan(p) if nc else math.factorial(p)) if any(free) else 2
+    sizes = [n_labels if f else 1 for f in free]
+    # a free Haar block at finite N needs a Weingarten column per label
+    columns = sum(s ** 2 for s in sizes if s > 1) if haar and not nc else 0
+    cap, env = ((tuples_budget(budget), TUPLES_BUDGET_ENV) if nc
+                else (terms_budget(budget), TERMS_BUDGET_ENV))
+    order = _plan(sizes, marginal.cross_bonds, cap, env, n_labels + columns)
+
+    def monomial(e, d, t):
+        return (e * (p - t), d ** t, 1) if nc else (0, (d * N ** e) ** t, 1)
+
+    perms, ncyc, ncyc_gamma, ident, gamma = _label_table(p, nc, any(free))
+    labels = range(len(perms))
+    domains = [labels if f else ((gamma,) if v.kind == "S" else (ident,))
+               for f, v in zip(free, marginal.blocks)]
+    rows = {ident: ncyc, gamma: ncyc_gamma}      # #(a^-1 b) for a = id, gamma
+    factors = [_pair_factor(i, j, rows, lambda: _pair_table(p, nc)[0],
+                            [monomial(len(bonds), marginal.cross_dim(i, j), t)
+                             for t in range(p + 1)])
+               for (i, j), bonds in marginal.cross_bonds.items()]
+
+    prefactor = Fraction(1, monomial(marginal.graph.m, marginal.dim_all_sqrt, p)[1])
+    for i, (view, f) in enumerate(zip(marginal.blocks, free)):
+        prefactor *= monomial(len(view.loop_bonds), view.dim_loops, p)[1]
+        if not f:
+            continue
+        entries = [_times(monomial(len(view.kept), view.dim_kept, ncyc_gamma[b]),
+                          monomial(len(view.traced), view.dim_traced, ncyc[b]))
+                   for b in labels]
+        if haar and not nc:
+            dim = view.dim_block * N ** len(view.members)
+            entries = [(0, h, 1) for h in _weingarten_column(p, dim, [e[1] for e in entries])]
+        else:   # the 1/dim^p kernel, kept out of the sum so that it stays integral
+            prefactor /= monomial(len(view.members), view.dim_block, p)[1]
+        factors.append(((i,), lambda key, entries=entries: entries[key[0]]))
+    cost, weight, count = _contract(domains, factors, order)
+    return cost, prefactor * weight, count
+
+
+def _weingarten_column(p, dim, weights):
+    """h[b] = sum_a weights[a] Wg(a^-1 b, dim) over S_p, summed class by class."""
+    _, classes, types = _pair_table(p, False)
+    wg = [wg_exact(p, dim).by_type(t) for t in types]
+    column = []
+    for row in classes:     # class(b^-1 a) = class(a^-1 b)
+        acc = [0] * len(types)
+        for w, c in zip(weights, row):
+            acc[c] += w
+        column.append(sum(Fraction(n) * wg[c] for c, n in enumerate(acc) if n))
+    return column
+
 
 def _plan(sizes, scopes, cap, env, extra=0):
     """Elimination order for `_contract`, refused if its work exceeds `cap`.
@@ -318,22 +395,16 @@ def _times(a, b):
     return a[0] + b[0], a[1] * b[1], a[2] * b[2]
 
 
-def _block_factor(i, entries):
-    """Factor on block i alone; `entries` maps each of its labels to an entry."""
-    return (i,), lambda key: entries[key[0]]
-
-
-def _pair_factor(i, j, mult, rows, table, weights):
-    """Bond factor (mult * t, weights[t], 1), t from `rows` at pinned labels, else table()."""
+def _pair_factor(i, j, rows, table, entries):
+    """Bond factor entries[#(a^-1 b)], read from `rows` at pinned labels, else from table()."""
     def lookup(key):
         a, b = key[::-1] if key[1] in rows else key
-        t = (rows[a] if a in rows else table()[a])[b]
-        return mult * t, weights[t], 1
+        return entries[(rows[a] if a in rows else table()[a])[b]]
     return (i, j), lookup
 
 
 # ---------------------------------------------------------------------------
-# asymptotic moments
+# the three engines
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -355,68 +426,21 @@ def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentRepo
     which must equal the max-flow bound X(p-1).  With the loop-bond factor
     and the square-root normalization, p=1 always reports (0, 1).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    cost, coefficient, count = _labeling_sum(marginal, p, None, True, budget)
     x = max_flow(build_network(marginal)).value
-    free = [v.kind not in ("T", "S") for v in marginal.blocks]
-    # a graph without free blocks labels by id and gamma alone: NC(p) is never built
-    n_labels = catalan(p) if any(free) else 2
-    order = _plan([n_labels if f else 1 for f in free], marginal.cross_bonds,
-                  tuples_budget(budget), TUPLES_BUDGET_ENV, n_labels)
-    parts, _, len_beta, len_to_gamma, idx_zero, idx_one = _nc_tables(p, any(free))
-
-    pins = {"T": idx_zero, "S": idx_one}
-    domains = [(pins[v.kind],) if v.kind in pins else range(len(parts)) for v in marginal.blocks]
-    rows = {idx_zero: len_beta, idx_one: len_to_gamma}     # |a^-1 b| for a = id, gamma
-    factors = [_pair_factor(i, j, len(bonds), rows, lambda: _nc_pair_lengths(p),
-                            [marginal.cross_dim(i, j) ** (p - t) for t in range(p + 1)])
-               for (i, j), bonds in marginal.cross_bonds.items()]
-
-    # each block's 1/dim_block^p moves into the prefactor: the sum stays integral
-    prefactor = Fraction(1, marginal.dim_all_sqrt ** p)
-    for i, (view, dom) in enumerate(zip(marginal.blocks, domains)):
-        prefactor *= Fraction(view.dim_loops, view.dim_block) ** p
-        entries = {}
-        for c in dom:
-            cost = len(view.kept) * len_to_gamma[c] + len(view.traced) * len_beta[c]
-            nb = parts[c].num_blocks
-            entries[c] = (cost, view.dim_kept ** (p + 1 - nb) * view.dim_traced ** nb, 1)
-        factors.append(_block_factor(i, entries))
-    cost, weight, count = _contract(domains, factors, order)
     if cost != x * (p - 1):
         raise MinimizerConsistencyError(
             f"least labeling cost {cost} != X(p-1) = {x * (p - 1)} at p={p}")
-    return MomentReport(p=p, exponent=-x * (p - 1), coefficient=prefactor * weight,
+    return MomentReport(p=p, exponent=-x * (p - 1), coefficient=coefficient,
                         minimizer_count=count)
 
 
 def moment_table(marginal: MarginalSpec, p_max: int, budget=None):
     """MomentReports for p = 1..p_max."""
-    return [asymptotic_moment(marginal, p, budget=budget) for p in range(1, p_max + 1)]
-
-
-# ---------------------------------------------------------------------------
-# exact finite-N moments
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _perm_tables(p: int, full: bool = True):
-    """Index tables over S_p, or over id and gamma alone: cycle counts,
-    gamma products, cycle types."""
-    gamma = Perm.full_cycle(p)
-    perms = all_perms(p) if full else (Perm.identity(p), gamma)
-    ncyc = [sig.num_cycles for sig in perms]
-    ncyc_to_gamma = [(gamma * sig.inverse()).num_cycles for sig in perms]
-    return perms, ncyc, ncyc_to_gamma, sorted({sig.cycle_type() for sig in perms})
-
-
-@lru_cache(maxsize=None)
-def _perm_pair_tables(p: int):
-    """Class id and cycle count of a^-1 b over all pairs; only unpinned blocks need them."""
-    perms, _, _, types = _perm_tables(p)
-    type_idx = {t: i for i, t in enumerate(types)}
-    pair_type = [[type_idx[(a.inverse() * b).cycle_type()] for b in perms] for a in perms]
-    return pair_type, [[len(types[t]) for t in row] for row in pair_type]
+    # p_max first, so that a refused top order is refused before the lower orders run
+    orders = list(range(1, p_max + 1))
+    reports = {p: asymptotic_moment(marginal, p, budget=budget) for p in orders[-1:] + orders[:-1]}
+    return [reports[p] for p in orders]
 
 
 def exact_moment(marginal: MarginalSpec, p: int, N: int, budget=None) -> Fraction:
@@ -427,7 +451,7 @@ def exact_moment(marginal: MarginalSpec, p: int, N: int, budget=None) -> Fractio
     fully traced block and delta(b, gamma) on a fully kept one, so those
     are pinned and need no table.
     """
-    return _finite_n_moment(marginal, p, N, budget, haar=True)
+    return _labeling_sum(marginal, p, N, True, budget)[1]
 
 
 def exact_moment_gaussian(marginal: MarginalSpec, p: int, N: int, budget=None) -> Fraction:
@@ -439,57 +463,7 @@ def exact_moment_gaussian(marginal: MarginalSpec, p: int, N: int, budget=None) -
     order on `one_loop` and the RRRR and SRR cycles but not in general: on
     TSRR, N^4 times this tends to 5 and N^4 times `exact_moment` to 3.
     """
-    return _finite_n_moment(marginal, p, N, budget, haar=False)
-
-
-def _finite_n_moment(marginal, p, N, budget, haar):
-    """The S_p labeling sum of both finite-N engines; they differ in the block factor."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    free = [not haar or v.kind not in ("T", "S") for v in marginal.blocks]
-    # a graph without free blocks labels by id and gamma alone: S_p is never built
-    n_labels = math.factorial(p) if any(free) else 2
-    sizes = [n_labels if f else 1 for f in free]
-    # a free Haar block needs a Weingarten column per label
-    columns = sum(s ** 2 for s in sizes if s > 1) if haar else 0
-    order = _plan(sizes, marginal.cross_bonds, terms_budget(budget), TERMS_BUDGET_ENV,
-                  n_labels + columns)
-
-    perms, ncyc, ncyc_gamma, types = _perm_tables(p, any(free))
-    ident, gamma = perms.index(Perm.identity(p)), perms.index(Perm.full_cycle(p))
-    pins = {"T": ident, "S": gamma} if haar else {}
-    domains = [(pins[v.kind],) if v.kind in pins else range(len(perms)) for v in marginal.blocks]
-    rows = {ident: ncyc, gamma: ncyc_gamma}      # #(a^-1 b) for a = id, gamma
-    factors = []
-    for (i, j), bonds in marginal.cross_bonds.items():
-        base = marginal.cross_dim(i, j) * N ** len(bonds)
-        factors.append(_pair_factor(i, j, 0, rows, lambda: _perm_pair_tables(p)[1],
-                                    [base ** t for t in range(p + 1)]))
-
-    prefactor = Fraction(1, (marginal.dim_all_sqrt * N ** marginal.graph.m) ** p)
-    for i, (view, dom) in enumerate(zip(marginal.blocks, domains)):
-        prefactor *= (view.dim_loops * N ** len(view.loop_bonds)) ** p
-        dk = view.dim_kept * N ** len(view.kept)
-        dt = view.dim_traced * N ** len(view.traced)
-        dim = view.dim_block * N ** len(view.members)
-        weight = {b: dk ** ncyc_gamma[b] * dt ** ncyc[b] for b in dom}
-        if not haar:
-            prefactor /= dim ** p   # the Wick kernel, kept out of the integer sum
-        elif len(dom) == 1:
-            weight = dict.fromkeys(dom, 1)
-        else:
-            wg = [wg_exact(p, dim).by_type(t) for t in types]
-            column = {}
-            for b, type_row in enumerate(_perm_pair_tables(p)[0]):  # class(b^-1 a) = class(a^-1 b)
-                acc = [0] * len(types)
-                for a, t in enumerate(type_row):
-                    acc[t] += weight[a]
-                column[b] = sum(Fraction(n) * wg[t] for t, n in enumerate(acc) if n)
-            weight = column
-        factors.append(_block_factor(i, {b: (0, w, 1) for b, w in weight.items()}))
-    return prefactor * _contract(domains, factors, order)[1]
+    return _labeling_sum(marginal, p, N, False, budget)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from graphstate import moments
 from graphstate.cli import (
     GraphFileError,
     cmd_analyze,
@@ -173,6 +174,17 @@ class TestRun:
         code, text = run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])
         assert code == 3
         assert "enumeration cap" in text
+
+    def test_top_order_refused_before_any_sum(self, monkeypatch):
+        # both commands evaluate p_max first, so its refusal comes before
+        # any lower order is summed
+        def summed(*args):
+            raise AssertionError("a moment sum ran before the refusal")
+        monkeypatch.setattr(moments, "_contract", summed)
+        code, text = run(["exact", str(DATA / "exotic.json"), "--N", "2", "--pmax", "8"])
+        assert code == 3 and "budget" in text
+        code, text = run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])
+        assert code == 3 and "enumeration cap" in text
 
     def test_exact_below_order(self):
         code, text = run(["exact", str(DATA / "one_loop.json"), "--N", "1", "--pmax", "3"])

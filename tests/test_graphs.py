@@ -76,7 +76,7 @@ class TestMarginalViews:
             assert sum(len(v.traced) for v in m.blocks) == len(m.traced)
             assert len(m.kept) + len(m.traced) == n
             for i, v in enumerate(m.blocks):
-                crossing = sum(m.cross_count(i, j) for j in range(m.k) if j != i)
+                crossing = sum(len(bonds) for pair, bonds in m.cross_bonds.items() if i in pair)
                 assert crossing + 2 * len(v.loop_bonds) == len(v.members)
 
     def test_bond_dim_product_identity(self, corpus):

@@ -85,7 +85,7 @@ def joint_sum(marginal, p, N, wick=False):
 
 def test_asymptotic_matches_minimizer_sum(corpus):
     for m in corpus:
-        for p in (1, 2, 3):
+        for p in (1, 2, 3, 4):
             r = asymptotic_moment(m, p)
             assert (r.exponent, r.coefficient, r.minimizer_count) == minimizer_sum(m, p)
             assert r.minimizer_count == len(minimizer_set(m, p))

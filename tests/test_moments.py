@@ -462,7 +462,7 @@ class TestClassify:
         ms = minimizer_set(m, 3)
         zero, one = NCPartition.zero(3), NCPartition.one(3)
         for t in ms.tuples:
-            parts = ms.as_partitions(t)
+            parts = tuple(ms.partitions[i] for i in t)
             assert all(is_geodesic(nc_to_geodesic(q)) for q in parts)
             for block, pin in ms.pinned.items():
                 assert parts[block] == (zero if pin == "zero" else one)
