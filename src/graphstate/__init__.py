@@ -30,16 +30,11 @@ from .combinatorics import (
     count_poset_tuples,
     enumerate_nc,
     fuss_catalan,
-    join,
-    kreweras,
-    leq,
-    meet,
     mobius,
-    nc_join,
     nc_to_geodesic,
 )
-from .flow import FlowNetwork, MaxFlowResult, build_network, duality_check, marginal_max_flow, max_flow
-from .graphs import GraphSpec, GraphValidationError, MarginalSpec, entangle_partition, validate
+from .flow import FlowNetwork, MaxFlowResult, build_network, marginal_max_flow, max_flow
+from .graphs import GraphSpec, GraphValidationError, MarginalSpec, validate
 from .moments import (
     BudgetExceededError,
     DistributionId,
@@ -49,8 +44,6 @@ from .moments import (
     cycle_marginal,
     exact_moment,
     exact_moment_gaussian,
-    f_beta,
-    law_moments,
     minimizer_set,
     moment_table,
     one_unitary_marginal,
@@ -63,7 +56,6 @@ from .montecarlo import (
     estimate,
     ginibre_product_spectra,
     haar_unitary,
-    partial_trace,
     reduced_spectrum,
 )
 from .spectra import (

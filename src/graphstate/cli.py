@@ -391,13 +391,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_trace(arg):
+def _parse_ints(flag, arg):
     if arg is None:
         return None
     try:
         return [int(x) for x in arg.split(",") if x.strip()]
     except ValueError as exc:
-        raise UsageError(f"--trace expects comma-separated integers: {exc}") from exc
+        raise UsageError(f"--{flag} expects comma-separated integers: {exc}") from exc
 
 
 def run(argv) -> tuple[int, str]:
@@ -405,12 +405,16 @@ def run(argv) -> tuple[int, str]:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("pmax", "N", "trials", "threads", "grid"):
+            if getattr(args, flag, 1) < 1:
+                raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
         if args.command == "dist":
             report = cmd_dist(args.family, c=args.c, s=args.s, grid=args.grid)
         else:
-            if getattr(args, "threads", 1) < 1:
-                raise UsageError(f"--threads must be >= 1, got {args.threads}")
-            marginal = parse_graph(args.graph, trace_override=_parse_trace(args.trace))
+            ladder = _parse_ints("ladder", getattr(args, "ladder", None))
+            if ladder and min(ladder) < 1:
+                raise UsageError(f"--ladder values must be >= 1, got {min(ladder)}")
+            marginal = parse_graph(args.graph, trace_override=_parse_ints("trace", args.trace))
             if args.command == "analyze":
                 report = cmd_analyze(marginal, p_max=args.pmax)
             elif args.command == "exact":
@@ -420,9 +424,6 @@ def run(argv) -> tuple[int, str]:
                                       mode=args.mode, p_max=args.pmax,
                                       threads=args.threads)
             else:
-                ladder = None
-                if args.ladder:
-                    ladder = [int(x) for x in args.ladder.split(",") if x.strip()]
                 report = cmd_verify(marginal, args.N, args.trials, args.seed,
                                     p_max=args.pmax, threads=args.threads,
                                     ladder=ladder)

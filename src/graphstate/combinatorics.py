@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-NC_CAP_DEFAULT = 10
+NC_CAP = 10
 
 
 class EnumerationCapError(ValueError):
@@ -125,10 +125,6 @@ class Perm:
         """Cycle lengths sorted descending; indexes conjugacy classes."""
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
-    def cycle_partition(self):
-        """[sigma]: the set partition of {0..p-1} into orbits."""
-        return NCPartition(self.cycles(), check=False)
-
 
 def all_perms(p: int):
     """All of S_p as Perm objects (cached per p)."""
@@ -148,9 +144,7 @@ class NCPartition:
     """A set partition of {0..p-1}, normally a non-crossing one.
 
     Blocks are stored sorted internally and ordered by their minima, so two
-    equal partitions compare and hash equal.  The class is also used for
-    general (possibly crossing) partitions; `is_noncrossing` tells them
-    apart and `leq` is plain refinement order on either kind.
+    equal partitions compare and hash equal.
     """
 
     __slots__ = ("blocks", "p", "_hash")
@@ -183,12 +177,6 @@ class NCPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, i: int):
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
-
     def __eq__(self, other):
         return isinstance(other, NCPartition) and self.blocks == other.blocks
 
@@ -198,87 +186,8 @@ class NCPartition:
     def __repr__(self):
         return f"NCPartition({[list(b) for b in self.blocks]})"
 
-    def is_noncrossing(self) -> bool:
-        """True iff no blocks X, Y interleave as a < b < c < d (a,c in X; b,d in Y).
 
-        Two blocks cross exactly when the X/Y labels along their sorted
-        union alternate at least three times (pattern XYXY or YXYX).
-        """
-        for bx, by in itertools.combinations(self.blocks, 2):
-            merged = sorted([(v, 0) for v in bx] + [(v, 1) for v in by])
-            changes = sum(1 for (_, s), (_, t) in zip(merged, merged[1:]) if s != t)
-            if changes >= 3:
-                return False
-        return True
-
-
-def leq(a: NCPartition, b: NCPartition) -> bool:
-    """Refinement order: every block of `a` lies inside a block of `b`."""
-    if a.p != b.p:
-        raise ValueError(f"order sizes differ: {a.p} vs {b.p}")
-    owner = {}
-    for idx, blk in enumerate(b.blocks):
-        for x in blk:
-            owner[x] = idx
-    return all(len({owner[x] for x in blk}) == 1 for blk in a.blocks)
-
-
-def meet(a: NCPartition, b: NCPartition) -> NCPartition:
-    """Greatest lower bound: blockwise intersections (common refinement).
-
-    The meet of two non-crossing partitions is itself non-crossing, so
-    this is the meet in both the full partition lattice and in NC(p).
-    """
-    if a.p != b.p:
-        raise ValueError(f"order sizes differ: {a.p} vs {b.p}")
-    out = []
-    for x in a.blocks:
-        for y in b.blocks:
-            common = tuple(sorted(set(x) & set(y)))
-            if common:
-                out.append(common)
-    return NCPartition(out, check=False)
-
-
-def join(a: NCPartition, b: NCPartition) -> NCPartition:
-    """Least upper bound in the full partition lattice (union-find glue).
-
-    For non-crossing inputs the result may cross; the join inside NC(p)
-    is then strictly coarser, so downstream code never assumes the two
-    lattices share suprema.
-    """
-    if a.p != b.p:
-        raise ValueError(f"order sizes differ: {a.p} vs {b.p}")
-    parent = list(range(a.p))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (a, b):
-        for blk in part.blocks:
-            root = find(blk[0])
-            for x in blk[1:]:
-                parent[find(x)] = root
-    groups = {}
-    for x in range(a.p):
-        groups.setdefault(find(x), []).append(x)
-    return NCPartition(groups.values(), check=False)
-
-
-def nc_join(a: NCPartition, b: NCPartition, cap: int = NC_CAP_DEFAULT) -> NCPartition:
-    """Least upper bound within NC(p): the finest non-crossing coarsening."""
-    best = None
-    for q in enumerate_nc(a.p, cap=cap):
-        if leq(a, q) and leq(b, q):
-            if best is None or leq(q, best):
-                best = q
-    return best
-
-
-def enumerate_nc(p: int, cap: int = NC_CAP_DEFAULT):
+def enumerate_nc(p: int):
     """All non-crossing partitions of {0..p-1}; |result| = catalan(p).
 
     Built recursively from the block containing the smallest element: that
@@ -287,8 +196,8 @@ def enumerate_nc(p: int, cap: int = NC_CAP_DEFAULT):
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if p > cap:
-        raise EnumerationCapError(f"p={p} exceeds enumeration cap {cap}")
+    if p > NC_CAP:
+        raise EnumerationCapError(f"p={p} exceeds enumeration cap {NC_CAP}")
     return _enumerate_nc_cached(p)
 
 
@@ -322,25 +231,9 @@ def _nc_blocks(points):
                 yield out
 
 
-def enumerate_all_partitions(p: int):
-    """Every set partition of {0..p-1} (Bell(p) of them); brute-force oracle."""
-    def rec(i, blocks):
-        if i == p:
-            yield [tuple(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    return [NCPartition(bs, check=False) for bs in rec(0, [])]
-
-
 # ---------------------------------------------------------------------------
-# geodesics:  NC(p)  <->  permutations on the id -> gamma geodesic
+# geodesics:  NC(p)  <->  permutations on the id -> gamma geodesic, and
+# the label and pair tables the moment engines and the counts share
 # ---------------------------------------------------------------------------
 
 def nc_to_geodesic(part: NCPartition) -> Perm:
@@ -352,19 +245,45 @@ def nc_to_geodesic(part: NCPartition) -> Perm:
     return Perm.from_cycles(part.p, [list(b) for b in part.blocks])
 
 
-def is_geodesic(sigma: Perm) -> bool:
-    gamma = Perm.full_cycle(sigma.p)
-    return (gamma * sigma.inverse()).length + sigma.length == sigma.p - 1
+@lru_cache(maxsize=None)
+def _label_table(p: int, nc: bool, full: bool):
+    """Labels at order p: the NC(p) geodesics (nc) or S_p, or id and gamma
+    alone (not full).  Returns them with #b, #(gamma b^-1) and the indices
+    of id and gamma."""
+    gamma = Perm.full_cycle(p)
+    if not full:
+        perms = (Perm.identity(p), gamma)
+    else:
+        perms = tuple(map(nc_to_geodesic, enumerate_nc(p))) if nc else all_perms(p)
+    ncyc = [sig.num_cycles for sig in perms]
+    ncyc_gamma = [(gamma * sig.inverse()).num_cycles for sig in perms]
+    return perms, ncyc, ncyc_gamma, perms.index(Perm.identity(p)), perms.index(gamma)
 
 
-def kreweras(part: NCPartition) -> NCPartition:
-    """Kreweras complement: [sigma^-1 gamma] for the geodesic sigma of `part`.
+@lru_cache(maxsize=None)
+def _pair_table(p: int, nc: bool):
+    """#(a^-1 b) over all label pairs, quadratic in the labels and built
+    lazily; over S_p also the class of a^-1 b, indexing the cycle types."""
+    perms = _label_table(p, nc, True)[0]
+    if nc:
+        return [[(a.inverse() * b).num_cycles for b in perms] for a in perms], None, None
+    types = sorted({sig.cycle_type() for sig in perms})
+    index = {t: c for c, t in enumerate(types)}
+    classes = [[index[(a.inverse() * b).cycle_type()] for b in perms] for a in perms]
+    return [[len(types[c]) for c in row] for row in classes], classes, types
 
-    Order-reversing; block counts satisfy |pi| + |K(pi)| = p + 1.
+
+def _nc_order(p: int):
+    """Refinement on the NC(p) labels of `_label_table(p, True, True)`.
+
+    Returns leq(a, b) on label indices with the indices of 0-hat (id) and
+    1-hat (gamma).  On geodesics sigma <= tau iff |sigma| + |sigma^-1 tau|
+    = |tau| (Biane 1997), a comparison of the cycle counts the moment
+    engine's pair table already holds.
     """
-    sigma = nc_to_geodesic(part)
-    gamma = Perm.full_cycle(part.p)
-    return (sigma.inverse() * gamma).cycle_partition()
+    _, ncyc, _, zero, one = _label_table(p, True, True)
+    pair = _pair_table(p, True)[0]
+    return (lambda a, b: ncyc[a] + pair[a][b] == p + ncyc[b]), zero, one
 
 
 # ---------------------------------------------------------------------------
@@ -420,36 +339,6 @@ def mobius(sigma: Perm) -> int:
 # chain and poset-tuple counting in NC(p)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _leq_matrix(p: int):
-    """Dense leq lookup over enumerate_nc(p); index order matches the tuple."""
-    parts = _enumerate_nc_cached(p)
-    idx = {part: i for i, part in enumerate(parts)}
-    mat = [[False] * len(parts) for _ in parts]
-    for i, a in enumerate(parts):
-        for j, b in enumerate(parts):
-            mat[i][j] = leq(a, b)
-    return parts, idx, mat
-
-
-def count_chains(s: int, p: int, cap: int = NC_CAP_DEFAULT) -> int:
-    """Number of s-chains sigma_1 <= ... <= sigma_s in NC(p).
-
-    Independent of the Fuss-Catalan binomial formula: pure lattice walk,
-    iterating the zeta transform s-1 times.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if p > cap:
-        raise EnumerationCapError(f"p={p} exceeds enumeration cap {cap}")
-    parts, _, mat = _leq_matrix(p)
-    n = len(parts)
-    counts = [1] * n
-    for _ in range(s - 1):
-        counts = [sum(counts[i] for i in range(n) if mat[i][j]) for j in range(n)]
-    return sum(counts)
-
-
 @dataclass(frozen=True)
 class ConstraintPoset:
     """Order constraints on a tuple of NC(p) labels.
@@ -502,67 +391,51 @@ class ConstraintPoset:
         return ConstraintPoset(k=s, relations=tuple((i, i + 1) for i in range(s - 1)))
 
 
-def count_poset_tuples(poset: ConstraintPoset, p: int, cap: int = NC_CAP_DEFAULT) -> int:
-    """Number of NC(p)-labelings of the poset nodes respecting all constraints."""
-    if p > cap:
-        raise EnumerationCapError(f"p={p} exceeds enumeration cap {cap}")
-    parts, idx, mat = _leq_matrix(p)
-    n = len(parts)
-    zero = idx[NCPartition.zero(p)]
-    one = idx[NCPartition.one(p)]
-    choices = []
-    for node in range(poset.k):
-        pin = poset.pins.get(node)
-        if pin == "zero":
-            choices.append([zero])
-        elif pin == "one":
-            choices.append([one])
-        else:
-            choices.append(list(range(n)))
+def count_chains(s: int, p: int) -> int:
+    """Number of s-chains sigma_1 <= ... <= sigma_s in NC(p).
 
-    # depth-first assignment with constraint checks against earlier nodes
-    by_later = {}
-    for a, b in poset.relations:
-        by_later.setdefault(max(a, b), []).append((a, b))
-
-    count = 0
-    assign = [None] * poset.k
-
-    def rec(node):
-        nonlocal count
-        if node == poset.k:
-            count += 1
-            return
-        for c in choices[node]:
-            assign[node] = c
-            ok = True
-            for a, b in by_later.get(node, ()):
-                if not mat[assign[a]][assign[b]]:
-                    ok = False
-                    break
-            if ok:
-                rec(node + 1)
-        assign[node] = None
-
-    rec(0)
-    return count
-
-
-# ---------------------------------------------------------------------------
-# incidence-algebra check helper (zeta * mobius = delta on the geodesic set)
-# ---------------------------------------------------------------------------
-
-def mobius_inversion_defect(beta: Perm) -> int:
-    """Sum of Mob(alpha^-1 beta) over geodesic alpha with [alpha] <= [beta].
-
-    Equals 1 when beta = id and 0 for any other geodesic beta; this is the
-    convolution identity that collapses fully-traced vertices to id.
+    Independent of the Fuss-Catalan binomial formula: a count along the
+    order of NC(p).
     """
-    p = beta.p
-    target = beta.cycle_partition()
-    total = 0
-    for part in enumerate_nc(p):
-        if leq(part, target):
-            alpha = nc_to_geodesic(part)
-            total += mobius(alpha.inverse() * beta)
-    return total
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    return count_poset_tuples(ConstraintPoset.make_chain(s), p)
+
+
+def count_poset_tuples(poset: ConstraintPoset, p: int) -> int:
+    """Number of NC(p)-labelings of the poset nodes respecting all constraints.
+
+    Nodes are labelled in index order.  The count is kept per tuple of
+    labels of the frontier: the labelled nodes that still have an
+    unlabelled neighbour.  A relation is checked when its later node is
+    labelled, so this is exact for every acyclic poset and never walks the
+    tuples one by one.
+    """
+    leq, zero, one = _nc_order(p)
+    labels = range(catalan(p))
+    domains = [{"zero": (zero,), "one": (one,)}.get(poset.pins.get(v), labels)
+               for v in range(poset.k)]
+    last = list(range(poset.k))              # the last node each node is related to
+    earlier = [[] for _ in range(poset.k)]   # per node: (earlier related node, is it below)
+    for a, b in poset.relations:
+        last[a], last[b] = max(last[a], b), max(last[b], a)
+        earlier[max(a, b)].append((min(a, b), a < b))
+
+    frontier, counts = (), {(): 1}
+    for v in range(poset.k):
+        kept = tuple(u for u in frontier if last[u] > v)
+        grown = {}
+        for key, count in counts.items():
+            fixed = dict(zip(frontier, key))
+            allowed = domains[v]
+            for u, below in earlier[v]:
+                x = fixed[u]
+                allowed = [y for y in allowed if (leq(x, y) if below else leq(y, x))]
+            base = tuple(fixed[u] for u in kept)
+            if last[v] > v:
+                for y in allowed:
+                    grown[base + (y,)] = grown.get(base + (y,), 0) + count
+            else:
+                grown[base] = grown.get(base, 0) + count * len(allowed)
+        frontier, counts = kept + ((v,) if last[v] > v else ()), grown
+    return sum(counts.values())

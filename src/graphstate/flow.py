@@ -153,24 +153,3 @@ def _reachable(adj, residual, start, forward: bool):
 
 def marginal_max_flow(marginal: MarginalSpec) -> int:
     return max_flow(build_network(marginal)).value
-
-
-def duality_check(marginal: MarginalSpec) -> bool:
-    """True iff exchanging kept and traced subsystems preserves the max flow."""
-    return marginal_max_flow(marginal) == marginal_max_flow(marginal.swap())
-
-
-def check_flow_axioms(net: FlowNetwork, result: MaxFlowResult):
-    """Violations of capacity, skew symmetry, or conservation; [] if clean."""
-    cap = net.cap_map()
-    errors = []
-    for (u, v), f in result.flow.items():
-        if f > cap.get((u, v), 0):
-            errors.append(f"capacity violated on {(u, v)}: {f} > {cap.get((u, v), 0)}")
-        if result.flow.get((v, u), 0) != -f:
-            errors.append(f"skew symmetry violated on {(u, v)}")
-    for u in range(net.k):
-        net_out = sum(f for (a, _), f in result.flow.items() if a == u)
-        if net_out != 0:
-            errors.append(f"conservation violated at node {u}: net {net_out}")
-    return errors

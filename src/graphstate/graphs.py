@@ -217,53 +217,3 @@ class MarginalSpec:
             "traced": sorted(self.traced),
             "block_types": [b.kind for b in self.blocks],
         }
-
-
-def entangle_partition(marginal: MarginalSpec):
-    """Coupling partition of the subsystems after the partial trace.
-
-    Blocks whose subsystems are all traced out stop correlating anything
-    and are split into singletons; every other block survives unchanged.
-    Joining the result with the bond matching and restricting to the kept
-    set gives the block structure of the reduced state.
-    """
-    out = []
-    for view in marginal.blocks:
-        if view.kind == "T":
-            out.extend((x,) for x in view.members)
-        else:
-            out.append(view.members)
-    return tuple(sorted(out, key=lambda b: b[0]))
-
-
-def partition_join(parts_a, parts_b, universe):
-    """Least common coarsening of two partitions of `universe` (union-find)."""
-    parent = {x: x for x in universe}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for part in (parts_a, parts_b):
-        for block in part:
-            block = tuple(block)
-            for x in block[1:]:
-                union(block[0], x)
-    groups = {}
-    for x in universe:
-        groups.setdefault(find(x), []).append(x)
-    return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0]))
-
-
-def restrict_partition(parts, keep):
-    """Drop elements outside `keep`; empty blocks vanish."""
-    keep = set(keep)
-    out = [tuple(x for x in b if x in keep) for b in parts]
-    return tuple(sorted((b for b in out if b), key=lambda b: b[0]))

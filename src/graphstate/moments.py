@@ -11,9 +11,9 @@ X(p-1).  `exact_moment` and `exact_moment_gaussian` plug N in over S_p,
 The Haar engines pin fully traced blocks to the identity and fully kept
 ones to the long cycle: a Haar unitary with all legs traced or all kept
 integrates out, so its factor is exactly 1 there.  The Wick sum pins
-nothing, as a Gaussian block does not drop out.  `minimizer_set` and
-`f_beta` check the asymptotic engine by brute force; the law classifiers
-sit on top.
+nothing, as a Gaussian block does not drop out.  `minimizer_set` checks
+the asymptotic engine by brute force; the law classifiers sit on top.
+The label and pair tables live in `combinatorics`.
 """
 
 from __future__ import annotations
@@ -23,19 +23,17 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .combinatorics import (
     ConstraintPoset,
     EnumerationCapError,
-    Perm,
-    all_perms,
+    _label_table,
+    _pair_table,
     catalan,
     count_poset_tuples,
     enumerate_nc,
     fuss_catalan,
     mp_moment,
-    nc_to_geodesic,
 )
 from .flow import build_network, max_flow
 from .graphs import MarginalSpec
@@ -84,28 +82,8 @@ def _budget(override, env, default) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the cost functional and its minimizers
+# the brute-force minimizer oracle
 # ---------------------------------------------------------------------------
-
-def f_beta(marginal: MarginalSpec, betas, p: int) -> int:
-    """Cost of a full tuple of permutations, one per vertex block.
-
-    sum_i |kept_i| |gamma^-1 b_i| + |traced_i| |b_i|
-    + sum_{i<j} (bonds between i,j) * |b_i^-1 b_j|.
-    """
-    betas = list(betas)
-    if len(betas) != marginal.k:
-        raise ValueError(f"need {marginal.k} permutations, got {len(betas)}")
-    gamma = Perm.full_cycle(p)
-    total = 0
-    for i, view in enumerate(marginal.blocks):
-        b = betas[i]
-        total += len(view.kept) * (gamma * b.inverse()).length
-        total += len(view.traced) * b.length
-    for (i, j), bonds in marginal.cross_bonds.items():
-        total += len(bonds) * (betas[i].inverse() * betas[j]).length
-    return total
-
 
 @dataclass
 class MinimizerSet:
@@ -123,34 +101,6 @@ class MinimizerSet:
 
     def __len__(self):
         return len(self.tuples)
-
-
-@lru_cache(maxsize=None)
-def _label_table(p: int, nc: bool, full: bool):
-    """Labels at order p: the NC(p) geodesics (nc) or S_p, or id and gamma
-    alone (not full).  Returns them with #b, #(gamma b^-1) and the indices
-    of id and gamma."""
-    gamma = Perm.full_cycle(p)
-    if not full:
-        perms = (Perm.identity(p), gamma)
-    else:
-        perms = tuple(map(nc_to_geodesic, enumerate_nc(p))) if nc else all_perms(p)
-    ncyc = [sig.num_cycles for sig in perms]
-    ncyc_gamma = [(gamma * sig.inverse()).num_cycles for sig in perms]
-    return perms, ncyc, ncyc_gamma, perms.index(Perm.identity(p)), perms.index(gamma)
-
-
-@lru_cache(maxsize=None)
-def _pair_table(p: int, nc: bool):
-    """#(a^-1 b) over all label pairs, quadratic in the labels and built
-    lazily; over S_p also the class of a^-1 b, indexing the cycle types."""
-    perms = _label_table(p, nc, True)[0]
-    if nc:
-        return [[(a.inverse() * b).num_cycles for b in perms] for a in perms], None, None
-    types = sorted({sig.cycle_type() for sig in perms})
-    index = {t: c for c, t in enumerate(types)}
-    classes = [[index[(a.inverse() * b).cycle_type()] for b in perms] for a in perms]
-    return [[len(types[c]) for c in row] for row in classes], classes, types
 
 
 def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
@@ -421,7 +371,8 @@ def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentRepo
     """Exact leading coefficient of E tr(rho^p) and its N-exponent.
 
     Labels are NC(p) geodesics, T blocks pinned to id and S blocks to
-    gamma.  A labeling costs `f_beta` and weighs dimension factors raised
+    gamma.  A labeling costs sum_i |kept_i| |gamma b_i^-1| + |traced_i| |b_i|
+    plus, per cross bond, |b_i^-1 b_j|, and weighs dimension factors raised
     to cycle counts; the coefficient sums the weights at the least cost,
     which must equal the max-flow bound X(p-1).  With the loop-bond factor
     and the square-root normalization, p=1 always reports (0, 1).
@@ -649,33 +600,6 @@ def _fc_law(s: int) -> DistributionId:
     if s == 1:
         return DistributionId(kind="free_poisson", c=Fraction(1))
     return DistributionId(kind="fuss_catalan", s=s)
-
-
-def law_moments(dist: DistributionId, p_max: int):
-    """Raw coefficient sequence a tagged law implies, for round-trip checks.
-
-    Inverts what `classify` matched: flat spectra give geometric
-    sequences in the support scale, a free Poisson tag reproduces its
-    weighted lattice sums, and the counting families return their counts.
-    Raises ValueError for the unknown tag.
-    """
-    ps = range(1, p_max + 1)
-    if dist.kind == "dirac":
-        return [Fraction(1) for _ in ps]
-    if dist.kind == "maximally_mixed":
-        return [Fraction(dist.rank_coeff) ** (1 - p) for p in ps]
-    if dist.kind == "free_poisson":
-        scale = Fraction(dist.rank_coeff if dist.rank_coeff is not None else 1)
-        c = Fraction(dist.c)
-        return [scale ** (1 - p) * c ** -p * mp_moment(c, p) for p in ps]
-    if dist.kind == "fuss_catalan":
-        return [Fraction(fuss_catalan(dist.s, p)) for p in ps]
-    if dist.kind == "classical_product":
-        seqs = [law_moments(f, p_max) for f in dist.factors]
-        return [math.prod(col) for col in zip(*seqs)]
-    if dist.kind == "poset_law":
-        return [Fraction(count_poset_tuples(dist.poset, p)) for p in ps]
-    raise ValueError(f"no moment rule for tag {dist.kind!r}")
 
 
 # ---------------------------------------------------------------------------

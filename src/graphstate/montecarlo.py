@@ -321,32 +321,6 @@ def haar_fold(marginal: MarginalSpec, N: int) -> HaarFold:
 # reduction and spectra
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DensityMatrixSample:
-    """Reduced density matrix on the kept subsystems."""
-
-    matrix: np.ndarray
-    kept: tuple
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)[::-1]
-
-
-def partial_trace(state: StateVector, traced) -> DensityMatrixSample:
-    """Trace out the listed subsystems; returns the matrix on the rest."""
-    n = len(state.dims)
-    traced = sorted(set(int(x) for x in traced))
-    if any(t < 1 or t > n for t in traced):
-        raise ValueError(f"traced ids outside 1..{n}: {traced}")
-    kept = [i for i in range(1, n + 1) if i not in traced]
-    mat = _split_matrix(state, kept)
-    dim_s = mat.shape[0]
-    if dim_s > MAX_DENSITY_DIM:
-        raise ResourceCapError(f"density matrix dim {dim_s} over cap {MAX_DENSITY_DIM}")
-    rho = mat @ mat.conj().T
-    return DensityMatrixSample(matrix=rho, kept=tuple(kept))
-
-
 def _split_matrix(state: StateVector, kept):
     """Reshape amplitudes to (kept dims) x (traced dims)."""
     n = len(state.dims)
@@ -442,6 +416,8 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     p_list = tuple(p_list)
     rngs = trial_rngs(seed, trials)
     if mode == "haar":

@@ -183,11 +183,3 @@ def poset_law_moments(poset: ConstraintPoset, p_max: int):
     pointwise products of the parts' moments.
     """
     return [Fraction(count_poset_tuples(poset, p)) for p in range(1, p_max + 1)]
-
-
-def hankel_matrix(moments, size: int):
-    """Hankel matrix H[i][j] = m_(i+j) with m_0 = 1; PSD for true moments."""
-    ms = [Fraction(1)] + [Fraction(m) for m in moments]
-    if size > (len(ms) + 1) // 2:
-        raise ValueError("not enough moments for requested window")
-    return np.array([[float(ms[i + j]) for j in range(size)] for i in range(size)])

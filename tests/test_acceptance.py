@@ -26,7 +26,6 @@ from graphstate.combinatorics import (
     count_chains,
     enumerate_nc,
     fuss_catalan,
-    leq,
 )
 from graphstate.flow import marginal_max_flow
 from graphstate.moments import (
@@ -44,6 +43,7 @@ from graphstate.montecarlo import (
 from graphstate.spectra import fc2_density, fc_entropy, mp_density, mp_moment
 from graphstate.weingarten import convolution_defect, wg_exact
 from graphstate.combinatorics import Perm, all_perms
+from oracles import leq
 
 
 def _report(num, ok, detail):

@@ -253,6 +253,41 @@ class TestRun:
         assert code == 1
         assert "--threads" in text
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", str(DATA / "one_loop.json"), "--pmax", "0"],
+        ["exact", str(DATA / "one_loop.json"), "--N", "4", "--pmax", "0"],
+        ["verify", str(DATA / "one_loop.json"), "--N", "4", "--pmax", "-1"],
+    ])
+    def test_pmax_below_one_exit_1(self, argv):
+        code, text = run(argv)
+        assert code == 1
+        assert "--pmax" in text
+
+    @pytest.mark.parametrize("command", ["exact", "simulate", "verify"])
+    def test_n_below_one_exit_1(self, command):
+        code, text = run([command, str(DATA / "one_loop.json"), "--N", "0"])
+        assert code == 1
+        assert "--N" in text
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_trials_below_one_exit_1(self, command):
+        code, text = run([command, str(DATA / "one_loop.json"), "--N", "4",
+                          "--trials", "0"])
+        assert code == 1
+        assert "--trials" in text
+
+    def test_grid_below_one_exit_1(self):
+        code, text = run(["dist", "mp", "--grid", "0"])
+        assert code == 1
+        assert "--grid" in text
+
+    @pytest.mark.parametrize("ladder", ["a,b", "4,0"])
+    def test_bad_ladder_exit_1(self, ladder):
+        code, text = run(["verify", str(DATA / "one_loop.json"), "--N", "4",
+                          "--trials", "4", "--ladder", ladder])
+        assert code == 1
+        assert "--ladder" in text
+
     def test_determinism(self):
         args = ["simulate", str(DATA / "one_loop.json"), "--N", "8",
                 "--trials", "12", "--seed", "7", "--pmax", "2"]

@@ -9,22 +9,28 @@ from graphstate.combinatorics import (
     EnumerationCapError,
     NCPartition,
     Perm,
+    _label_table,
+    _nc_order,
     all_perms,
     catalan,
     count_chains,
     count_poset_tuples,
-    enumerate_all_partitions,
     enumerate_nc,
     fuss_catalan,
+    mobius,
+    nc_to_geodesic,
+)
+from oracles import (
+    cycle_partition,
+    enumerate_all_partitions,
     is_geodesic,
+    is_noncrossing,
     join,
     kreweras,
     leq,
     meet,
-    mobius,
     mobius_inversion_defect,
     nc_join,
-    nc_to_geodesic,
 )
 
 
@@ -63,7 +69,7 @@ class TestEnumerateNC:
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_agrees_with_crossing_filter(self, p):
         # independent oracle: all Bell(p) partitions, filtered
-        brute = {q for q in enumerate_all_partitions(p) if q.is_noncrossing()}
+        brute = {q for q in enumerate_all_partitions(p) if is_noncrossing(q)}
         assert brute == set(enumerate_nc(p))
 
     def test_p4_excludes_exactly_the_crossing_pair(self):
@@ -121,7 +127,7 @@ class TestMeetJoin:
         # the meet agrees between NC(p) and the full partition lattice
         parts = enumerate_nc(5)
         for a, b in itertools.combinations(parts[:25], 2):
-            assert meet(a, b).is_noncrossing()
+            assert is_noncrossing(meet(a, b))
 
     def test_join_can_leave_the_noncrossing_lattice(self):
         # the standard incomparable pair: the lattice join crosses, so
@@ -130,7 +136,7 @@ class TestMeetJoin:
         b = NCPartition([(0, 2), (1,), (3,)])
         lattice = join(a, b)
         assert lattice == NCPartition([(0, 2), (1, 3)])
-        assert not lattice.is_noncrossing()
+        assert not is_noncrossing(lattice)
         inside = nc_join(a, b)
         assert inside == NCPartition.one(4)
         assert leq(lattice, inside) and lattice != inside
@@ -139,7 +145,7 @@ class TestMeetJoin:
         parts = enumerate_nc(4)
         for a, b in itertools.combinations(parts, 2):
             lattice = join(a, b)
-            if lattice.is_noncrossing():
+            if is_noncrossing(lattice):
                 assert nc_join(a, b) == lattice
 
 
@@ -154,7 +160,7 @@ class TestGeodesics:
         for q in enumerate_nc(p):
             sigma = nc_to_geodesic(q)
             assert is_geodesic(sigma)
-            assert sigma.cycle_partition() == q
+            assert cycle_partition(sigma) == q
 
     def test_single_pair_block(self):
         sigma = nc_to_geodesic(NCPartition([(0, 2), (1,), (3,)]))
@@ -165,7 +171,7 @@ class TestGeodesics:
         # exactly the geodesic permutations correspond to NC partitions
         for p in (3, 4):
             geo = {s for s in all_perms(p) if is_geodesic(s)}
-            assert {s.cycle_partition() for s in geo} == set(enumerate_nc(p))
+            assert {cycle_partition(s) for s in geo} == set(enumerate_nc(p))
             assert len(geo) == catalan(p)
 
 
@@ -229,6 +235,26 @@ def binom_exact(n, k):
     return comb(n, k)
 
 
+def brute_force_count(poset, p):
+    """Labelings of the poset, one product loop over NC(p) per free node."""
+    pinned = {"zero": NCPartition.zero(p), "one": NCPartition.one(p)}
+    choices = [(pinned[poset.pins[v]],) if v in poset.pins else enumerate_nc(p)
+               for v in range(poset.k)]
+    return sum(1 for labels in itertools.product(*choices)
+               if all(leq(labels[a], labels[b]) for a, b in poset.relations))
+
+
+class TestNCOrder:
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_cycle_count_order_is_refinement(self, p):
+        leq_index, zero, one = _nc_order(p)
+        parts = [cycle_partition(sigma) for sigma in _label_table(p, True, True)[0]]
+        assert parts == list(enumerate_nc(p))
+        assert (parts[zero], parts[one]) == (NCPartition.zero(p), NCPartition.one(p))
+        for (i, a), (j, b) in itertools.product(enumerate(parts), repeat=2):
+            assert leq_index(i, j) == leq(a, b)
+
+
 class TestConstraintPoset:
     def test_exotic_counts(self):
         poset = ConstraintPoset(k=3, relations=[(0, 1), (0, 2)])
@@ -257,6 +283,20 @@ class TestConstraintPoset:
         poset = ConstraintPoset(k=2, relations=[(0, 1)], pins={0: "zero"})
         # free upper label: all of NC(p)
         assert count_poset_tuples(poset, 3) == catalan(3)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("poset", [
+        ConstraintPoset(k=4, relations=[(0, 1), (0, 2), (1, 3), (2, 3)]),
+        ConstraintPoset(k=5, relations=[(1, 0), (1, 4), (3, 2)], pins={2: "zero", 4: "one"}),
+    ], ids=["diamond", "pinned_forest"])
+    def test_frontier_count_equals_product_loop(self, poset, p):
+        # the diamond keeps two labels on its frontier; the forest checks
+        # relations whose later node is the lower one
+        assert count_poset_tuples(poset, p) == brute_force_count(poset, p)
+
+    def test_disjoint_chains_factor(self):
+        poset = ConstraintPoset(k=5, relations=[(0, 1), (1, 2), (3, 4)])
+        assert count_poset_tuples(poset, 6) == fuss_catalan(3, 6) * fuss_catalan(2, 6)
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):

@@ -16,11 +16,10 @@ from graphstate.flow import (
     SINK,
     SOURCE,
     build_network,
-    check_flow_axioms,
-    duality_check,
     marginal_max_flow,
     max_flow,
 )
+from oracles import check_flow_axioms, duality_check
 
 
 class TestBuildNetwork:

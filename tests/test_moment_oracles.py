@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphstate import moments
+from graphstate import combinatorics
 from graphstate.catalog import bell_pair, cycle_graph, exotic_graph
 from graphstate.combinatorics import Perm, all_perms, catalan, nc_to_geodesic
 from graphstate.moments import (
@@ -131,8 +131,8 @@ def test_gates_refuse_before_any_label_table(monkeypatch):
     # are never built, neither to be refused nor where every block is pinned
     def unbuilt(p, *args):
         raise AssertionError(f"built a label table at order {p}")
-    monkeypatch.setattr(moments, "all_perms", unbuilt)
-    monkeypatch.setattr(moments, "enumerate_nc", unbuilt)
+    monkeypatch.setattr(combinatorics, "all_perms", unbuilt)
+    monkeypatch.setattr(combinatorics, "enumerate_nc", unbuilt)
     with pytest.raises(BudgetExceededError) as err:
         exact_moment(cycle_graph("TSRR"), 12, 3)
     assert err.value.estimated > math.factorial(12) ** 2

@@ -23,14 +23,13 @@ from graphstate.moments import (
     cycle_marginal,
     exact_moment,
     exact_moment_gaussian,
-    f_beta,
-    law_moments,
     minimizer_set,
     moment_table,
     one_unitary_marginal,
     star_marginal,
 )
 from graphstate.spectra import fc_entropy, mp_moment
+from oracles import f_beta, is_geodesic, law_moments
 
 
 class TestFBeta:
@@ -457,7 +456,7 @@ class TestClassify:
         assert list(dist.moments) == [1, 5, 38]
 
     def test_minimizers_are_pinned_geodesics(self):
-        from graphstate.combinatorics import is_geodesic, nc_to_geodesic, NCPartition
+        from graphstate.combinatorics import nc_to_geodesic, NCPartition
         m = cycle_graph("TSRR")
         ms = minimizer_set(m, 3)
         zero, one = NCPartition.zero(3), NCPartition.one(3)

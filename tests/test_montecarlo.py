@@ -26,12 +26,12 @@ from graphstate.montecarlo import (
     ginibre_product_spectra,
     haar_fold,
     haar_unitary,
-    partial_trace,
     reduced_spectrum,
     trial_rngs,
 )
 from graphstate.weingarten import wg_exact
 from graphstate.combinatorics import Perm
+from oracles import partial_trace
 
 
 def kron_state(graph, N, unitaries):
@@ -274,6 +274,10 @@ class TestEstimate:
         for p in (4, 5):
             target = float(exact_moment(marginal, p, 2))
             assert abs(rep.moment_mean[p] - target) <= 4 * rep.moment_stderr[p]
+
+    def test_trials_below_one_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            estimate(one_loop(), 4, 0)
 
     def test_threads_clamped_to_trials_and_cpus(self, monkeypatch):
         seen = []

@@ -14,13 +14,13 @@ from graphstate.spectra import (
     fc_entropy,
     fc_moment,
     fc_support,
-    hankel_matrix,
     mp_density,
     mp_entropy,
     mp_moment,
     poset_law_moments,
     product_moments,
 )
+from oracles import hankel_matrix
 
 
 class TestMPDensity:
