@@ -11,6 +11,7 @@ hub-and-leaves graph escapes the family entirely.
 import math
 
 from graphstate import (
+    DistributionId,
     classify,
     count_poset_tuples,
     cycle_graph,
@@ -22,8 +23,6 @@ from graphstate import (
     marginal_max_flow,
     minimizer_set,
     moment_table,
-    poset_law_moments,
-    product_moments,
 )
 
 print("=== a tour of trace patterns ===")
@@ -54,12 +53,14 @@ for types in ("TSRR", "TRSRT"):
 print()
 
 print("=== products vs a genuinely new law ===")
-two_mp = product_moments([[1, 2, 5, 14], [1, 2, 5, 14]])
-print("  MP x MP moments (disjoint chains):", two_mp)
+mp = DistributionId(kind="free_poisson", c=1)
+two_mp = DistributionId(kind="classical_product", factors=(mp, mp))
+print("  MP x MP moments (disjoint chains):", [str(two_mp.moment(p)) for p in range(1, 5)])
 exotic = exotic_graph()
 print("  exotic hub-and-leaves: X =", marginal_max_flow(exotic))
 print("  engine coefficients:", [str(r.coefficient) for r in moment_table(exotic, 4)])
-print("  label-poset counts:  ", [str(m) for m in poset_law_moments(exotic_poset(), 4)])
+exotic_law = DistributionId(kind="poset_law", poset=exotic_poset())
+print("  label-poset counts:  ", [str(exotic_law.moment(p)) for p in range(1, 5)])
 print("  classify:", classify(exotic, 4).describe())
 print("  (free x classical mix: not a plain product, "
       "p=3 gives 38 rather than MP x MP's 25 or FC(4)'s 35)")

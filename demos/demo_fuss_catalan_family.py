@@ -12,7 +12,6 @@ from graphstate import (
     count_chains,
     fc2_density,
     fc_entropy,
-    fc_moment,
     fc_support,
     fc_template,
     fuss_catalan,
@@ -41,7 +40,7 @@ print()
 print("=== sampled product-Wishart spectra vs the law ===")
 for s in (1, 2):
     rep = ginibre_product_spectra(s, 256, 40, seed=7)
-    targets = [fc_moment(s, p) for p in (1, 2, 3, 4)]
+    targets = [fuss_catalan(s, p) for p in (1, 2, 3, 4)]
     sampled = [round(rep.moment_mean[p], 3) for p in (1, 2, 3, 4)]
     print(f"  s={s}: sampled {sampled} vs exact {targets}")
     print(f"       largest eigenvalue {rep.max_eigenvalue:.3f}, "

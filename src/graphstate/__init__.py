@@ -63,13 +63,9 @@ from .spectra import (
     fc2_density,
     fc_density,
     fc_entropy,
-    fc_moment,
     fc_support,
     mp_density,
     mp_entropy,
-    mp_moment,
-    poset_law_moments,
-    product_moments,
 )
 from .weingarten import WeingartenTable, wg_asym, wg_exact
 

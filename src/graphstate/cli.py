@@ -3,15 +3,15 @@
 Graph files are JSON documents with `vertices` (list of id lists),
 `bonds` (list of id pairs), optional `subsystems` (list of {id, d},
 default d=1) and optional `trace` (list of ids, overridable with
---trace).  Reports are JSON by default, CSV with --format csv.  Exit
-codes: 0 ok, 1 usage, 2 validation, 3 budget/resource.
+--trace); ids, d and trace entries are JSON integers.  Reports are JSON
+by default, CSV with --format csv.  Exit codes: 0 ok, 1 usage,
+2 validation, 3 budget/resource.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -23,7 +23,6 @@ from .flow import SINK, SOURCE, build_network, max_flow
 from .moments import (
     BudgetExceededError,
     BudgetSettingError,
-    DistributionId,
     classify_reports,
     exact_moment,
     moment_table,
@@ -72,18 +71,20 @@ def marginal_from_dict(doc: dict, source: str = "<graph>", trace_override=None) 
             raise GraphFileError(f"{source}: missing required field '{key}'")
     vertices = doc["vertices"]
     bonds = doc["bonds"]
-    if not isinstance(vertices, list) or not all(isinstance(b, list) for b in vertices):
-        raise GraphFileError(f"{source}: field 'vertices' must be a list of id lists")
-    if not isinstance(bonds, list) or not all(isinstance(e, list) and len(e) == 2 for e in bonds):
-        raise GraphFileError(f"{source}: field 'bonds' must be a list of id pairs")
+    if not isinstance(vertices, list) or not all(_integers(b) for b in vertices):
+        raise GraphFileError(f"{source}: field 'vertices' must be a list of integer id lists")
+    if not isinstance(bonds, list) or not all(_integers(e) and len(e) == 2 for e in bonds):
+        raise GraphFileError(f"{source}: field 'bonds' must be a list of integer id pairs")
 
     dims = None
     if "subsystems" in doc:
-        dims = {}
-        for entry in doc["subsystems"]:
-            if not isinstance(entry, dict) or "id" not in entry:
-                raise GraphFileError(f"{source}: field 'subsystems' entries need an 'id'")
-            dims[int(entry["id"])] = int(entry.get("d", 1))
+        entries = doc["subsystems"]
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and "id" in e and _integers([e["id"], e.get("d", 1)])
+                for e in entries):
+            raise GraphFileError(f"{source}: field 'subsystems' entries need an integer "
+                                 f"'id' and, if given, an integer 'd'")
+        dims = {e["id"]: e.get("d", 1) for e in entries}
     try:
         graph = GraphSpec(vertex_blocks=vertices, bonds=[tuple(e) for e in bonds], dims=dims)
     except GraphValidationError as exc:
@@ -93,10 +94,18 @@ def marginal_from_dict(doc: dict, source: str = "<graph>", trace_override=None) 
     if trace is None:
         raise GraphFileError(
             f"{source}: no trace set; add a 'trace' field or pass --trace")
+    if not _integers(trace):
+        raise GraphFileError(f"{source}: field 'trace' must be a list of integer ids")
     try:
         return graph.marginal(trace)
     except GraphValidationError as exc:
         raise GraphFileError(f"{source}: trace: {exc}") from exc
+
+
+def _integers(value) -> bool:
+    """True for a list of JSON integers (bool is not one)."""
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value)
 
 
 def graph_to_dict(marginal: MarginalSpec) -> dict:
@@ -125,38 +134,12 @@ def _network_summary(marginal: MarginalSpec) -> dict:
             "labels": {f"b{i + 1}": lab for i, lab in result.labels.items()}}
 
 
-def _entropy_forecast(dist: DistributionId, x: int):
-    """(log-term, constant) of the leading entropy E H ~ term*ln N + const."""
-    if dist.kind == "dirac":
-        return x, 0.0
-    if dist.kind == "maximally_mixed":
-        return x, math.log(float(dist.rank_coeff))
-    if dist.kind == "free_poisson":
-        scale = dist.rank_coeff if dist.rank_coeff is not None else 1
-        return x, (math.log(float(dist.c * scale))
-                   + mp_entropy(dist.c) / float(dist.c))
-    if dist.kind == "fuss_catalan":
-        return x, float(fc_entropy(dist.s))
-    if dist.kind == "classical_product":
-        total = 0.0
-        for f in dist.factors:
-            if f.kind == "free_poisson":
-                total += mp_entropy(f.c)
-            elif f.kind == "fuss_catalan":
-                total += float(fc_entropy(f.s))
-            else:
-                return x, None
-        return x, total
-    return x, None
-
-
 def cmd_analyze(marginal: MarginalSpec, p_max: int = 6) -> dict:
     """Flow, asymptotic moment table, law tag, and entropy/purity forecast."""
     reports = moment_table(marginal, p_max)
     dist = classify_reports(reports)
     x = -reports[1].exponent if p_max >= 2 else 0
-    log_term, const = _entropy_forecast(dist, x)
-    entropy = {"log_term": log_term, "constant": const}
+    entropy = {"log_term": x, "constant": dist.entropy_constant()}
     purity = None
     if p_max >= 2:
         purity = {"coefficient": str(reports[1].coefficient), "exponent": reports[1].exponent}

@@ -409,9 +409,11 @@ def count_poset_tuples(poset: ConstraintPoset, p: int) -> int:
     labels of the frontier: the labelled nodes that still have an
     unlabelled neighbour.  A relation is checked when its later node is
     labelled, so this is exact for every acyclic poset and never walks the
-    tuples one by one.
+    tuples one by one.  The order (a pair table quadratic in catalan(p)) is
+    built only when there is a relation to check.
     """
-    leq, zero, one = _nc_order(p)
+    _, _, _, zero, one = _label_table(p, True, True)
+    leq = _nc_order(p)[0] if poset.relations else None
     labels = range(catalan(p))
     domains = [{"zero": (zero,), "one": (one,)}.get(poset.pins.get(v), labels)
                for v in range(poset.k)]

@@ -30,9 +30,6 @@ class FlowNetwork:
     k: int
     capacity: tuple  # sorted ((u, v), cap) pairs
 
-    def cap(self, u, v) -> int:
-        return dict(self.capacity).get((u, v), 0)
-
     @property
     def nodes(self):
         return [SOURCE, SINK] + list(range(self.k))

@@ -37,6 +37,7 @@ from .combinatorics import (
 )
 from .flow import build_network, max_flow
 from .graphs import MarginalSpec
+from .spectra import fc_entropy, mp_entropy
 from .weingarten import wg_exact
 
 TUPLES_BUDGET_DEFAULT = 5_000_000
@@ -427,7 +428,8 @@ class DistributionId:
 
     kind: one of maximally_mixed, dirac, free_poisson, fuss_catalan,
     classical_product, poset_law, unknown.  Payload fields are used per
-    kind; unused ones stay None.
+    kind; unused ones stay None.  `moment` and `entropy_constant` hold the
+    law formulas of every kind.
     """
 
     kind: str
@@ -438,6 +440,57 @@ class DistributionId:
     rank_coeff: Fraction = None   # maximally_mixed/dirac support ~ coeff * N^exp
     rank_exponent: int = None
     moments: tuple = None         # unknown: raw coefficient sequence
+
+    def moment(self, p: int) -> Fraction:
+        """The p-th moment coefficient the law implies, on `moment_table`'s scale.
+
+        A flat spectrum on ~rank_coeff * N^x states gives rank_coeff^(1-p);
+        free Poisson gives the Narayana sum d^(1-p) c^-p M_p(c) at scale
+        d = rank_coeff; Fuss-Catalan gives its numbers; a product of
+        independent laws multiplies its factors' moments; a poset law
+        counts its NC(p)-labelings.
+        """
+        if self.kind in ("dirac", "maximally_mixed"):
+            return Fraction(self.rank_coeff) ** (1 - p)
+        if self.kind == "free_poisson":
+            scale = Fraction(self.rank_coeff if self.rank_coeff is not None else 1)
+            c = Fraction(self.c)
+            return scale ** (1 - p) * c ** -p * mp_moment(c, p)
+        if self.kind == "fuss_catalan":
+            return Fraction(fuss_catalan(self.s, p))
+        if self.kind == "classical_product":
+            return math.prod(f.moment(p) for f in self.factors)
+        if self.kind == "poset_law":
+            return Fraction(count_poset_tuples(self.poset, p))
+        raise ValueError(f"no moment rule for kind {self.kind!r}")
+
+    def entropy_constant(self):
+        """Constant of the leading entropy E H ~ x ln N + constant, or None.
+
+        None for the laws without a closed form: poset laws, unknown
+        sequences and products with such a factor.
+        """
+        if self.kind == "dirac":
+            return 0.0
+        if self.kind == "maximally_mixed":
+            return math.log(float(self.rank_coeff))
+        if self.kind == "free_poisson":
+            scale = self.rank_coeff if self.rank_coeff is not None else 1
+            return (math.log(float(self.c * scale))
+                    + mp_entropy(self.c) / float(self.c))
+        if self.kind == "fuss_catalan":
+            return float(fc_entropy(self.s))
+        if self.kind == "classical_product":
+            total = 0.0
+            for f in self.factors:
+                if f.kind == "free_poisson":
+                    total += mp_entropy(f.c)
+                elif f.kind == "fuss_catalan":
+                    total += float(fc_entropy(f.s))
+                else:
+                    return None
+            return total
+        return None
 
     def describe(self) -> str:
         if self.kind == "maximally_mixed":
@@ -471,49 +524,30 @@ class DistributionId:
         return out
 
 
-def _is_geometric(coeffs):
-    """coeffs[p-1] == r^(p-1) for some rational r; returns r or None."""
-    if len(coeffs) < 2:
-        return Fraction(1)
-    r = coeffs[1]
-    return r if all(c == r ** (p - 1) for p, c in enumerate(coeffs, start=1)) else None
+def _free_poisson_fits(coeffs):
+    """(c, d) fitting coeffs[p-1] = d^(1-p) c^-p M_p(c) at p = 2, 3, c >= 1 first.
 
-
-def _match_free_poisson(coeffs):
-    """Fit coeffs[p-1] = d^(1-p) c^-p M_p(c) exactly; return (c, d) or None.
-
-    M_p is the NC(p) block-weight sum.  Eliminating d from the p=2,3
-    equations leaves a quadratic in 1/c with rational coefficients.
+    Eliminating d from the p=2,3 equations leaves a quadratic in 1/c with
+    rational coefficients; only rational roots with c, d > 0 are fits.
     """
     if len(coeffs) < 3:
-        return None
+        return
     c2, c3 = coeffs[1], coeffs[2]
     # v = 1/c solves (c3 - c2^2) v^2 + (2 c3 - 3 c2^2) v + (c3 - c2^2) = 0
     a = c3 - c2 ** 2
     b = 2 * c3 - 3 * c2 ** 2
     if a == 0:
         # forces v = 0, i.e. an infinite parameter: not a free Poisson law
-        return None
-    disc = b * b - 4 * a * a
-    if disc < 0:
-        return None
-    root = _rational_sqrt(disc)
+        return
+    root = _rational_sqrt(b * b - 4 * a * a)
     if root is None:
-        return None
+        return
     # the sequence determines the law only up to the Wishart aspect-ratio
-    # duality (c, d) <-> (1/c, c*d); prefer the atomless c >= 1 description
-    roots = sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
-    for v in roots:
-        if v <= 0:
-            continue
-        c = 1 / v
-        d = (1 + v) / c2 if c2 else None
-        if d is None or d <= 0:
-            continue
-        if all(coeff == d ** (1 - p) * c ** (-p) * mp_moment(c, p)
-               for p, coeff in enumerate(coeffs, start=1)):
-            return c, d
-    return None
+    # duality (c, d) <-> (1/c, c*d); the roots' product is 1, so the
+    # smaller v is the atomless c >= 1 description, preferred
+    for v in sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)}):
+        if v > 0 and c2 > 0:
+            yield 1 / v, (1 + v) / c2
 
 
 def _rational_sqrt(x: Fraction):
@@ -546,53 +580,46 @@ def classify(marginal: MarginalSpec, p_max: int = 6, posets=None, budget=None) -
 def classify_reports(reports, posets=None) -> DistributionId:
     """Tag the limiting law from the reports of `moment_table` for p = 1..p_max.
 
-    A family is reported only when it reproduces every order exactly.
-    Checks, most specific first: flat spectrum (Dirac / maximally mixed),
-    free Poisson with rational parameter, Fuss-Catalan, classical products
-    of Fuss-Catalan laws, then the supplied label posets.
+    The first candidate law whose `moment` reproduces every order exactly
+    is reported; otherwise the sequence stays unknown.
     """
     coeffs = [r.coefficient for r in reports]
-    p_max = len(coeffs)
-    x = -reports[1].exponent if p_max >= 2 else 0
-
-    r = _is_geometric(coeffs)
-    if r is not None:
-        if r == 1:
-            return DistributionId(kind="dirac", rank_coeff=Fraction(1), rank_exponent=x)
-        return DistributionId(kind="maximally_mixed", rank_coeff=1 / r, rank_exponent=x)
-
-    mp = _match_free_poisson(coeffs)
-    if mp is not None:
-        c, scale = mp
-        return DistributionId(kind="free_poisson", c=c,
-                              rank_coeff=scale, rank_exponent=x)
-
-    c2 = coeffs[1]      # p_max >= 2 here: shorter sequences are geometric
-    if c2.denominator == 1 and c2 > 1:
-        # FC(s, 2) = s + 1 fixes the only Fuss-Catalan order to try
-        s = int(c2) - 1
-        if s >= 2 and all(coeffs[p - 1] == fuss_catalan(s, p) for p in range(1, p_max + 1)):
-            return DistributionId(kind="fuss_catalan", s=s)
-        for combo in _factorizations(int(c2)):
-            orders = tuple(part - 1 for part in combo)
-            if len(orders) < 2:
-                continue
-            if all(coeffs[p - 1] == math.prod(fuss_catalan(s, p) for s in orders)
-                   for p in range(1, p_max + 1)):
-                return DistributionId(kind="classical_product",
-                                      factors=tuple(_fc_law(s) for s in orders))
-
-    candidates = list(posets) if posets is not None else [
-        ConstraintPoset(k=3, relations=[(0, 1), (0, 2)]),
-    ]
-    for poset in candidates:
+    x = -reports[1].exponent if len(coeffs) >= 2 else 0
+    for law in _candidate_laws(coeffs, x, posets):
         try:
-            if all(coeffs[p - 1] == count_poset_tuples(poset, p) for p in range(1, p_max + 1)):
-                return DistributionId(kind="poset_law", poset=poset)
+            if all(law.moment(p) == coeff for p, coeff in enumerate(coeffs, start=1)):
+                return law
         except EnumerationCapError:
             continue
-
     return DistributionId(kind="unknown", moments=tuple(coeffs))
+
+
+def _candidate_laws(coeffs, x, posets):
+    """Laws the sequence may follow, most specific first.
+
+    A flat spectrum (Dirac / maximally mixed) at the scale of c2, the free
+    Poisson fits, Fuss-Catalan of the order c2 fixes, the classical
+    products of Fuss-Catalan laws that c2 factors into, then the supplied
+    label posets.
+    """
+    c2 = coeffs[1] if len(coeffs) >= 2 else Fraction(1)
+    if c2 == 1:
+        yield DistributionId(kind="dirac", rank_coeff=Fraction(1), rank_exponent=x)
+    else:
+        yield DistributionId(kind="maximally_mixed", rank_coeff=1 / c2, rank_exponent=x)
+    for c, scale in _free_poisson_fits(coeffs):
+        yield DistributionId(kind="free_poisson", c=c, rank_coeff=scale, rank_exponent=x)
+    if c2.denominator == 1 and c2 > 1:
+        # FC(s, 2) = s + 1 fixes the only Fuss-Catalan order to try
+        if c2 >= 3:
+            yield DistributionId(kind="fuss_catalan", s=int(c2) - 1)
+        for combo in _factorizations(int(c2)):
+            if len(combo) >= 2:
+                yield DistributionId(kind="classical_product",
+                                     factors=tuple(_fc_law(part - 1) for part in combo))
+    for poset in (posets if posets is not None
+                  else [ConstraintPoset(k=3, relations=[(0, 1), (0, 2)])]):
+        yield DistributionId(kind="poset_law", poset=poset)
 
 
 def _fc_law(s: int) -> DistributionId:
@@ -611,17 +638,24 @@ class FamilyReport:
     """Closed-form prediction for one of the solved families.
 
     entropy(N) is the leading expression in natural log; purity terms are
-    (coefficient, exponent) for coefficient * N^exponent.
+    (coefficient, exponent) for coefficient * N^exponent.  The entropy
+    constant and the purity coefficient are read off the law.
     """
 
     law: DistributionId
     flow: int
     entropy_log_term: int          # multiplies ln N
-    entropy_constant: float
-    purity_coeff: Fraction
     purity_exponent: int
     exact_at_finite_n: bool = False
     rescale_note: str = ""
+
+    @property
+    def entropy_constant(self) -> float:
+        return self.law.entropy_constant()
+
+    @property
+    def purity_coeff(self) -> Fraction:
+        return self.law.moment(2)
 
     def entropy(self, n: float) -> float:
         return self.entropy_log_term * math.log(n) + self.entropy_constant
@@ -645,7 +679,6 @@ def one_unitary_marginal(kept: int, traced_in_block: int, external: int,
         raise ValueError("cardinalities must be nonnegative")
     if kept == 0:
         raise ValueError("need at least one kept subsystem")
-    from .spectra import mp_entropy
 
     env = traced_in_block + external
     d_env = d_traced * d_external
@@ -656,35 +689,24 @@ def one_unitary_marginal(kept: int, traced_in_block: int, external: int,
         law = DistributionId(kind="maximally_mixed", rank_coeff=Fraction(d_external),
                              rank_exponent=external)
         return FamilyReport(law=law, flow=min(kept, external),
-                            entropy_log_term=external,
-                            entropy_constant=math.log(d_external),
-                            purity_coeff=Fraction(1, d_external),
-                            purity_exponent=-external,
+                            entropy_log_term=external, purity_exponent=-external,
                             exact_at_finite_n=True)
 
     if kept < env:
         law = DistributionId(kind="maximally_mixed", rank_coeff=Fraction(d_kept),
                              rank_exponent=kept)
-        return FamilyReport(law=law, flow=kept, entropy_log_term=kept,
-                            entropy_constant=math.log(d_kept),
-                            purity_coeff=Fraction(1, d_kept), purity_exponent=-kept)
+        return FamilyReport(law=law, flow=kept, entropy_log_term=kept, purity_exponent=-kept)
 
     if kept == env:
         c = Fraction(d_env, d_kept)
         law = DistributionId(kind="free_poisson", c=c,
                              rank_coeff=Fraction(d_kept), rank_exponent=kept)
-        return FamilyReport(
-            law=law, flow=kept, entropy_log_term=kept,
-            entropy_constant=math.log(d_env) + mp_entropy(c) / float(c),
-            purity_coeff=Fraction(d_kept) * (c ** 2 + c) / (d_env ** 2),
-            purity_exponent=-kept,
-            rescale_note=f"rescale by {d_env}*N^{kept}")
+        return FamilyReport(law=law, flow=kept, entropy_log_term=kept, purity_exponent=-kept,
+                            rescale_note=f"rescale by {d_env}*N^{kept}")
 
     law = DistributionId(kind="maximally_mixed", rank_coeff=Fraction(d_env),
                          rank_exponent=env)
-    return FamilyReport(law=law, flow=env, entropy_log_term=env,
-                        entropy_constant=math.log(d_env),
-                        purity_coeff=Fraction(1, d_env), purity_exponent=-env)
+    return FamilyReport(law=law, flow=env, entropy_log_term=env, purity_exponent=-env)
 
 
 def star_marginal(m: int, s: int, t: int) -> FamilyReport:
@@ -700,24 +722,20 @@ def star_marginal(m: int, s: int, t: int) -> FamilyReport:
     if s == 0 or t == 0:
         r = max(s, t)
         law = DistributionId(kind="maximally_mixed", rank_coeff=Fraction(1), rank_exponent=r)
-        return FamilyReport(law=law, flow=r, entropy_log_term=r, entropy_constant=0.0,
-                            purity_coeff=Fraction(1), purity_exponent=-r,
+        return FamilyReport(law=law, flow=r, entropy_log_term=r, purity_exponent=-r,
                             exact_at_finite_n=True)
     if s + t < m:
         law = DistributionId(kind="dirac", rank_coeff=Fraction(1), rank_exponent=s + t)
         return FamilyReport(law=law, flow=s + t, entropy_log_term=s + t,
-                            entropy_constant=0.0, purity_coeff=Fraction(1),
                             purity_exponent=-(s + t),
                             rescale_note=f"rescale by N^{s+t}")
     if s + t > m:
         r = 2 * m - s - t
         law = DistributionId(kind="dirac", rank_coeff=Fraction(1), rank_exponent=r)
-        return FamilyReport(law=law, flow=r, entropy_log_term=r, entropy_constant=0.0,
-                            purity_coeff=Fraction(1), purity_exponent=-r,
+        return FamilyReport(law=law, flow=r, entropy_log_term=r, purity_exponent=-r,
                             rescale_note=f"rank N^{r}; rescale by N^{r}")
     law = DistributionId(kind="free_poisson", c=Fraction(1))
-    return FamilyReport(law=law, flow=m, entropy_log_term=m, entropy_constant=-0.5,
-                        purity_coeff=Fraction(2), purity_exponent=-m,
+    return FamilyReport(law=law, flow=m, entropy_log_term=m, purity_exponent=-m,
                         rescale_note=f"rescale by N^{m}")
 
 
@@ -741,9 +759,7 @@ def cycle_marginal(types: str) -> FamilyReport:
         # labels must all coincide but range over the whole lattice, so
         # the ring behaves like a single square-case vertex
         law = DistributionId(kind="free_poisson", c=Fraction(1))
-        return FamilyReport(law=law, flow=m, entropy_log_term=m,
-                            entropy_constant=-0.5, purity_coeff=Fraction(2),
-                            purity_exponent=-m,
+        return FamilyReport(law=law, flow=m, entropy_log_term=m, purity_exponent=-m,
                             rescale_note=f"rescale by N^{m}")
 
     arcs = _cycle_arcs(types)
@@ -758,12 +774,7 @@ def cycle_marginal(types: str) -> FamilyReport:
     else:
         law = DistributionId(kind="classical_product",
                              factors=tuple(_fc_law(s) for s in orders))
-
-    entropy_const = -sum(sum(Fraction(1, j) for j in range(2, a + 2)) for a in orders)
-    purity = Fraction(math.prod(fuss_catalan(a, 2) for a in arcs))
-    return FamilyReport(law=law, flow=x, entropy_log_term=x,
-                        entropy_constant=float(entropy_const),
-                        purity_coeff=purity, purity_exponent=-x)
+    return FamilyReport(law=law, flow=x, entropy_log_term=x, purity_exponent=-x)
 
 
 def _cycle_arcs(types: str):

@@ -1,8 +1,8 @@
-"""Limit laws: free Poisson and Fuss-Catalan densities, moments, entropies.
+"""Limit laws: free Poisson and Fuss-Catalan densities, supports, entropies.
 
-Moments are exact rationals computed combinatorially; densities are
-closed-form evaluators paired with adaptive quadrature so every analytic
-claim (total mass, moments, entropy) can be cross-checked numerically.
+Densities are closed-form evaluators paired with adaptive quadrature so
+every analytic claim (total mass, moments, entropy) can be cross-checked
+numerically against the exact moments of `moments.DistributionId`.
 Entropies use the natural logarithm throughout.
 """
 
@@ -14,9 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
-
-from .combinatorics import ConstraintPoset, count_poset_tuples, fuss_catalan
-from .combinatorics import mp_moment  # noqa: F401  (the free-Poisson moments of this module)
 
 
 @dataclass(frozen=True)
@@ -109,11 +106,6 @@ def mp_entropy(c) -> float:
 # Fuss-Catalan family
 # ---------------------------------------------------------------------------
 
-def fc_moment(s: int, p: int) -> int:
-    """p-th moment of the order-s law: the Fuss-Catalan number."""
-    return fuss_catalan(s, p)
-
-
 def fc_support(s: int) -> Fraction:
     """Upper edge of the support: (s+1)^(s+1) / s^s; the law lives on [0, K]."""
     if s < 1:
@@ -158,28 +150,3 @@ def fc_density(s: int) -> DensityFn:
     if s == 2:
         return fc2_density()
     raise ValueError(f"no closed-form density at order s={s}; use moments/sampling")
-
-
-# ---------------------------------------------------------------------------
-# products and poset laws
-# ---------------------------------------------------------------------------
-
-def product_moments(seqs):
-    """Pointwise product of moment sequences: the law of a product of
-    independent variables has m_p = prod_i m_p^(i)."""
-    seqs = [list(s) for s in seqs]
-    if not seqs:
-        raise ValueError("need at least one sequence")
-    length = len(seqs[0])
-    if any(len(s) != length for s in seqs):
-        raise ValueError(f"length mismatch: {[len(s) for s in seqs]}")
-    return [math.prod(Fraction(s[p]) for s in seqs) for p in range(length)]
-
-
-def poset_law_moments(poset: ConstraintPoset, p_max: int):
-    """Moments of the law attached to an NC-label poset: tuple counts.
-
-    Chains reduce to Fuss-Catalan numbers and disjoint unions factor into
-    pointwise products of the parts' moments.
-    """
-    return [Fraction(count_poset_tuples(poset, p)) for p in range(1, p_max + 1)]

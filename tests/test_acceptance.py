@@ -26,6 +26,7 @@ from graphstate.combinatorics import (
     count_chains,
     enumerate_nc,
     fuss_catalan,
+    mp_moment,
 )
 from graphstate.flow import marginal_max_flow
 from graphstate.moments import (
@@ -40,7 +41,7 @@ from graphstate.montecarlo import (
     ginibre_product_spectra,
     haar_unitary,
 )
-from graphstate.spectra import fc2_density, fc_entropy, mp_density, mp_moment
+from graphstate.spectra import fc2_density, fc_entropy, mp_density
 from graphstate.weingarten import convolution_defect, wg_exact
 from graphstate.combinatorics import Perm, all_perms
 from oracles import leq

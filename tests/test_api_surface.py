@@ -6,10 +6,12 @@ itself, the demos or the benchmark harness: as a name, an import, a
 `module.name` attribute or a string constant (the harness looks some up
 by name).  Re-exports in `__init__` do not count, and neither does a
 definition's reference to itself.  Brute-force oracles belong in
-`tests/oracles.py`.
+`tests/oracles.py`.  And every name a demo imports from `graphstate`
+must exist, so that removing one cannot break a demo unnoticed.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,3 +55,15 @@ def test_every_public_definition_has_a_non_test_caller():
     offenders = [f"{module}.{name}" for module, name in _public_definitions()
                  if name not in referenced]
     assert offenders == [], "public but used only by tests: " + ", ".join(offenders)
+
+
+def test_every_name_a_demo_imports_exists():
+    # the imports are read from the source: running the demos takes far longer
+    missing = []
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "graphstate":
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names if not hasattr(module, alias.name)]
+    assert missing == [], "demos import missing names: " + ", ".join(missing)

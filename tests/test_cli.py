@@ -164,6 +164,18 @@ class TestRun:
         assert code == 2
         assert "mismatch" in text
 
+    @pytest.mark.parametrize("field,value", [
+        ("trace", 2),
+        ("vertices", [[1, "x"]]),
+        ("subsystems", [{"id": 1, "d": None}, {"id": 2, "d": 1}]),
+        ("trace", [1.7]),
+    ], ids=["trace_not_a_list", "vertex_id_string", "d_null", "trace_id_float"])
+    def test_malformed_document_exit_2(self, tmp_path, field, value):
+        doc = {"vertices": [[1, 2]], "bonds": [[1, 2]], "trace": [2], field: value}
+        code, text = run(["analyze", write_graph(tmp_path, doc), "--pmax", "2"])
+        assert code == 2
+        assert text.startswith("validation error") and f"'{field}'" in text
+
     def test_budget_error_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "10")
         code, text = run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])

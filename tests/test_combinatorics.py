@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from graphstate import combinatorics
 from graphstate.combinatorics import (
     ConstraintPoset,
     EnumerationCapError,
@@ -293,6 +294,13 @@ class TestConstraintPoset:
         # the diamond keeps two labels on its frontier; the forest checks
         # relations whose later node is the lower one
         assert count_poset_tuples(poset, p) == brute_force_count(poset, p)
+
+    def test_no_relation_builds_no_pair_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair table built for a poset without relations")
+        monkeypatch.setattr(combinatorics, "_pair_table", refuse)
+        assert count_poset_tuples(ConstraintPoset(k=2), 7) == catalan(7) ** 2
+        assert count_chains(1, 7) == 429
 
     def test_disjoint_chains_factor(self):
         poset = ConstraintPoset(k=5, relations=[(0, 1), (1, 2), (3, 4)])

@@ -1,9 +1,11 @@
 """Moment engines: minimizers, asymptotics, exact sums, classification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from graphstate import moments
 from graphstate.catalog import (
     cycle_graph,
     exotic_graph,
@@ -13,13 +15,17 @@ from graphstate.catalog import (
     one_loop,
     star_graph,
 )
-from graphstate.combinatorics import Perm, catalan, count_poset_tuples, fuss_catalan
+from graphstate.cli import cmd_analyze
+from graphstate.combinatorics import Perm, catalan, count_poset_tuples, fuss_catalan, mp_moment
 from graphstate.flow import marginal_max_flow
 from graphstate.graphs import GraphSpec
 from graphstate.moments import (
     BudgetExceededError,
+    DistributionId,
+    MomentReport,
     asymptotic_moment,
     classify,
+    classify_reports,
     cycle_marginal,
     exact_moment,
     exact_moment_gaussian,
@@ -28,7 +34,7 @@ from graphstate.moments import (
     one_unitary_marginal,
     star_marginal,
 )
-from graphstate.spectra import fc_entropy, mp_moment
+from graphstate.spectra import fc_entropy
 from oracles import f_beta, is_geodesic, law_moments
 
 
@@ -228,18 +234,27 @@ def _coefficients(marginal, p_max):
     return [r.coefficient for r in moment_table(marginal, p_max)]
 
 
+def _assert_forecast_matches_engine(report, marginal, name):
+    """Family purity = the engine's p=2 row; family entropy = the CLI forecast."""
+    analysis = cmd_analyze(marginal, 4)
+    row = analysis["moments"][1]
+    assert (report.purity_coeff, report.purity_exponent) == (
+        Fraction(row["coefficient"]), row["exponent"]), name
+    entropy = analysis["predictions"]["entropy"]
+    assert report.entropy_log_term == entropy["log_term"], name
+    assert report.entropy_constant == pytest.approx(entropy["constant"], abs=1e-12), name
+
+
 class TestStarFamily:
-    @pytest.mark.parametrize("m,s,t", [(2, s, t) for s in range(3) for t in range(3)]
-                             + [(3, 1, 2), (3, 2, 1), (3, 0, 3), (3, 3, 3)])
+    @pytest.mark.parametrize("m,s,t", [(m, s, t) for m in (1, 2, 3)
+                                       for s in range(m + 1) for t in range(m + 1)])
     def test_against_engine(self, m, s, t):
         report = star_marginal(m, s, t)
         marginal = star_graph(m, s, t)
         if s == 0 and t == 0:
             return  # fully traced: scalar state, nothing to compare
         assert report.flow == marginal_max_flow(marginal)
-        rows = moment_table(marginal, 3)
-        assert rows[1].exponent == report.purity_exponent
-        assert rows[1].coefficient == report.purity_coeff
+        _assert_forecast_matches_engine(report, marginal, (m, s, t))
 
     def test_balanced_case_is_free_poisson(self):
         report = star_marginal(2, 1, 1)
@@ -279,6 +294,11 @@ class TestCycleFamily:
             for factor in _law_orders(report.law):
                 predicted *= fuss_catalan(factor, p)
             assert len(minimizer_set(cycle_graph(types), p)) == predicted
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_forecast_matches_engine(self, m):
+        for types in map("".join, itertools.product("SRT", repeat=m)):
+            _assert_forecast_matches_engine(cycle_marginal(types), cycle_graph(types), types)
 
     def test_all_r_cycle_is_square_case(self):
         # no pins anywhere: labels equal but free, Catalan counts
@@ -455,6 +475,20 @@ class TestClassify:
         assert dist.kind == "unknown"
         assert list(dist.moments) == [1, 5, 38]
 
+    def test_candidate_check_stops_at_first_mismatch(self, monkeypatch):
+        # the exotic poset counts 5 at p=2, so p=3..7 must never be counted
+        counted = []
+
+        def count(poset, p):
+            counted.append(p)
+            return count_poset_tuples(poset, p)
+        monkeypatch.setattr(moments, "count_poset_tuples", count)
+        coeffs = [1, 7, 50, 400, 3000, 20000, 100000]
+        reports = [MomentReport(p=p, exponent=1 - p, coefficient=Fraction(c), minimizer_count=1)
+                   for p, c in enumerate(coeffs, start=1)]
+        assert classify_reports(reports).kind == "unknown"
+        assert counted == [1, 2]
+
     def test_minimizers_are_pinned_geodesics(self):
         from graphstate.combinatorics import nc_to_geodesic, NCPartition
         m = cycle_graph("TSRR")
@@ -465,3 +499,34 @@ class TestClassify:
             assert all(is_geodesic(nc_to_geodesic(q)) for q in parts)
             for block, pin in ms.pinned.items():
                 assert parts[block] == (zero if pin == "zero" else one)
+
+
+def _fc(s):
+    return DistributionId(kind="fuss_catalan", s=s)
+
+
+class TestDistributionId:
+    LAWS = [
+        DistributionId(kind="dirac", rank_coeff=Fraction(1)),
+        DistributionId(kind="maximally_mixed", rank_coeff=Fraction(3, 2)),
+        DistributionId(kind="free_poisson", c=Fraction(7, 3), rank_coeff=Fraction(2)),
+        DistributionId(kind="free_poisson", c=Fraction(1, 2)),
+        _fc(3),
+        DistributionId(kind="classical_product",
+                       factors=(_fc(2), DistributionId(kind="free_poisson", c=Fraction(1)))),
+        DistributionId(kind="poset_law", poset=exotic_poset()),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+    def test_moment_matches_law_moments(self, law):
+        assert [law.moment(p) for p in range(1, 6)] == law_moments(law, 5)
+
+    def test_unknown_has_no_moments(self):
+        with pytest.raises(ValueError):
+            DistributionId(kind="unknown", moments=(Fraction(1),)).moment(1)
+
+    def test_entropy_constant_none_without_closed_form(self):
+        poset = DistributionId(kind="poset_law", poset=exotic_poset())
+        mixed = DistributionId(kind="classical_product", factors=(_fc(2), poset))
+        unknown = DistributionId(kind="unknown", moments=(Fraction(1),))
+        assert [law.entropy_constant() for law in (poset, mixed, unknown)] == [None] * 3

@@ -7,20 +7,29 @@ import numpy as np
 import pytest
 
 from graphstate.catalog import exotic_poset
-from graphstate.combinatorics import ConstraintPoset, catalan, enumerate_nc
+from graphstate.combinatorics import ConstraintPoset, catalan, enumerate_nc, mp_moment
+from graphstate.moments import DistributionId
 from graphstate.spectra import (
     fc2_density,
     fc_density,
     fc_entropy,
-    fc_moment,
     fc_support,
     mp_density,
     mp_entropy,
-    mp_moment,
-    poset_law_moments,
-    product_moments,
 )
 from oracles import hankel_matrix
+
+
+def _moments(law, p_max):
+    return [law.moment(p) for p in range(1, p_max + 1)]
+
+
+def _fc(s):
+    return DistributionId(kind="fuss_catalan", s=s)
+
+
+def _poset_law(poset):
+    return DistributionId(kind="poset_law", poset=poset)
 
 
 class TestMPDensity:
@@ -87,7 +96,7 @@ class TestMPEntropy:
 
 class TestFussCatalan:
     def test_moments_are_fc_numbers(self):
-        assert [fc_moment(2, p) for p in (1, 2, 3, 4)] == [1, 3, 12, 55]
+        assert _moments(_fc(2), 4) == [1, 3, 12, 55]
 
     def test_support_edges(self):
         assert fc_support(1) == 4
@@ -137,33 +146,32 @@ class TestFC2Density:
 
 class TestProducts:
     def test_pointwise_product(self):
-        assert product_moments([[1, 3, 12], [1, 2, 5]]) == [1, 6, 60]
+        law = DistributionId(kind="classical_product",
+                             factors=(_fc(2), DistributionId(kind="free_poisson", c=1)))
+        assert _moments(law, 3) == [1, 6, 60]
 
     def test_identity_factor(self):
-        seq = [Fraction(1), Fraction(2), Fraction(5)]
-        assert product_moments([seq, [1, 1, 1]]) == seq
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            product_moments([[1, 2], [1, 2, 3]])
+        dirac = DistributionId(kind="dirac", rank_coeff=Fraction(1))
+        law = DistributionId(kind="classical_product", factors=(_fc(3), dirac))
+        assert _moments(law, 5) == _moments(_fc(3), 5)
 
 
 class TestPosetLaws:
     def test_chain_reduces_to_fc(self):
         chain = ConstraintPoset.make_chain(2)
-        assert poset_law_moments(chain, 4) == [1, 3, 12, 55]
+        assert _moments(_poset_law(chain), 4) == [1, 3, 12, 55]
 
     def test_disjoint_union_factorizes(self):
         two_chains = ConstraintPoset(
             k=5, relations=[(0, 1), (1, 2), (3, 4)])  # lengths 3 and 2
         left = ConstraintPoset.make_chain(3)
         right = ConstraintPoset.make_chain(2)
-        combined = poset_law_moments(two_chains, 3)
-        assert combined == product_moments(
-            [poset_law_moments(left, 3), poset_law_moments(right, 3)])
+        product = DistributionId(kind="classical_product",
+                                 factors=(_poset_law(left), _poset_law(right)))
+        assert _moments(_poset_law(two_chains), 3) == _moments(product, 3)
 
     def test_exotic_values(self):
-        assert poset_law_moments(exotic_poset(), 3) == [1, 5, 38]
+        assert _moments(_poset_law(exotic_poset()), 3) == [1, 5, 38]
 
 
 class TestMomentSequenceSanity:
@@ -178,7 +186,7 @@ class TestMomentSequenceSanity:
             assert np.linalg.eigvalsh(h).min() > 0
 
     def test_positive_moments(self):
-        assert all(m > 0 for m in poset_law_moments(exotic_poset(), 4))
+        assert all(m > 0 for m in _moments(_poset_law(exotic_poset()), 4))
 
     def test_window_guard(self):
         with pytest.raises(ValueError):
