@@ -3,7 +3,9 @@
 Everything downstream (Weingarten tables, moment coefficients, limit-law
 moments) reduces to counting structures in the symmetric group S_p and in
 the lattice NC(p) of non-crossing partitions of {1..p}.  All counts are
-exact Python integers; nothing here touches floating point.
+exact Python integers; nothing here touches floating point.  The label
+and pair tables are computed on int8 permutation arrays with numpy and
+handed out as Python ints.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 NC_CAP = 10
 
@@ -245,32 +249,97 @@ def nc_to_geodesic(part: NCPartition) -> Perm:
     return Perm.from_cycles(part.p, [list(b) for b in part.blocks])
 
 
+# points per batch of composed permutations: 256 KB per int64 temporary,
+# more only where one row of products is longer
+_BATCH_POINTS = 1 << 15
+
+
 @lru_cache(maxsize=None)
 def _label_table(p: int, nc: bool, full: bool):
-    """Labels at order p: the NC(p) geodesics (nc) or S_p, or id and gamma
-    alone (not full).  Returns them with #b, #(gamma b^-1) and the indices
-    of id and gamma."""
-    gamma = Perm.full_cycle(p)
+    """Labels at order p: the NC(p) geodesics in `enumerate_nc` order (nc),
+    S_p in `itertools.permutations` order, or id and gamma alone (not
+    full).  Returns their images as a read-only int8 array, one row per
+    label, with #b, #(gamma b^-1) and the indices of id and gamma."""
+    ident, gamma = tuple(range(p)), tuple((i + 1) % p for i in range(p))
     if not full:
-        perms = (Perm.identity(p), gamma)
+        rows = [ident, gamma]
+    elif nc:
+        rows = [nc_to_geodesic(q).image for q in enumerate_nc(p)]
     else:
-        perms = tuple(map(nc_to_geodesic, enumerate_nc(p))) if nc else all_perms(p)
-    ncyc = [sig.num_cycles for sig in perms]
-    ncyc_gamma = [(gamma * sig.inverse()).num_cycles for sig in perms]
-    return perms, ncyc, ncyc_gamma, perms.index(Perm.identity(p)), perms.index(gamma)
+        rows = list(itertools.permutations(ident))
+    images = np.array(rows, dtype=np.int8)
+    images.flags.writeable = False
+    ncyc = _cycle_counts(images)
+    ncyc_gamma = _cycle_counts(np.array(gamma, dtype=np.int8)[_inverse(images)])
+    return images, ncyc.tolist(), ncyc_gamma.tolist(), rows.index(ident), rows.index(gamma)
 
 
 @lru_cache(maxsize=None)
 def _pair_table(p: int, nc: bool):
     """#(a^-1 b) over all label pairs, quadratic in the labels and built
-    lazily; over S_p also the class of a^-1 b, indexing the cycle types."""
-    perms = _label_table(p, nc, True)[0]
+    lazily; over S_p also the class of a^-1 b, indexing the cycle types.
+
+    a^-1 b is composed for a batch of rows a at a time by one gather,
+    `inverse[a][:, images]`.  Over S_p each product is encoded as a
+    base-p number and found among the labels' codes, which ascend in
+    `itertools.permutations` order, so its class is one more gather.
+    The tables are Python int lists: numpy integers in the weights
+    would overflow silently.
+    """
+    images = _label_table(p, nc, True)[0]
+    inverse = _inverse(images)
+    n = len(images)
+    batch = max(1, _BATCH_POINTS // (n * p))
+    products = (inverse[a:a + batch][:, images].reshape(-1, p) for a in range(0, n, batch))
     if nc:
-        return [[(a.inverse() * b).num_cycles for b in perms] for a in perms], None, None
-    types = sorted({sig.cycle_type() for sig in perms})
+        counts = np.concatenate([_cycle_counts(prod) for prod in products])
+        return counts.reshape(n, n).tolist(), None, None
+    label_types = [_cycle_type(low) for low in _orbit_minima(images)]
+    types = sorted(set(label_types))
     index = {t: c for c, t in enumerate(types)}
-    classes = [[index[(a.inverse() * b).cycle_type()] for b in perms] for a in perms]
-    return [[len(types[c]) for c in row] for row in classes], classes, types
+    label_class = np.array([index[t] for t in label_types], dtype=np.int8)
+    codes = _codes(images)
+    classes = np.concatenate([label_class[np.searchsorted(codes, _codes(prod))]
+                              for prod in products]).reshape(n, n)
+    counts = np.array([len(t) for t in types])[classes]
+    return counts.tolist(), classes.tolist(), types
+
+
+def _inverse(images):
+    """Row-wise inverses of an (M, p) image array."""
+    inverse = np.empty_like(images)
+    inverse[np.arange(len(images))[:, None], images] = np.arange(images.shape[1])
+    return inverse
+
+
+def _orbit_minima(images):
+    """The least point of each point's cycle, row by row: p - 1 gathers
+    along the orbits of an (M, p) image array."""
+    m, p = images.shape
+    offset = np.arange(0, m * p, p)[:, None]
+    step = (images + offset).ravel()    # the flat index of each point's image
+    point = low = np.arange(m * p)
+    for _ in range(p - 1):
+        point = step[point]
+        low = np.minimum(low, point)
+    return low.reshape(m, p) - offset
+
+
+def _cycle_counts(images):
+    """#sigma for each row: the points that are the least of their cycle."""
+    return (_orbit_minima(images) == np.arange(images.shape[1])).sum(axis=1)
+
+
+def _cycle_type(low):
+    """Cycle lengths, sorted descending, from one row of orbit minima."""
+    sizes = np.bincount(low)
+    return tuple(sorted(sizes[sizes > 0].tolist(), reverse=True))
+
+
+def _codes(images):
+    """Each row read as a base-p number, first point most significant."""
+    p = images.shape[-1]
+    return images.astype(np.int64) @ p ** np.arange(p - 1, -1, -1, dtype=np.int64)
 
 
 def _nc_order(p: int):

@@ -243,7 +243,9 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
                    for b in labels]
         if haar and not nc:
             dim = view.dim_block * N ** len(view.members)
-            entries = [(0, h, 1) for h in _weingarten_column(p, dim, [e[1] for e in entries])]
+            column, denominator = _weingarten_column(p, dim, [e[1] for e in entries])
+            entries = [(0, h, 1) for h in column]
+            prefactor /= denominator
         else:   # the 1/dim^p kernel, kept out of the sum so that it stays integral
             prefactor /= monomial(len(view.members), view.dim_block, p)[1]
         factors.append(((i,), lambda key, entries=entries: entries[key[0]]))
@@ -252,16 +254,23 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
 
 
 def _weingarten_column(p, dim, weights):
-    """h[b] = sum_a weights[a] Wg(a^-1 b, dim) over S_p, summed class by class."""
+    """(h, D) with h[b] / D = sum_a weights[a] Wg(a^-1 b, dim) over S_p.
+
+    The sum runs class by class, with the Weingarten table scaled by the
+    lcm D of its denominators, so integer weights give integer entries.
+    """
     _, classes, types = _pair_table(p, False)
-    wg = [wg_exact(p, dim).by_type(t) for t in types]
+    table = wg_exact(p, dim)
+    wg = [table.by_type(t) for t in types]
+    denominator = math.lcm(*(w.denominator for w in wg))
+    wg = [w.numerator * (denominator // w.denominator) for w in wg]
     column = []
     for row in classes:     # class(b^-1 a) = class(a^-1 b)
         acc = [0] * len(types)
         for w, c in zip(weights, row):
             acc[c] += w
-        column.append(sum(Fraction(n) * wg[c] for c, n in enumerate(acc) if n))
-    return column
+        column.append(sum(n * w for n, w in zip(acc, wg)))
+    return column, denominator
 
 
 def _plan(sizes, scopes, cap, env, extra=0):
@@ -319,13 +328,18 @@ def _contract(domains, factors, order):
 def _eliminate(v, group, domains):
     """Sum block v out of the product of `group`: a factor on the other blocks."""
     nbrs = tuple(sorted({b for scope, _ in group for b in scope} - {v}))
+    # factors on v alone are read once per label, not once per neighbour labeling
+    unary = [lookup for scope, lookup in group if scope == (v,)]
+    group = [f for f in group if f[0] != (v,)]
+    own = [[lookup((x,)) for lookup in unary] for x in domains[v]]
     message = {}
     for labels in itertools.product(*(domains[n] for n in nbrs)):
         fixed = dict(zip(nbrs, labels))
         best, weight, count = None, 0, 0
-        for x in domains[v]:
+        for x, entries in zip(domains[v], own):
             fixed[v] = x
-            entries = [lookup(tuple([fixed[b] for b in scope])) for scope, lookup in group]
+            entries = entries + [lookup(tuple([fixed[b] for b in scope]))
+                                 for scope, lookup in group]
             cost = sum([e[0] for e in entries])
             if best is not None and cost > best:
                 continue    # weights are multiplied only at the least cost

@@ -2,7 +2,8 @@
 
 They check the library from outside: the refinement order, meets and
 joins of set partitions, the Kreweras complement and the geodesic test
-on NC(p); the cost functional f_beta; the law round trip; partition
+on NC(p); the label, pair and Weingarten tables from `Perm` products,
+one pair at a time; the cost functional f_beta; the law round trip; partition
 joins of the coupling structure; max-flow duality and axioms; Hankel
 windows; and the full reduced density matrix.  None of them is used by
 `graphstate` itself.
@@ -20,6 +21,7 @@ import numpy as np
 from graphstate.combinatorics import (
     NCPartition,
     Perm,
+    all_perms,
     count_poset_tuples,
     enumerate_nc,
     fuss_catalan,
@@ -31,6 +33,7 @@ from graphstate.flow import FlowNetwork, MaxFlowResult, marginal_max_flow
 from graphstate.graphs import MarginalSpec
 from graphstate.moments import DistributionId
 from graphstate.montecarlo import MAX_DENSITY_DIM, ResourceCapError, StateVector, _split_matrix
+from graphstate.weingarten import wg_exact
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,36 @@ def mobius_inversion_defect(beta: Perm) -> int:
             alpha = nc_to_geodesic(part)
             total += mobius(alpha.inverse() * beta)
     return total
+
+
+# ---------------------------------------------------------------------------
+# label, pair and Weingarten tables from Perm products
+# ---------------------------------------------------------------------------
+
+def perm_labels(p: int, nc: bool):
+    """The labels of `_label_table(p, nc, True)` as Perm objects, in its order."""
+    return tuple(map(nc_to_geodesic, enumerate_nc(p))) if nc else all_perms(p)
+
+
+def perm_pair_table(p: int, nc: bool):
+    """`_pair_table(p, nc)` from one Perm product a^-1 b per label pair."""
+    perms = perm_labels(p, nc)
+    inverses = [a.inverse() for a in perms]
+    if nc:
+        return [[(a * b).num_cycles for b in perms] for a in inverses], None, None
+    types = sorted({sig.cycle_type() for sig in perms})
+    index = {t: c for c, t in enumerate(types)}
+    classes = [[index[(a * b).cycle_type()] for b in perms] for a in inverses]
+    return [[len(types[c]) for c in row] for row in classes], classes, types
+
+
+def perm_weingarten_column(p: int, dim: int, weights):
+    """h[b] = sum_a weights[a] Wg(a^-1 b, dim) over S_p in Fractions, pair by pair."""
+    perms = all_perms(p)
+    inverses = [a.inverse() for a in perms]
+    table = wg_exact(p, dim)
+    return [sum((Fraction(w) * table(a * b) for w, a in zip(weights, inverses)), Fraction(0))
+            for b in perms]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line surface: parsing, commands, formats, exit codes, budgets."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,3 +307,13 @@ class TestRun:
         args = ["simulate", str(DATA / "one_loop.json"), "--N", "8",
                 "--trials", "12", "--seed", "7", "--pmax", "2"]
         assert run(args) == run(args)
+
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "graphstate", "analyze",
+                               str(DATA / "one_loop.json"), "--pmax", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["max_flow"] == 1

@@ -12,6 +12,7 @@ from graphstate.combinatorics import (
     Perm,
     _label_table,
     _nc_order,
+    _pair_table,
     all_perms,
     catalan,
     count_chains,
@@ -32,6 +33,8 @@ from oracles import (
     meet,
     mobius_inversion_defect,
     nc_join,
+    perm_labels,
+    perm_pair_table,
 )
 
 
@@ -249,11 +252,53 @@ class TestNCOrder:
     @pytest.mark.parametrize("p", range(1, 8))
     def test_cycle_count_order_is_refinement(self, p):
         leq_index, zero, one = _nc_order(p)
-        parts = [cycle_partition(sigma) for sigma in _label_table(p, True, True)[0]]
+        parts = [cycle_partition(Perm(row)) for row in _label_table(p, True, True)[0].tolist()]
         assert parts == list(enumerate_nc(p))
         assert (parts[zero], parts[one]) == (NCPartition.zero(p), NCPartition.one(p))
         for (i, a), (j, b) in itertools.product(enumerate(parts), repeat=2):
             assert leq_index(i, j) == leq(a, b)
+
+
+TABLE_ORDERS = [(p, True) for p in range(1, 8)] + [(p, False) for p in range(1, 7)]
+
+
+def _all_ints(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
+class TestTables:
+    @pytest.mark.parametrize("p,nc", TABLE_ORDERS, ids=lambda v: str(v))
+    def test_label_table_equals_perms(self, p, nc):
+        images, ncyc, ncyc_gamma, ident, gamma = _label_table(p, nc, True)
+        perms = perm_labels(p, nc)
+        assert [Perm(row) for row in images.tolist()] == list(perms)
+        assert ncyc == [sigma.num_cycles for sigma in perms]
+        g = Perm.full_cycle(p)
+        assert ncyc_gamma == [(g * sigma.inverse()).num_cycles for sigma in perms]
+        assert (perms[ident], perms[gamma]) == (Perm.identity(p), g)
+        assert _all_ints([ncyc, ncyc_gamma, [ident, gamma]])
+
+    @pytest.mark.parametrize("p,nc", TABLE_ORDERS, ids=lambda v: str(v))
+    def test_pair_table_equals_perm_products(self, p, nc):
+        counts, classes, types = _pair_table(p, nc)
+        assert (counts, classes, types) == perm_pair_table(p, nc)
+        assert _all_ints(counts) and _all_ints(classes or [])
+
+    @pytest.mark.parametrize("nc", [True, False])
+    def test_id_and_gamma_alone(self, nc):
+        for p in range(1, 6):
+            images, ncyc, ncyc_gamma, ident, gamma = _label_table(p, nc, False)
+            assert [Perm(row) for row in images.tolist()] == [Perm.identity(p), Perm.full_cycle(p)]
+            assert (ncyc, ncyc_gamma) == ([p, 1], [1, p])
+            assert (ident, gamma) == (0, 0 if p == 1 else 1)    # at p = 1, id is gamma
+
+    def test_tables_multiply_no_perms(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a table was built from Perm products")
+        monkeypatch.setattr(Perm, "__mul__", refuse)
+        for p, nc in ((6, True), (5, False)):
+            _label_table.__wrapped__(p, nc, True)
+            _pair_table.__wrapped__(p, nc)
 
 
 class TestConstraintPoset:

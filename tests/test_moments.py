@@ -1,6 +1,8 @@
 """Moment engines: minimizers, asymptotics, exact sums, classification."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,7 +37,7 @@ from graphstate.moments import (
     star_marginal,
 )
 from graphstate.spectra import fc_entropy
-from oracles import f_beta, is_geodesic, law_moments
+from oracles import f_beta, is_geodesic, law_moments, perm_weingarten_column
 
 
 class TestFBeta:
@@ -202,6 +204,26 @@ class TestExactMoment:
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
             exact_moment(cycle_graph("TSRR"), 4, 4, budget=1000)
+
+    def test_gate_refuses_before_the_label_table(self, monkeypatch):
+        def unbuilt(p, *args):
+            raise AssertionError(f"built a label table at order {p}")
+        monkeypatch.setattr(moments, "_label_table", unbuilt)
+        with pytest.raises(BudgetExceededError):
+            exact_moment(cycle_graph("TSRR"), 12, 3)
+        with pytest.raises(BudgetExceededError):
+            asymptotic_moment(exotic_graph(), 12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_integer_weingarten_column(self, p):
+        # dimensions below p, where Wg is a pseudo-inverse, and above it
+        rng = random.Random(p)
+        weights = [rng.randrange(1, 10 ** 6) for _ in range(math.factorial(p))]
+        for dim in sorted({1, 2, max(p - 1, 1), p, p + 1, 36}):
+            column, denominator = moments._weingarten_column(p, dim, weights)
+            assert type(denominator) is int and all(type(h) is int for h in column)
+            assert [Fraction(h, denominator) for h in column] == \
+                perm_weingarten_column(p, dim, weights), dim
 
     def test_scalar_state_at_dimension_one(self):
         # at N = 1 the mixed block has dimension 1 < p and the state is a scalar
