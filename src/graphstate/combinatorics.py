@@ -249,9 +249,9 @@ def nc_to_geodesic(part: NCPartition) -> Perm:
     return Perm.from_cycles(part.p, [list(b) for b in part.blocks])
 
 
-# points per batch of composed permutations: 256 KB per int64 temporary,
+# points per batch of composed permutations: 64 KB per int64 temporary,
 # more only where one row of products is longer
-_BATCH_POINTS = 1 << 15
+_BATCH_POINTS = 1 << 13
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +301,7 @@ def _pair_table(p: int, nc: bool):
     codes = _codes(images)
     classes = np.concatenate([label_class[np.searchsorted(codes, _codes(prod))]
                               for prod in products]).reshape(n, n)
-    counts = np.array([len(t) for t in types])[classes]
+    counts = np.array([len(t) for t in types], dtype=np.int8)[classes]
     return counts.tolist(), classes.tolist(), types
 
 
