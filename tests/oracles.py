@@ -3,9 +3,9 @@
 They check the library from outside: the refinement order, meets and
 joins of set partitions, the Kreweras complement and the geodesic test
 on NC(p); the label, pair and Weingarten tables from `Perm` products,
-one pair at a time; the cost functional f_beta; the law round trip; partition
-joins of the coupling structure; max-flow duality and axioms; Hankel
-windows; and the full reduced density matrix.  None of them is used by
+one pair at a time; the cost functional f_beta; the law round trip;
+partition joins of the coupling structure; max-flow duality and axioms;
+Hankel windows; and the full reduced density matrix.  None of them is used by
 `graphstate` itself.
 """
 

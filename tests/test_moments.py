@@ -206,6 +206,8 @@ class TestExactMoment:
             exact_moment(cycle_graph("TSRR"), 4, 4, budget=1000)
 
     def test_gate_refuses_before_the_label_table(self, monkeypatch):
+        # patched at the table itself, since the S_p labels come straight
+        # from itertools and not from all_perms
         def unbuilt(p, *args):
             raise AssertionError(f"built a label table at order {p}")
         monkeypatch.setattr(moments, "_label_table", unbuilt)
