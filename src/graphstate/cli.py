@@ -325,6 +325,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _rational(arg):
+    """A --c value: an exact rational whose float is positive and finite."""
+    try:
+        if float(Fraction(arg)) > 0:
+            return Fraction(arg)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive rational in float range, "
+                                     f"such as 1/4; got {arg!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphstate",
                      description="Spectral statistics of random graph-state marginals.")
@@ -367,7 +378,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dist", help="density grids for the limit laws")
     common(p, needs_graph=False)
     p.add_argument("family", choices=("mp", "fc"))
-    p.add_argument("--c", help="free Poisson parameter (mp)")
+    p.add_argument("--c", type=_rational, help="free Poisson parameter (mp)")
     p.add_argument("--s", type=int, help="Fuss-Catalan order (fc)")
     p.add_argument("--grid", type=int, default=256)
 
@@ -388,9 +399,10 @@ def run(argv) -> tuple[int, str]:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag in ("pmax", "N", "trials", "threads", "grid"):
-            if getattr(args, flag, 1) < 1:
-                raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+        for flag in ("pmax", "N", "trials", "threads", "grid", "s"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise UsageError(f"--{flag} must be >= 1, got {value}")
         if args.command == "dist":
             report = cmd_dist(args.family, c=args.c, s=args.s, grid=args.grid)
         else:

@@ -255,18 +255,14 @@ _BATCH_POINTS = 1 << 13
 
 
 @lru_cache(maxsize=None)
-def _label_table(p: int, nc: bool, full: bool):
-    """Labels at order p: the NC(p) geodesics in `enumerate_nc` order (nc),
-    S_p in `itertools.permutations` order, or id and gamma alone (not
-    full).  Returns their images as a read-only int8 array, one row per
-    label, with #b, #(gamma b^-1) and the indices of id and gamma."""
+def _label_table(p: int, nc: bool):
+    """Labels at order p: the NC(p) geodesics in `enumerate_nc` order (nc)
+    or S_p in `itertools.permutations` order.  Returns their images as a
+    read-only int8 array, one row per label, with #b, #(gamma b^-1) and
+    the indices of id and gamma."""
     ident, gamma = tuple(range(p)), tuple((i + 1) % p for i in range(p))
-    if not full:
-        rows = [ident, gamma]
-    elif nc:
-        rows = [nc_to_geodesic(q).image for q in enumerate_nc(p)]
-    else:
-        rows = list(itertools.permutations(ident))
+    rows = ([nc_to_geodesic(q).image for q in enumerate_nc(p)] if nc
+            else list(itertools.permutations(ident)))
     images = np.array(rows, dtype=np.int8)
     images.flags.writeable = False
     ncyc = _cycle_counts(images)
@@ -286,7 +282,7 @@ def _pair_table(p: int, nc: bool):
     The tables are Python int lists: numpy integers in the weights
     would overflow silently.
     """
-    images = _label_table(p, nc, True)[0]
+    images = _label_table(p, nc)[0]
     inverse = _inverse(images)
     n = len(images)
     batch = max(1, _BATCH_POINTS // (n * p))
@@ -343,14 +339,14 @@ def _codes(images):
 
 
 def _nc_order(p: int):
-    """Refinement on the NC(p) labels of `_label_table(p, True, True)`.
+    """Refinement on the NC(p) labels of `_label_table(p, True)`.
 
     Returns leq(a, b) on label indices with the indices of 0-hat (id) and
     1-hat (gamma).  On geodesics sigma <= tau iff |sigma| + |sigma^-1 tau|
     = |tau| (Biane 1997), a comparison of the cycle counts the moment
     engine's pair table already holds.
     """
-    _, ncyc, _, zero, one = _label_table(p, True, True)
+    _, ncyc, _, zero, one = _label_table(p, True)
     pair = _pair_table(p, True)[0]
     return (lambda a, b: ncyc[a] + pair[a][b] == p + ncyc[b]), zero, one
 
@@ -481,7 +477,7 @@ def count_poset_tuples(poset: ConstraintPoset, p: int) -> int:
     tuples one by one.  The order (a pair table quadratic in catalan(p)) is
     built only when there is a relation to check.
     """
-    _, _, _, zero, one = _label_table(p, True, True)
+    _, _, _, zero, one = _label_table(p, True)
     leq = _nc_order(p)[0] if poset.relations else None
     labels = range(catalan(p))
     domains = [{"zero": (zero,), "one": (one,)}.get(poset.pins.get(v), labels)

@@ -9,11 +9,11 @@ the entry (e (p - t), d^t, 1), and the sum keeps the least N-deficit,
 X(p-1).  `exact_moment` and `exact_moment_gaussian` plug N in over S_p,
 (0, (d N^e)^t, 1), with a Weingarten or a Wick (1/dim^p) block kernel.
 The Haar engines pin fully traced blocks to the identity and fully kept
-ones to the long cycle: a Haar unitary with all legs traced or all kept
-integrates out, so its factor is exactly 1 there.  The Wick sum pins
+ones to the long cycle, where a Haar unitary integrates out, and
+`_labeling_sum` takes them out of the sum it builds.  The Wick sum pins
 nothing, as a Gaussian block does not drop out.  `minimizer_set` checks
-the asymptotic engine by brute force; the law classifiers sit on top.
-The label and pair tables live in `combinatorics`.
+the asymptotic engine by brute force, with pins of its own; the law
+classifiers sit on top.  The label and pair tables live in `combinatorics`.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
             f"minimizer search needs ~{est} table entries (> budget {cap}); "
             f"lower p or raise {TUPLES_BUDGET_ENV}", est)
     parts = enumerate_nc(p)
-    _, ncyc, ncyc_gamma, idx_zero, idx_one = _label_table(p, True, True)
+    _, ncyc, ncyc_gamma, idx_zero, idx_one = _label_table(p, True)
     pair_ncyc = _pair_table(p, True)[0] if cross else None
     kept_w = [len(v.kept) for v in marginal.blocks]
     traced_w = [len(v.traced) for v in marginal.blocks]
@@ -201,46 +201,43 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
     N formal: labels are NC(p) geodesics, and the monomial is the entry
     (e (p - t), d^t, 1), whose cost is its N-deficit.  An integer N labels
     by S_p and plugs N in: (0, (d N^e)^t, 1).  Haar sums pin T blocks to id
-    and S blocks to gamma, whose factor is then exactly 1.  A free Haar
-    block at finite N weighs a Weingarten column at its dimension; every
-    other free block weighs its monomials, over dim_block^p in the prefactor.
+    and S blocks to gamma, whose factor is then exactly 1, and sum over the
+    free blocks alone: a bond from a pin to a free label b is a factor of
+    b at #b (id) or #(gamma b^-1) (gamma), and a bond between two pins is a
+    constant at p (equal pins) or 1.  A free Haar block at finite N weighs
+    a Weingarten column at its dimension; every other free block weighs its
+    monomials, over dim_block^p in the prefactor.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if N is not None and N < 1:
         raise ValueError("N must be >= 1")
     nc = N is None
-    free = [not haar or v.kind not in ("T", "S") for v in marginal.blocks]
-    # a graph without free blocks labels by id and gamma alone: NC(p) or S_p is never built
-    n_labels = (catalan(p) if nc else math.factorial(p)) if any(free) else 2
-    sizes = [n_labels if f else 1 for f in free]
+    pins = {i: v.kind for i, v in enumerate(marginal.blocks) if haar and v.kind in ("T", "S")}
+    free = [i for i in range(marginal.k) if i not in pins]
+    # without free blocks no label table is built, NC(p) or S_p
+    n_labels = (catalan(p) if nc else math.factorial(p)) if free else 0
     # a free Haar block at finite N needs a Weingarten column per label
-    columns = sum(s ** 2 for s in sizes if s > 1) if haar and not nc else 0
+    columns = len(free) * n_labels ** 2 if haar and not nc and n_labels > 1 else 0
     cap, env = ((tuples_budget(budget), TUPLES_BUDGET_ENV) if nc
                 else (terms_budget(budget), TERMS_BUDGET_ENV))
-    order = _plan(sizes, marginal.cross_bonds, cap, env, n_labels + columns)
+    order = _plan(free, n_labels, marginal.cross_bonds, cap, env, n_labels + columns)
 
     def monomial(e, d, t):
         return (e * (p - t), d ** t, 1) if nc else (0, (d * N ** e) ** t, 1)
 
-    perms, ncyc, ncyc_gamma, ident, gamma = _label_table(p, nc, any(free))
-    labels = range(len(perms))
-    domains = [labels if f else ((gamma,) if v.kind == "S" else (ident,))
-               for f, v in zip(free, marginal.blocks)]
-    rows = {ident: ncyc, gamma: ncyc_gamma}      # #(a^-1 b) for a = id, gamma
-    factors = [_pair_factor(i, j, rows, lambda: _pair_table(p, nc)[0],
-                            [monomial(len(bonds), marginal.cross_dim(i, j), t)
-                             for t in range(p + 1)])
-               for (i, j), bonds in marginal.cross_bonds.items()]
-
     prefactor = Fraction(1, monomial(marginal.graph.m, marginal.dim_all_sqrt, p)[1])
-    for i, (view, f) in enumerate(zip(marginal.blocks, free)):
+    for view in marginal.blocks:
         prefactor *= monomial(len(view.loop_bonds), view.dim_loops, p)[1]
-        if not f:
-            continue
-        entries = [_times(monomial(len(view.kept), view.dim_kept, ncyc_gamma[b]),
-                          monomial(len(view.traced), view.dim_traced, ncyc[b]))
-                   for b in labels]
+    unary = {}
+    if free:
+        _, ncyc, ncyc_gamma, _, _ = _label_table(p, nc)
+        pin_rows = {"T": ncyc, "S": ncyc_gamma}     # #(a^-1 b) for a = id, gamma
+    for i in free:
+        view = marginal.blocks[i]
+        entries = [_times(monomial(len(view.kept), view.dim_kept, g),
+                          monomial(len(view.traced), view.dim_traced, t))
+                   for g, t in zip(ncyc_gamma, ncyc)]
         if haar and not nc:
             dim = view.dim_block * N ** len(view.members)
             column, denominator = _weingarten_column(p, dim, [e[1] for e in entries])
@@ -248,8 +245,22 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
             prefactor /= denominator
         else:   # the 1/dim^p kernel, kept out of the sum so that it stays integral
             prefactor /= monomial(len(view.members), view.dim_block, p)[1]
-        factors.append(((i,), lambda key, entries=entries: entries[key[0]]))
-    cost, weight, count = _contract(domains, factors, order)
+        unary[i] = entries
+
+    factors = []
+    for (i, j), bonds in marginal.cross_bonds.items():
+        entries = [monomial(len(bonds), marginal.cross_dim(i, j), t) for t in range(p + 1)]
+        if i in pins and j in pins:     # a factor on no block
+            factors.append(((), lambda key, e=entries[p if pins[i] == pins[j] else 1]: e))
+        elif i in pins or j in pins:
+            pin, v = (i, j) if i in pins else (j, i)
+            unary[v] = [_times(e, entries[t]) for e, t in zip(unary[v], pin_rows[pins[pin]])]
+        else:
+            factors.append(((i, j), lambda key, entries=entries, pair=_pair_table(p, nc)[0]:
+                            entries[pair[key[0]][key[1]]]))
+    factors += [((i,), lambda key, entries=entries: entries[key[0]])
+                for i, entries in unary.items()]
+    cost, weight, count = _contract(factors, order, range(n_labels))
     return cost, prefactor * weight, count
 
 
@@ -273,25 +284,25 @@ def _weingarten_column(p, dim, weights):
     return column, denominator
 
 
-def _plan(sizes, scopes, cap, env, extra=0):
-    """Elimination order for `_contract`, refused if its work exceeds `cap`.
+def _plan(blocks, size, scopes, cap, env, extra=0):
+    """Elimination order of `blocks` for `_contract`, refused if its work exceeds `cap`.
 
-    Single-label (pinned) blocks go first.  The rest go in min-degree
-    order, ties to the lower index; eliminating block v with neighbours
-    joins them and fills |D_v| * prod |D_n| entries.  The work is those
-    entries plus the `extra` entries of the caller's own tables (its label
-    table among them); callers plan from the sizes before building any
-    table.
+    Every block has `size` labels.  Blocks go in min-degree order, ties to
+    the lower index; eliminating block v with neighbours joins them and
+    fills size^(1 + #neighbours) entries, none at a single label (p = 1).
+    The work is those entries plus the `extra` entries of the caller's own
+    tables (its label table among them); callers plan from the sizes
+    before building any table.
     """
-    adj = {v: set() for v, size in enumerate(sizes) if size > 1}
+    adj = {v: set() for v in blocks}
     for scope in scopes:
         for b in adj.keys() & set(scope):
             adj[b] |= adj.keys() & set(scope) - {b}
-    order, work = [v for v, size in enumerate(sizes) if size == 1], extra
+    order, work = [], extra
     while adj:
         v = min(adj, key=lambda u: (len(adj[u]), u))
         nbrs = adj.pop(v)
-        work += sizes[v] * math.prod(sizes[n] for n in nbrs) if nbrs else 0
+        work += size ** (1 + len(nbrs)) if nbrs and size > 1 else 0
         for n in nbrs:
             adj[n] = (adj[n] | nbrs) - {n, v}
         order.append(v)
@@ -301,42 +312,37 @@ def _plan(sizes, scopes, cap, env, extra=0):
     return order
 
 
-def _contract(domains, factors, order):
+def _contract(factors, order, labels):
     """Sum over all labelings of the blocks, eliminating them in `order`.
 
-    A factor is (scope, lookup); lookup(labels of the scope's blocks) is
-    an entry (cost, weight, count).  Products add costs and multiply the
-    rest; sums keep the least cost and add the rest at it.  With every
-    cost 0 the weight is the plain sum.
+    Every block ranges over `labels`.  A factor is (scope, lookup);
+    lookup(labels of the scope's blocks) is an entry (cost, weight,
+    count).  Products add costs and multiply the rest; sums keep the
+    least cost and add the rest at it.  With every cost 0 the weight is
+    the plain sum.
     """
     for v in order:
         bucket = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
-        if len(domains[v]) == 1:
-            # a single-label block is fixed in each factor apart: no fill-in
-            groups = [[f] for f in bucket]
-        else:
-            groups = [bucket]
-        for group in groups:
-            factors.append(_eliminate(v, group, domains))
+        factors.append(_eliminate(v, bucket, labels))
     total = (0, 1, 1)
     for _, lookup in factors:
         total = _times(total, lookup(()))
     return total
 
 
-def _eliminate(v, group, domains):
+def _eliminate(v, group, labels):
     """Sum block v out of the product of `group`: a factor on the other blocks."""
     nbrs = tuple(sorted({b for scope, _ in group for b in scope} - {v}))
     # factors on v alone are read once per label, not once per neighbour labeling
     unary = [lookup for scope, lookup in group if scope == (v,)]
     group = [f for f in group if f[0] != (v,)]
-    own = [[lookup((x,)) for lookup in unary] for x in domains[v]]
+    own = [[lookup((x,)) for lookup in unary] for x in labels]
     message = {}
-    for labels in itertools.product(*(domains[n] for n in nbrs)):
-        fixed = dict(zip(nbrs, labels))
+    for key in itertools.product(labels, repeat=len(nbrs)):
+        fixed = dict(zip(nbrs, key))
         best, weight, count = None, 0, 0
-        for x, entries in zip(domains[v], own):
+        for x, entries in zip(labels, own):
             fixed[v] = x
             entries = entries + [lookup(tuple([fixed[b] for b in scope]))
                                  for scope, lookup in group]
@@ -352,20 +358,12 @@ def _eliminate(v, group, domains):
             else:
                 weight += w
                 count += c
-        message[labels] = (best, weight, count)
+        message[key] = (best, weight, count)
     return nbrs, message.__getitem__
 
 
 def _times(a, b):
     return a[0] + b[0], a[1] * b[1], a[2] * b[2]
-
-
-def _pair_factor(i, j, rows, table, entries):
-    """Bond factor entries[#(a^-1 b)], read from `rows` at pinned labels, else from table()."""
-    def lookup(key):
-        a, b = key[::-1] if key[1] in rows else key
-        return entries[(rows[a] if a in rows else table()[a])[b]]
-    return (i, j), lookup
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +584,12 @@ def _factorizations(target: int, min_part: int = 2):
                 yield (part,) + rest
 
 
-def classify(marginal: MarginalSpec, p_max: int = 6, posets=None, budget=None) -> DistributionId:
+def classify(marginal: MarginalSpec, p_max: int = 6, budget=None) -> DistributionId:
     """Conservative tag for the limiting law: `classify_reports` of the moment table."""
-    return classify_reports(moment_table(marginal, p_max, budget=budget), posets)
+    return classify_reports(moment_table(marginal, p_max, budget=budget))
 
 
-def classify_reports(reports, posets=None) -> DistributionId:
+def classify_reports(reports) -> DistributionId:
     """Tag the limiting law from the reports of `moment_table` for p = 1..p_max.
 
     The first candidate law whose `moment` reproduces every order exactly
@@ -599,7 +597,7 @@ def classify_reports(reports, posets=None) -> DistributionId:
     """
     coeffs = [r.coefficient for r in reports]
     x = -reports[1].exponent if len(coeffs) >= 2 else 0
-    for law in _candidate_laws(coeffs, x, posets):
+    for law in _candidate_laws(coeffs, x):
         try:
             if all(law.moment(p) == coeff for p, coeff in enumerate(coeffs, start=1)):
                 return law
@@ -608,13 +606,13 @@ def classify_reports(reports, posets=None) -> DistributionId:
     return DistributionId(kind="unknown", moments=tuple(coeffs))
 
 
-def _candidate_laws(coeffs, x, posets):
+def _candidate_laws(coeffs, x):
     """Laws the sequence may follow, most specific first.
 
     A flat spectrum (Dirac / maximally mixed) at the scale of c2, the free
     Poisson fits, Fuss-Catalan of the order c2 fixes, the classical
-    products of Fuss-Catalan laws that c2 factors into, then the supplied
-    label posets.
+    products of Fuss-Catalan laws that c2 factors into, then the V poset
+    (one node below two).
     """
     c2 = coeffs[1] if len(coeffs) >= 2 else Fraction(1)
     if c2 == 1:
@@ -631,9 +629,7 @@ def _candidate_laws(coeffs, x, posets):
             if len(combo) >= 2:
                 yield DistributionId(kind="classical_product",
                                      factors=tuple(_fc_law(part - 1) for part in combo))
-    for poset in (posets if posets is not None
-                  else [ConstraintPoset(k=3, relations=[(0, 1), (0, 2)])]):
-        yield DistributionId(kind="poset_law", poset=poset)
+    yield DistributionId(kind="poset_law", poset=ConstraintPoset(k=3, relations=[(0, 1), (0, 2)]))
 
 
 def _fc_law(s: int) -> DistributionId:

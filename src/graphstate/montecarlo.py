@@ -110,23 +110,21 @@ class StateVector:
         return float(np.linalg.norm(self.tensor))
 
 
-def assemble_state(marginal_or_graph, N: int, rng=None, mode: str = "haar",
+def assemble_state(marginal: MarginalSpec, N: int, rng=None, mode: str = "haar",
                    unitaries: dict | None = None, pinned=()) -> StateVector:
     """Entangled-pair state with one random transform per block.
 
     Each transformed block enters as its isometry (module docstring),
     Haar or thin Gaussian by `mode`, and the isometries are contracted
     along the cross bonds.  `unitaries` (block index -> matrix) overrides
-    a block's draw; an identity override pins the block.  Blocks in
-    `pinned` keep the identity transform and draw nothing.  Given a
-    marginal, the amplitudes are stored kept subsystems first, so that
-    splitting them along its trace set copies nothing.
+    a block's draw.  Blocks in `pinned` keep the identity transform and
+    draw nothing.  The amplitudes are stored kept subsystems first, so
+    that splitting them along the trace set copies nothing.
     """
-    graph = getattr(marginal_or_graph, "graph", marginal_or_graph)
+    graph = marginal.graph
     if mode not in ("haar", "ginibre"):
         raise ValueError(f"unknown mode {mode!r}")
     unitaries = unitaries or {}
-    pinned = set(pinned) | {idx for idx, u in unitaries.items() if _is_identity(u)}
     dim = {x: graph.dim_of[x] * N for x in range(1, graph.n + 1)}
     legs, pairs, scale = _bond_legs(graph, pinned, dim)
 
@@ -159,8 +157,7 @@ def assemble_state(marginal_or_graph, N: int, rng=None, mode: str = "haar",
         i = min(range(len(operands)), key=lambda j: operands[j][0].size)
         operands[i] = (operands[i][0] * scale, operands[i][1])
 
-    traced = getattr(marginal_or_graph, "traced", frozenset())
-    layout = sorted(dim, key=lambda x: (x in traced, x))
+    layout = sorted(dim, key=lambda x: (x in marginal.traced, x))
     stored = np.asarray(_contract(operands, order, layout), order="C")
     return StateVector(tensor=np.transpose(stored, np.argsort(layout)),
                        dims=tuple(dim[x] for x in sorted(dim)))
@@ -267,10 +264,6 @@ def _contract(operands, order, out):
         acc_labels = ([label for label in acc_labels if label not in shared]
                       + [label for label in labels if label not in shared])
     return np.transpose(acc, [acc_labels.index(label) for label in out])
-
-
-def _is_identity(mat) -> bool:
-    return mat.shape[0] == mat.shape[1] and np.array_equal(mat, np.eye(mat.shape[0]))
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def mobius_inversion_defect(beta: Perm) -> int:
 # ---------------------------------------------------------------------------
 
 def perm_labels(p: int, nc: bool):
-    """The labels of `_label_table(p, nc, True)` as Perm objects, in its order."""
+    """The labels of `_label_table(p, nc)` as Perm objects, in its order."""
     return tuple(map(nc_to_geodesic, enumerate_nc(p))) if nc else all_perms(p)
 
 

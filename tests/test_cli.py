@@ -296,6 +296,15 @@ class TestRun:
         assert code == 1
         assert "--grid" in text
 
+    @pytest.mark.parametrize("argv", [
+        *(["dist", "mp", "--c", c] for c in ("1/0", "1e400", "abc", "inf", "nan", "0", "-1")),
+        ["dist", "fc", "--s", "0"],
+    ], ids=" ".join)
+    def test_bad_dist_parameter_exit_1(self, argv):
+        code, text = run(argv)
+        assert code == 1
+        assert argv[2] in text
+
     @pytest.mark.parametrize("ladder", ["a,b", "4,0"])
     def test_bad_ladder_exit_1(self, ladder):
         code, text = run(["verify", str(DATA / "one_loop.json"), "--N", "4",

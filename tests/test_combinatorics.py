@@ -252,7 +252,7 @@ class TestNCOrder:
     @pytest.mark.parametrize("p", range(1, 8))
     def test_cycle_count_order_is_refinement(self, p):
         leq_index, zero, one = _nc_order(p)
-        parts = [cycle_partition(Perm(row)) for row in _label_table(p, True, True)[0].tolist()]
+        parts = [cycle_partition(Perm(row)) for row in _label_table(p, True)[0].tolist()]
         assert parts == list(enumerate_nc(p))
         assert (parts[zero], parts[one]) == (NCPartition.zero(p), NCPartition.one(p))
         for (i, a), (j, b) in itertools.product(enumerate(parts), repeat=2):
@@ -269,7 +269,7 @@ def _all_ints(rows):
 class TestTables:
     @pytest.mark.parametrize("p,nc", TABLE_ORDERS, ids=lambda v: str(v))
     def test_label_table_equals_perms(self, p, nc):
-        images, ncyc, ncyc_gamma, ident, gamma = _label_table(p, nc, True)
+        images, ncyc, ncyc_gamma, ident, gamma = _label_table(p, nc)
         perms = perm_labels(p, nc)
         assert [Perm(row) for row in images.tolist()] == list(perms)
         assert ncyc == [sigma.num_cycles for sigma in perms]
@@ -284,20 +284,12 @@ class TestTables:
         assert (counts, classes, types) == perm_pair_table(p, nc)
         assert _all_ints(counts) and _all_ints(classes or [])
 
-    @pytest.mark.parametrize("nc", [True, False])
-    def test_id_and_gamma_alone(self, nc):
-        for p in range(1, 6):
-            images, ncyc, ncyc_gamma, ident, gamma = _label_table(p, nc, False)
-            assert [Perm(row) for row in images.tolist()] == [Perm.identity(p), Perm.full_cycle(p)]
-            assert (ncyc, ncyc_gamma) == ([p, 1], [1, p])
-            assert (ident, gamma) == (0, 0 if p == 1 else 1)    # at p = 1, id is gamma
-
     def test_tables_multiply_no_perms(self, monkeypatch):
         def refuse(self, other):
             raise AssertionError("a table was built from Perm products")
         monkeypatch.setattr(Perm, "__mul__", refuse)
         for p, nc in ((6, True), (5, False)):
-            _label_table.__wrapped__(p, nc, True)
+            _label_table.__wrapped__(p, nc)
             _pair_table.__wrapped__(p, nc)
 
 

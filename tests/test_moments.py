@@ -493,12 +493,6 @@ class TestClassify:
             assert dist.kind != "unknown"
             assert law_moments(dist, 4) == _coefficients(m, 4)
 
-    def test_custom_poset_candidates(self):
-        # without the built-in candidate the exotic sequence is unclassified
-        dist = classify(exotic_graph(), 3, posets=[])
-        assert dist.kind == "unknown"
-        assert list(dist.moments) == [1, 5, 38]
-
     def test_candidate_check_stops_at_first_mismatch(self, monkeypatch):
         # the exotic poset counts 5 at p=2, so p=3..7 must never be counted
         counted = []

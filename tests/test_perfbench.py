@@ -5,7 +5,8 @@ against `perfbench/reference.json`.  These tests run the library ops of
 the `exact` workload in this process, and one cheap op per workload
 through the worker itself with tracing on, so that a name the worker no
 longer finds or a value that moved fails here, judged by the benchmark's
-own `ops.check`.
+own `ops.check`, and a layer the traced run times from spans that are
+gone reads 0 or fails in the benchmark's own `run.layer_metrics`.
 """
 
 import importlib.util
@@ -23,14 +24,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def _load_ops():
-    spec = importlib.util.spec_from_file_location("perfbench_ops", PERFBENCH / "ops.py")
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-ops = _load_ops()
+ops = _load("perfbench_ops", "ops.py")
+run = _load("perfbench_run", "run.py")
 REFERENCE = ops.load_reference()
 EXACT_LIBRARY_OPS = [op for op in ops.workload_ops("exact", 1) if op["kind"] == "lib"]
 
@@ -45,6 +47,14 @@ def test_exact_library_op_matches_reference(op):
     fn = getattr(moments, op["fn"])
     out = [str(fn(marginal, p, op["N"], budget=op["budget"])) for p in range(1, op["pmax"] + 1)]
     assert ops.check(op, {"code": 0, "out": out}, REFERENCE, ROOT) == []
+
+
+# layer times each traced op's spans must give
+TRACED_LAYERS = {
+    "asymptotic": ["moments.coefficient_sum_s"],
+    "exact": ["moments.exact_sum_s"],
+    "sampling": ["montecarlo.assemble_s", "montecarlo.spectrum_s"],
+}
 
 
 @pytest.mark.parametrize("workload,op_id", [
@@ -63,3 +73,8 @@ def test_traced_worker_op_passes_check(workload, op_id):
     record = json.loads(proc.stdout)
     assert ops.check(op, record, REFERENCE, ROOT) == []
     assert record["spans"] and record["gates"]
+    # the traced run reads its layer times off these spans: a span the
+    # package stops producing reads 0 here or fails the run
+    metrics = run.layer_metrics([record])
+    layers = {name: metrics[name] for name in TRACED_LAYERS[workload]}
+    assert all(layers.values()), layers
