@@ -257,6 +257,9 @@ def cmd_dist(family: str, c=None, s=None, grid: int = 256) -> dict:
     if family == "mp":
         c = Fraction(c) if c is not None else Fraction(1)
         density = mp_density(c)
+        if density.lo >= density.hi:
+            raise UsageError(f"--c {float(c):g} leaves the free Poisson support "
+                             f"[{density.lo:g}, {density.hi:g}] empty in floating point")
         meta = {"family": "mp", "c": str(c), "entropy": mp_entropy(c)}
     elif family == "fc":
         s = int(s) if s is not None else 2

@@ -2,7 +2,8 @@
 
 Every moment is one sum over labelings of the vertex blocks, with a factor
 per block label and one per pair of bonded blocks.  `_labeling_sum` builds
-it for all three engines and `_contract` sums it by bucket elimination.
+it for all three engines and `_contract` sums it by bucket elimination,
+one array message per eliminated block, in exact integers.
 Each weight is a monomial d^t N^(e t) in a cycle count t.
 `asymptotic_moment` keeps N formal over the NC(p) geodesics: a monomial is
 the entry (e (p - t), d^t, 1), and the sum keeps the least N-deficit,
@@ -18,11 +19,12 @@ classifiers sit on top.  The label and pair tables live in `combinatorics`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .combinatorics import (
     ConstraintPoset,
@@ -206,7 +208,8 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
     b at #b (id) or #(gamma b^-1) (gamma), and a bond between two pins is a
     constant at p (equal pins) or 1.  A free Haar block at finite N weighs
     a Weingarten column at its dimension; every other free block weighs its
-    monomials, over dim_block^p in the prefactor.
+    monomials, over dim_block^p in the prefactor.  Each factor is an array
+    over its scope, read off the p + 1 monomials by the cycle counts.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -224,44 +227,70 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
     order = _plan(free, n_labels, marginal.cross_bonds, cap, env, n_labels + columns)
 
     def monomial(e, d, t):
-        return (e * (p - t), d ** t, 1) if nc else (0, (d * N ** e) ** t, 1)
+        return (e * (p - t), d ** t) if nc else (0, (d * N ** e) ** t)
+
+    def monomials(e, d):
+        """(cost, weight) of the monomial at t = 0..p: int64 and Python-int arrays."""
+        cost, weight = zip(*(monomial(e, d, t) for t in range(p + 1)))
+        return np.array(cost, dtype=np.int64), np.array(weight, dtype=object)
 
     prefactor = Fraction(1, monomial(marginal.graph.m, marginal.dim_all_sqrt, p)[1])
     for view in marginal.blocks:
         prefactor *= monomial(len(view.loop_bonds), view.dim_loops, p)[1]
     unary = {}
     if free:
-        _, ncyc, ncyc_gamma, _, _ = _label_table(p, nc)
+        ncyc, ncyc_gamma = map(np.array, _label_table(p, nc)[1:3])
         pin_rows = {"T": ncyc, "S": ncyc_gamma}     # #(a^-1 b) for a = id, gamma
+        if any(not pins.keys() & bond for bond in marginal.cross_bonds):
+            pair = np.array(_pair_table(p, nc)[0], dtype=np.int8)
     for i in free:
         view = marginal.blocks[i]
-        entries = [_times(monomial(len(view.kept), view.dim_kept, g),
-                          monomial(len(view.traced), view.dim_traced, t))
-                   for g, t in zip(ncyc_gamma, ncyc)]
+        kept_cost, kept_weight = monomials(len(view.kept), view.dim_kept)
+        traced_cost, traced_weight = monomials(len(view.traced), view.dim_traced)
+        cost = kept_cost[ncyc_gamma] + traced_cost[ncyc]
+        weight = kept_weight[ncyc_gamma] * traced_weight[ncyc]
         if haar and not nc:
             dim = view.dim_block * N ** len(view.members)
-            column, denominator = _weingarten_column(p, dim, [e[1] for e in entries])
-            entries = [(0, h, 1) for h in column]
+            column, denominator = _weingarten_column(p, dim, weight.tolist())
+            cost, weight = np.zeros(n_labels, dtype=np.int64), np.array(column, dtype=object)
             prefactor /= denominator
         else:   # the 1/dim^p kernel, kept out of the sum so that it stays integral
             prefactor /= monomial(len(view.members), view.dim_block, p)[1]
-        unary[i] = entries
+        unary[i] = cost, weight
 
-    factors = []
+    factors, shared = [], {}
     for (i, j), bonds in marginal.cross_bonds.items():
-        entries = [monomial(len(bonds), marginal.cross_dim(i, j), t) for t in range(p + 1)]
+        key = len(bonds), marginal.cross_dim(i, j)
+        entries = monomials(*key)
         if i in pins and j in pins:     # a factor on no block
-            factors.append(((), lambda key, e=entries[p if pins[i] == pins[j] else 1]: e))
+            factors.append(_factor((), entries, np.array(p if pins[i] == pins[j] else 1)))
         elif i in pins or j in pins:
             pin, v = (i, j) if i in pins else (j, i)
-            unary[v] = [_times(e, entries[t]) for e, t in zip(unary[v], pin_rows[pins[pin]])]
+            rows = pin_rows[pins[pin]]
+            unary[v] = unary[v][0] + entries[0][rows], unary[v][1] * entries[1][rows]
         else:
-            factors.append(((i, j), lambda key, entries=entries, pair=_pair_table(p, nc)[0]:
-                            entries[pair[key[0]][key[1]]]))
-    factors += [((i,), lambda key, entries=entries: entries[key[0]])
-                for i, entries in unary.items()]
-    cost, weight, count = _contract(factors, order, range(n_labels))
+            # alike bonds share their arrays, of n_labels^2 entries each
+            if key not in shared:
+                shared[key] = _factor((), entries, pair)[1:]
+            factors.append(((i, j), *shared[key]))
+    factors += [_factor((i,), entries, np.arange(n_labels)) for i, entries in unary.items()]
+    cost, weight, count = _contract(factors, order, n_labels)
     return cost, prefactor * weight, count
+
+
+def _factor(scope, entries, index):
+    """(scope, cost, weight, count) with entries[index] as its cost and weight.
+
+    Every count is 1, and an array whose entries are all alike is a
+    read-only broadcast of that one value, so an NC(8) pair of unit
+    dimension stores only its int64 costs.
+    """
+    arrays = [np.broadcast_to(column[:1].reshape(()), index.shape) if (column == column[0]).all()
+              else np.asarray(column[index], dtype=column.dtype) for column in entries]
+    return scope, *arrays, np.broadcast_to(_ONE, index.shape)
+
+
+_ONE = np.array(1, dtype=object)
 
 
 def _weingarten_column(p, dim, weights):
@@ -312,58 +341,65 @@ def _plan(blocks, size, scopes, cap, env, extra=0):
     return order
 
 
-def _contract(factors, order, labels):
+def _contract(factors, order, size):
     """Sum over all labelings of the blocks, eliminating them in `order`.
 
-    Every block ranges over `labels`.  A factor is (scope, lookup);
-    lookup(labels of the scope's blocks) is an entry (cost, weight,
-    count).  Products add costs and multiply the rest; sums keep the
-    least cost and add the rest at it.  With every cost 0 the weight is
-    the plain sum.
+    Every block ranges over `size` labels.  A factor is (scope, cost,
+    weight, count): arrays with one axis per block of the scope, the cost
+    in int64 and the weight and count in Python ints (object dtype), which
+    never overflow.  Products add costs and multiply the rest; sums keep
+    the least cost and add the rest at it.  A bucket whose costs are all 0
+    (every finite-N sum) is summed out by one object einsum per array.
+    Any other takes the least cost over the block's axis and sums weights
+    and counts where it is reached, a slice of neighbour labelings at a
+    time, so no temporary exceeds _SLICE_ENTRIES entries (or one row of
+    `size`).
     """
     for v in order:
         bucket = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
-        factors.append(_eliminate(v, bucket, labels))
-    total = (0, 1, 1)
-    for _, lookup in factors:
-        total = _times(total, lookup(()))
-    return total
+        nbrs = tuple(sorted({b for f in bucket for b in f[0]} - {v}))
+        shape = (size,) * len(nbrs)
+        # each factor with its axes in the order nbrs, v: v's axis is last
+        axes = {b: a for a, b in enumerate(nbrs + (v,))}
+        local = []
+        for scope, *arrays in bucket:
+            scope = [axes[b] for b in scope]
+            turn = np.argsort(scope)
+            local.append((sorted(scope), *(x.transpose(turn) for x in arrays)))
+        if not any(f[1].any() for f in local):
+            weight, count = (np.asarray(np.einsum(*[x for f in local for x in (f[k], f[0])],
+                                                  list(range(len(nbrs)))), dtype=object)
+                             for k in (2, 3))
+            factors.append((nbrs, np.zeros(shape, dtype=np.int64), weight, count))
+            continue
+        total = math.prod(shape)
+        message = [np.empty(total, dtype=t) for t in (np.int64, object, object)]
+        step = max(1, _SLICE_ENTRIES // size)
+        for lo in range(0, total, step):
+            at = slice(lo, lo + step)
+            # the neighbours' labels in this slice, then v's: every label
+            flat = np.arange(lo, min(lo + step, total))
+            labels = [*(np.unravel_index(flat, shape) if nbrs else ()), slice(None)]
+            cost = np.zeros((len(flat), size), dtype=np.int64)
+            for scope, c, _, _ in local:     # each holds v, on its last axis
+                cost += c[tuple(labels[a] for a in scope)]
+            least = cost.min(axis=1)
+            rows, cols = np.nonzero(cost == least[:, None])
+            labels = [x[rows] for x in labels[:-1]] + [cols]
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            message[0][at] = least
+            for k in (1, 2):
+                terms = math.prod(f[k + 1][tuple(labels[a] for a in f[0])] for f in local)
+                message[k][at] = np.add.reduceat(terms, starts)
+        factors.append((nbrs, *(x.reshape(shape) for x in message)))
+    cost, weight, count = 0, 1, 1
+    for _, c, w, n in factors:
+        cost, weight, count = cost + int(c), weight * w[()], count * n[()]
+    return cost, weight, count
 
 
-def _eliminate(v, group, labels):
-    """Sum block v out of the product of `group`: a factor on the other blocks."""
-    nbrs = tuple(sorted({b for scope, _ in group for b in scope} - {v}))
-    # factors on v alone are read once per label, not once per neighbour labeling
-    unary = [lookup for scope, lookup in group if scope == (v,)]
-    group = [f for f in group if f[0] != (v,)]
-    own = [[lookup((x,)) for lookup in unary] for x in labels]
-    message = {}
-    for key in itertools.product(labels, repeat=len(nbrs)):
-        fixed = dict(zip(nbrs, key))
-        best, weight, count = None, 0, 0
-        for x, entries in zip(labels, own):
-            fixed[v] = x
-            entries = entries + [lookup(tuple([fixed[b] for b in scope]))
-                                 for scope, lookup in group]
-            cost = sum([e[0] for e in entries])
-            if best is not None and cost > best:
-                continue    # weights are multiplied only at the least cost
-            w, c = 1, 1
-            for e in entries:
-                w *= e[1]
-                c *= e[2]
-            if best is None or cost < best:
-                best, weight, count = cost, w, c
-            else:
-                weight += w
-                count += c
-        message[key] = (best, weight, count)
-    return nbrs, message.__getitem__
-
-
-def _times(a, b):
-    return a[0] + b[0], a[1] * b[1], a[2] * b[2]
+_SLICE_ENTRIES = 1 << 13
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,8 @@ def mp_density(c) -> DensityFn:
     """Marchenko-Pastur law with parameter c > 0.
 
     Point mass max(1-c, 0) at zero plus the bulk
-    sqrt(4c - (x-1-c)^2) / (2 pi x) on [(1-sqrt(c))^2, (1+sqrt(c))^2].
+    sqrt((x - lo)(hi - x)) / (2 pi x) on [lo, hi] = [(1-sqrt(c))^2, (1+sqrt(c))^2],
+    which squares nothing of the size of c.
     """
     c = float(c)
     if c <= 0:
@@ -84,7 +85,7 @@ def mp_density(c) -> DensityFn:
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
-        num = np.sqrt(np.maximum(4.0 * c - (x - 1.0 - c) ** 2, 0.0))
+        num = np.sqrt(np.maximum((x - lo) * (hi - x), 0.0))
         return np.divide(num, 2.0 * np.pi * x,
                          out=np.zeros_like(num), where=x > 0)
 

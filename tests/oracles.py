@@ -3,7 +3,8 @@
 They check the library from outside: the refinement order, meets and
 joins of set partitions, the Kreweras complement and the geodesic test
 on NC(p); the label, pair and Weingarten tables from `Perm` products,
-one pair at a time; the cost functional f_beta; the law round trip;
+one pair at a time; the cost functional f_beta; the labeling sum with
+one Python lookup per entry; the law round trip;
 partition joins of the coupling structure; max-flow duality and axioms;
 Hankel windows; and the full reduced density matrix.  None of them is used by
 `graphstate` itself.
@@ -252,6 +253,51 @@ def law_moments(dist: DistributionId, p_max: int):
     if dist.kind == "poset_law":
         return [Fraction(count_poset_tuples(dist.poset, p)) for p in ps]
     raise ValueError(f"no moment rule for tag {dist.kind!r}")
+
+
+def lookup_contract(factors, order, labels):
+    """The labeling sum by bucket elimination, one Python call per entry.
+
+    Every block ranges over `labels`.  A factor is (scope, lookup);
+    lookup(labels of the scope's blocks) is an entry (cost, weight,
+    count).  Products add costs and multiply the rest; sums keep the
+    least cost and add the rest at it.  The reference for the array
+    messages of `moments._contract`.
+    """
+    for v in order:
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        factors.append(_lookup_eliminate(v, bucket, labels))
+    total = (0, 1, 1)
+    for _, lookup in factors:
+        total = _times(total, lookup(()))
+    return total
+
+
+def _lookup_eliminate(v, group, labels):
+    """Sum block v out of the product of `group`: a factor on the other blocks."""
+    nbrs = tuple(sorted({b for scope, _ in group for b in scope} - {v}))
+    message = {}
+    for key in itertools.product(labels, repeat=len(nbrs)):
+        fixed = dict(zip(nbrs, key))
+        best, weight, count = None, 0, 0
+        for x in labels:
+            fixed[v] = x
+            entry = (0, 1, 1)
+            for scope, lookup in group:
+                entry = _times(entry, lookup(tuple(fixed[b] for b in scope)))
+            cost, w, c = entry
+            if best is None or cost < best:
+                best, weight, count = cost, w, c
+            elif cost == best:
+                weight += w
+                count += c
+        message[key] = (best, weight, count)
+    return nbrs, message.__getitem__
+
+
+def _times(a, b):
+    return a[0] + b[0], a[1] * b[1], a[2] * b[2]
 
 
 def hankel_matrix(moments, size: int):

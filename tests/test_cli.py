@@ -296,11 +296,15 @@ class TestRun:
         assert code == 1
         assert "--grid" in text
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
-        *(["dist", "mp", "--c", c] for c in ("1/0", "1e400", "abc", "inf", "nan", "0", "-1")),
+        *(["dist", "mp", "--c", c] for c in ("1/0", "1e400", "abc", "inf", "nan", "0", "-1",
+                                              "1e300", "1e-300")),
         ["dist", "fc", "--s", "0"],
     ], ids=" ".join)
     def test_bad_dist_parameter_exit_1(self, argv):
+        # 1e300 and 1e-300 are valid rationals, but the float support
+        # [(1 - sqrt(c))^2, (1 + sqrt(c))^2] collapses to one point
         code, text = run(argv)
         assert code == 1
         assert argv[2] in text

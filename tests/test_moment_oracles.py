@@ -5,17 +5,19 @@ engines pin fully traced blocks to the identity and fully kept blocks to
 the long cycle.  The references here do neither: the asymptotic
 coefficient is summed tuple by tuple over `minimizer_set`, and the
 finite-N moments sum every block over all of S_p against its full
-Weingarten (or Wick) factor.
+Weingarten (or Wick) factor.  The array contraction itself is checked
+against the same elimination with one Python lookup per entry.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graphstate import moments
-from graphstate.catalog import bell_pair, cycle_graph, exotic_graph
+from graphstate.catalog import bell_pair, cycle_graph, exotic_graph, random_marginal
 from graphstate.combinatorics import Perm, all_perms, catalan, nc_to_geodesic
 from graphstate.moments import (
     BudgetExceededError,
@@ -25,6 +27,7 @@ from graphstate.moments import (
     minimizer_set,
 )
 from graphstate.weingarten import wg_exact
+from oracles import lookup_contract
 
 
 def minimizer_sum(marginal, p):
@@ -145,3 +148,58 @@ def test_gates_refuse_before_any_label_table(monkeypatch):
     assert exact_moment(bell_pair(), 12, 2) == Fraction(1, 2 ** 11)
     r = asymptotic_moment(bell_pair(), 12)
     assert (r.exponent, r.coefficient, r.minimizer_count) == (-11, 1, 1)
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """Every (factors, order, size, result) that `moments._contract` is called with."""
+    calls = []
+    contract = moments._contract
+
+    def recorded(factors, order, size):
+        result = contract(factors, order, size)
+        calls.append((factors, order, size, result))
+        return result
+
+    monkeypatch.setattr(moments, "_contract", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("slice_entries", [moments._SLICE_ENTRIES, 16])
+def test_array_contraction_matches_lookup_oracle(contractions, monkeypatch, slice_entries):
+    # 16 entries cut the (min, +) messages into slices of a few labelings
+    monkeypatch.setattr(moments, "_SLICE_ENTRIES", slice_entries)
+    rng = np.random.default_rng(1414)
+    for m in [random_marginal(rng, max_bonds=4, max_dim=3) for _ in range(200)]:
+        asymptotic_moment(m, 3)
+        for N in (1, 2, 3):
+            exact_moment(m, 3, N)
+            exact_moment_gaussian(m, 3, N)
+    # one label; no free block; a T block bonded to an S block, a constant
+    asymptotic_moment(exotic_graph(), 1)
+    exact_moment(exotic_graph(), 1, 2)
+    exact_moment(bell_pair(), 3, 2)
+    asymptotic_moment(cycle_graph("TSRR"), 3)
+    exact_moment(cycle_graph("TSRR"), 3, 2)
+    sizes = {size for _, _, size, _ in contractions}
+    assert {0, 1} <= sizes
+    assert any(scope == () for factors, *_ in contractions for scope, *_ in factors)
+    for factors, order, size, result in contractions:
+        lookups = [(scope, lambda key, c=c, w=w, n=n: (int(c[key]), w[key], n[key]))
+                   for scope, c, w, n in factors]
+        assert result == lookup_contract(lookups, order, range(size))
+
+
+def test_labeling_sum_weights_and_counts_are_python_ints(contractions):
+    # numerators beyond 2^63: an int64 weight would overflow silently
+    value = exact_moment(cycle_graph("TSRR"), 6, 6)
+    assert value == Fraction(8857879777037729738561531,
+                             31847968755226011847081625050473824256)
+    assert value.numerator > 2 ** 63
+    assert exact_moment(exotic_graph(), 6, 2) == Fraction(18322570156577, 97356128096747520)
+    asymptotic_moment(exotic_graph(), 5)
+    exact_moment_gaussian(cycle_graph("TSRR"), 3, 4)
+    assert len(contractions) == 4
+    for factors, *_ in contractions:
+        for _, cost, weight, count in factors:
+            assert (cost.dtype, weight.dtype, count.dtype) == (np.int64, object, object)
