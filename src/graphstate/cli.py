@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (argparse's gettext imports it on every parse)
 import sys
 from fractions import Fraction
 

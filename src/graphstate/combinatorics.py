@@ -249,8 +249,10 @@ def nc_to_geodesic(part: NCPartition) -> Perm:
     return Perm.from_cycles(part.p, [list(b) for b in part.blocks])
 
 
-# points per batch of composed permutations: 64 KB per int64 temporary,
-# more only where one row of products is longer
+# points per batch of composed permutations: at most 64 KB per int64
+# temporary.  Larger ones, freed and allocated again batch after batch,
+# can make malloc give the heap back and fault it in again: 104k page
+# faults in `_pair_arrays(8, True)` with one row of 11,440 points per batch.
 _BATCH_POINTS = 1 << 13
 
 
@@ -271,25 +273,31 @@ def _label_table(p: int, nc: bool):
 
 
 @lru_cache(maxsize=None)
-def _pair_table(p: int, nc: bool):
+def _pair_arrays(p: int, nc: bool):
     """#(a^-1 b) over all label pairs, quadratic in the labels and built
     lazily; over S_p also the class of a^-1 b, indexing the cycle types.
+    Both are read-only int8 arrays, one row per label a (classes is None
+    over NC(p)).
 
-    a^-1 b is composed for a batch of rows a at a time by one gather,
-    `inverse[a][:, images]`.  Over S_p each product is encoded as a
+    a^-1 b is composed for a batch of label pairs at a time by one
+    gather, `inverse[a][:, images]`.  Over S_p each product is encoded as a
     base-p number and found among the labels' codes, which ascend in
     `itertools.permutations` order, so its class is one more gather.
-    The tables are Python int lists: numpy integers in the weights
-    would overflow silently.
     """
     images = _label_table(p, nc)[0]
     inverse = _inverse(images)
     n = len(images)
-    batch = max(1, _BATCH_POINTS // (n * p))
-    products = (inverse[a:a + batch][:, images].reshape(-1, p) for a in range(0, n, batch))
+    if n * p <= _BATCH_POINTS:      # whole rows a at a time
+        batch = _BATCH_POINTS // (n * p)
+        products = (inverse[a:a + batch][:, images].reshape(-1, p) for a in range(0, n, batch))
+    else:                           # one row a at a time, in equal slices of labels b
+        slices = -(-n * p // _BATCH_POINTS)
+        width = -(-n // slices)
+        products = (inverse[a][images[b:b + width]] for a in range(n) for b in range(0, n, width))
     if nc:
-        counts = np.concatenate([_cycle_counts(prod) for prod in products])
-        return counts.reshape(n, n).tolist(), None, None
+        counts = np.concatenate([_cycle_counts(prod) for prod in products]).reshape(n, n)
+        counts.flags.writeable = False
+        return counts, None, None
     label_types = [_cycle_type(low) for low in _orbit_minima(images)]
     types = sorted(set(label_types))
     index = {t: c for c, t in enumerate(types)}
@@ -298,7 +306,17 @@ def _pair_table(p: int, nc: bool):
     classes = np.concatenate([label_class[np.searchsorted(codes, _codes(prod))]
                               for prod in products]).reshape(n, n)
     counts = np.array([len(t) for t in types], dtype=np.int8)[classes]
-    return counts.tolist(), classes.tolist(), types
+    for table in (counts, classes):
+        table.flags.writeable = False
+    return counts, classes, types
+
+
+@lru_cache(maxsize=None)
+def _pair_table(p: int, nc: bool):
+    """`_pair_arrays(p, nc)` as Python int lists, for entry-by-entry
+    readers: numpy integers in the weights would overflow silently."""
+    counts, classes, types = _pair_arrays(p, nc)
+    return counts.tolist(), None if classes is None else classes.tolist(), types
 
 
 def _inverse(images):
@@ -322,8 +340,8 @@ def _orbit_minima(images):
 
 
 def _cycle_counts(images):
-    """#sigma for each row: the points that are the least of their cycle."""
-    return (_orbit_minima(images) == np.arange(images.shape[1])).sum(axis=1)
+    """#sigma for each row, in int8: the points that are the least of their cycle."""
+    return (_orbit_minima(images) == np.arange(images.shape[1])).sum(axis=1, dtype=np.int8)
 
 
 def _cycle_type(low):

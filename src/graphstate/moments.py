@@ -30,6 +30,7 @@ from .combinatorics import (
     ConstraintPoset,
     EnumerationCapError,
     _label_table,
+    _pair_arrays,
     _pair_table,
     catalan,
     count_poset_tuples,
@@ -242,7 +243,7 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
         ncyc, ncyc_gamma = map(np.array, _label_table(p, nc)[1:3])
         pin_rows = {"T": ncyc, "S": ncyc_gamma}     # #(a^-1 b) for a = id, gamma
         if any(not pins.keys() & bond for bond in marginal.cross_bonds):
-            pair = np.array(_pair_table(p, nc)[0], dtype=np.int8)
+            pair = _pair_arrays(p, nc)[0]
     for i in free:
         view = marginal.blocks[i]
         kept_cost, kept_weight = monomials(len(view.kept), view.dim_kept)
@@ -349,7 +350,9 @@ def _contract(factors, order, size):
     in int64 and the weight and count in Python ints (object dtype), which
     never overflow.  Products add costs and multiply the rest; sums keep
     the least cost and add the rest at it.  A bucket whose costs are all 0
-    (every finite-N sum) is summed out by one object einsum per array.
+    (every finite-N sum) is summed out by one object einsum per array,
+    except that counts which are all broadcasts of one value (as every
+    finite-N count is) sum to one more broadcast, size times their product.
     Any other takes the least cost over the block's axis and sums weights
     and counts where it is reached, a slice of neighbour labelings at a
     time, so no temporary exceeds _SLICE_ENTRIES entries (or one row of
@@ -368,9 +371,15 @@ def _contract(factors, order, size):
             turn = np.argsort(scope)
             local.append((sorted(scope), *(x.transpose(turn) for x in arrays)))
         if not any(f[1].any() for f in local):
-            weight, count = (np.asarray(np.einsum(*[x for f in local for x in (f[k], f[0])],
-                                                  list(range(len(nbrs)))), dtype=object)
-                             for k in (2, 3))
+            def sum_out(k):
+                return np.asarray(np.einsum(*[x for f in local for x in (f[k], f[0])],
+                                            list(range(len(nbrs)))), dtype=object)
+            weight = sum_out(2)
+            if any(any(f[3].strides) for f in local):
+                count = sum_out(3)
+            else:   # every count is a broadcast of one value, and so is their sum
+                count = np.broadcast_to(
+                    np.array(size * math.prod(f[3].flat[0] for f in local), dtype=object), shape)
             factors.append((nbrs, np.zeros(shape, dtype=np.int64), weight, count))
             continue
         total = math.prod(shape)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,16 @@ class DensityFn:
         return out if out.ndim else float(out)
 
     def integrate(self, fn=lambda x: 1.0) -> float:
-        """Integral of fn(x) * density over the continuous part."""
+        """Integral of fn(x) * density over the continuous part.
+
+        scipy is imported here, not with the module: no command calls
+        the quadrature, and the import is most of `import graphstate`.
+        """
+        from scipy.integrate import quad
+
         if self.lo > 0 or self.zero_power == 0:
-            val, _ = integrate.quad(lambda x: fn(x) * self.pdf(x),
-                                    self.lo, self.hi, limit=400)
+            val, _ = quad(lambda x: fn(x) * self.pdf(x),
+                          self.lo, self.hi, limit=400)
             return val
         power = 1.0 / (1.0 - self.zero_power)
         top = self.hi ** (1.0 / power)
@@ -51,7 +56,7 @@ class DensityFn:
             x = u ** power
             return fn(x) * self.pdf(x) * power * u ** (power - 1.0)
 
-        val, _ = integrate.quad(sub, 0.0, top, limit=400)
+        val, _ = quad(sub, 0.0, top, limit=400)
         return val
 
     def total_mass(self) -> float:

@@ -12,6 +12,7 @@ from graphstate.combinatorics import (
     Perm,
     _label_table,
     _nc_order,
+    _pair_arrays,
     _pair_table,
     all_perms,
     catalan,
@@ -284,12 +285,21 @@ class TestTables:
         assert (counts, classes, types) == perm_pair_table(p, nc)
         assert _all_ints(counts) and _all_ints(classes or [])
 
+    @pytest.mark.parametrize("p,nc", [(5, True), (4, False)], ids=lambda v: str(v))
+    def test_pair_table_in_row_slices(self, p, nc, monkeypatch):
+        # a row of products longer than a batch is composed in slices of labels b
+        monkeypatch.setattr(combinatorics, "_BATCH_POINTS", 4 * p)
+        counts, classes, types = _pair_arrays.__wrapped__(p, nc)
+        classes = None if classes is None else classes.tolist()
+        assert (counts.tolist(), classes, types) == perm_pair_table(p, nc)
+
     def test_tables_multiply_no_perms(self, monkeypatch):
         def refuse(self, other):
             raise AssertionError("a table was built from Perm products")
         monkeypatch.setattr(Perm, "__mul__", refuse)
         for p, nc in ((6, True), (5, False)):
             _label_table.__wrapped__(p, nc)
+            _pair_arrays.__wrapped__(p, nc)
             _pair_table.__wrapped__(p, nc)
 
 

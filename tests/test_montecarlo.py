@@ -1,5 +1,6 @@
 """Monte Carlo oracle: Haar sampling, state assembly, spectral estimates."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -295,7 +296,8 @@ class TestEstimate:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
+        # estimate imports the executor when it needs one, from concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         for threads, trials in ((8, 3), (8, 10), (2, 10), (1, 10)):
             estimate(one_loop(), 4, trials, p_list=(2,), seed=0, threads=threads)
