@@ -31,7 +31,6 @@ from .combinatorics import (
     enumerate_nc,
     fuss_catalan,
     mobius,
-    nc_to_geodesic,
 )
 from .flow import FlowNetwork, MaxFlowResult, build_network, marginal_max_flow, max_flow
 from .graphs import GraphSpec, GraphValidationError, MarginalSpec, validate

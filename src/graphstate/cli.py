@@ -407,6 +407,8 @@ def run(argv) -> tuple[int, str]:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise UsageError(f"--{flag} must be >= 1, got {value}")
+        if args.command == "verify" and args.trials < 2:
+            raise UsageError(f"--trials must be >= 2 for verify, got {args.trials}")
         if args.command == "dist":
             report = cmd_dist(args.family, c=args.c, s=args.s, grid=args.grid)
         else:

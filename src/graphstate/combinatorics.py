@@ -194,59 +194,47 @@ class NCPartition:
 def enumerate_nc(p: int):
     """All non-crossing partitions of {0..p-1}; |result| = catalan(p).
 
-    Built recursively from the block containing the smallest element: that
-    block splits the remaining points into independent gaps, each of which
-    is filled with a non-crossing partition of its own.
+    One per row of `_label_table(p, True)` and in its order: the blocks
+    of each geodesic's cycles, so a label index means the same in both.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if p > NC_CAP:
-        raise EnumerationCapError(f"p={p} exceeds enumeration cap {NC_CAP}")
     return _enumerate_nc_cached(p)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_nc_cached(p: int):
-    return tuple(NCPartition(blocks, check=False) for blocks in _nc_blocks(tuple(range(p))))
-
-
-def _nc_blocks(points):
-    """Yield block-lists of non-crossing partitions of an ordered point set."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    # the block of `first` picks an increasing subset of the rest
-    for r in range(len(rest) + 1):
-        for chosen in itertools.combinations(range(len(rest)), r):
-            block = (first,) + tuple(rest[i] for i in chosen)
-            # gaps between consecutive chosen points must be partitioned
-            # independently, otherwise something would cross `block`
-            gaps = []
-            prev = -1
-            for i in chosen:
-                gaps.append(rest[prev + 1:i])
-                prev = i
-            gaps.append(rest[prev + 1:])
-            for combo in itertools.product(*(_nc_blocks(g) for g in gaps)):
-                out = [block]
-                for sub in combo:
-                    out.extend(sub)
-                yield out
+    images = _label_table(p, True)[0]
+    return tuple(NCPartition(Perm(row).cycles(), check=False) for row in images.tolist())
 
 
 # ---------------------------------------------------------------------------
-# geodesics:  NC(p)  <->  permutations on the id -> gamma geodesic, and
-# the label and pair tables the moment engines and the counts share
+# geodesics:  NC(p) as permutations on the id -> gamma geodesic, and the
+# label and pair tables the moment engines and the counts share
 # ---------------------------------------------------------------------------
 
-def nc_to_geodesic(part: NCPartition) -> Perm:
-    """The geodesic permutation whose orbits are the blocks of `part`.
-
-    Each block, listed in increasing order, becomes one cycle; the result
-    satisfies |gamma sigma^-1| + |sigma| = p - 1 with gamma = (1 2 ... p).
-    """
-    return Perm.from_cycles(part.p, [list(b) for b in part.blocks])
+@lru_cache(maxsize=None)
+def _nc_images(p: int):
+    """The NC(p) geodesics, each block one increasing cycle, as a read-only
+    int8 image array with the block counts #sigma, by the Catalan recursion
+    on b = sigma(0).  b = 0 fixes 0 and puts NC(p-1) on 1..p-1; b >= 1 puts
+    NC(b-1) on 1..b-1 and NC(p-b) on b..p-1, and 0 enters b's cycle just
+    before b.  Row 0 is the identity."""
+    if p == 0:
+        return np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int8)
+    rest, rest_n = _nc_images(p - 1)
+    images = [np.concatenate([np.zeros((len(rest), 1), dtype=np.int8), rest + 1], axis=1)]
+    ncyc = [rest_n + 1]
+    for b in range(1, p):
+        (left, left_n), (right, right_n) = _nc_images(b - 1), _nc_images(p - b)
+        tail = np.tile(right + b, (len(left), 1))
+        tail[tail == b] = 0         # the point that mapped to b now maps to 0
+        head = np.full((len(tail), 1), b, dtype=np.int8)
+        images.append(np.concatenate([head, np.repeat(left + 1, len(right), axis=0), tail], axis=1))
+        ncyc.append(np.repeat(left_n, len(right)) + np.tile(right_n, len(left)))
+    images, ncyc = np.concatenate(images), np.concatenate(ncyc)
+    images.flags.writeable = ncyc.flags.writeable = False
+    return images, ncyc
 
 
 # points per batch of composed permutations: at most 64 KB per int64
@@ -258,18 +246,26 @@ _BATCH_POINTS = 1 << 13
 
 @lru_cache(maxsize=None)
 def _label_table(p: int, nc: bool):
-    """Labels at order p: the NC(p) geodesics in `enumerate_nc` order (nc)
-    or S_p in `itertools.permutations` order.  Returns their images as a
-    read-only int8 array, one row per label, with #b, #(gamma b^-1) and
-    the indices of id and gamma."""
+    """Labels at order p: the NC(p) geodesics of `_nc_images` (nc), at
+    most NC_CAP points, or S_p in `itertools.permutations` order.  Returns
+    their images as a read-only int8 array, one row per label, with #b,
+    #(gamma b^-1) and the indices of id (row 0) and gamma.  On a geodesic
+    #(gamma b^-1) = p + 1 - #b, so over NC(p) no product is formed."""
     ident, gamma = tuple(range(p)), tuple((i + 1) % p for i in range(p))
-    rows = ([nc_to_geodesic(q).image for q in enumerate_nc(p)] if nc
-            else list(itertools.permutations(ident)))
-    images = np.array(rows, dtype=np.int8)
-    images.flags.writeable = False
-    ncyc = _cycle_counts(images)
-    ncyc_gamma = _cycle_counts(np.array(gamma, dtype=np.int8)[_inverse(images)])
-    return images, ncyc.tolist(), ncyc_gamma.tolist(), rows.index(ident), rows.index(gamma)
+    if nc:
+        if p > NC_CAP:
+            raise EnumerationCapError(f"p={p} exceeds enumeration cap {NC_CAP}")
+        images, ncyc = _nc_images(p)
+        ncyc_gamma = p + 1 - ncyc
+        one = int(np.flatnonzero((images == gamma).all(axis=1))[0])
+    else:
+        rows = list(itertools.permutations(ident))
+        images = np.array(rows, dtype=np.int8)
+        images.flags.writeable = False
+        ncyc = _cycle_counts(images)
+        ncyc_gamma = _cycle_counts(np.array(gamma, dtype=np.int8)[_inverse(images)])
+        one = rows.index(gamma)
+    return images, ncyc.tolist(), ncyc_gamma.tolist(), 0, one
 
 
 @lru_cache(maxsize=None)

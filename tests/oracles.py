@@ -1,10 +1,10 @@
 """Brute-force oracles and reference helpers that only the tests call.
 
 They check the library from outside: the refinement order, meets and
-joins of set partitions, the Kreweras complement and the geodesic test
-on NC(p); the label, pair and Weingarten tables from `Perm` products,
-one pair at a time; the cost functional f_beta; the labeling sum with
-one Python lookup per entry; the law round trip;
+joins of set partitions, the Kreweras complement, the geodesic of a
+partition and the geodesic test on NC(p); the label, pair and Weingarten
+tables from `Perm` products, one pair at a time; the cost functional
+f_beta; the labeling sum with one Python lookup per entry; the law round trip;
 partition joins of the coupling structure; max-flow duality and axioms;
 Hankel windows; and the full reduced density matrix.  None of them is used by
 `graphstate` itself.
@@ -28,7 +28,6 @@ from graphstate.combinatorics import (
     fuss_catalan,
     mobius,
     mp_moment,
-    nc_to_geodesic,
 )
 from graphstate.flow import FlowNetwork, MaxFlowResult, marginal_max_flow
 from graphstate.graphs import MarginalSpec
@@ -58,6 +57,15 @@ def is_noncrossing(part: NCPartition) -> bool:
 def cycle_partition(sigma: Perm) -> NCPartition:
     """[sigma]: the set partition of {0..p-1} into orbits."""
     return NCPartition(sigma.cycles(), check=False)
+
+
+def nc_to_geodesic(part: NCPartition) -> Perm:
+    """The geodesic permutation whose orbits are the blocks of `part`.
+
+    Each block, listed in increasing order, becomes one cycle; the result
+    satisfies |gamma sigma^-1| + |sigma| = p - 1 with gamma = (1 2 ... p).
+    """
+    return Perm.from_cycles(part.p, [list(b) for b in part.blocks])
 
 
 def leq(a: NCPartition, b: NCPartition) -> bool:

@@ -291,6 +291,13 @@ class TestRun:
         assert code == 1
         assert "--trials" in text
 
+    def test_verify_needs_two_trials(self):
+        # one trial has no sample stderr, so no deviation could be judged
+        code, text = run(["verify", str(DATA / "one_loop.json"), "--N", "2",
+                          "--trials", "1", "--pmax", "2"])
+        assert code == 1
+        assert "--trials" in text
+
     def test_grid_below_one_exit_1(self):
         code, text = run(["dist", "mp", "--grid", "0"])
         assert code == 1

@@ -21,7 +21,6 @@ from graphstate.combinatorics import (
     enumerate_nc,
     fuss_catalan,
     mobius,
-    nc_to_geodesic,
 )
 from oracles import (
     cycle_partition,
@@ -34,6 +33,7 @@ from oracles import (
     meet,
     mobius_inversion_defect,
     nc_join,
+    nc_to_geodesic,
     perm_labels,
     perm_pair_table,
 )
@@ -71,11 +71,27 @@ class TestEnumerateNC:
     def test_counts_are_catalan(self, p):
         assert len(enumerate_nc(p)) == catalan(p)
 
-    @pytest.mark.parametrize("p", [3, 4, 5])
+    @pytest.mark.parametrize("p", range(1, 9))
     def test_agrees_with_crossing_filter(self, p):
-        # independent oracle: all Bell(p) partitions, filtered
+        # independent oracle: all Bell(p) partitions, filtered.  enumerate_nc
+        # reads the label table, so the table's rows are checked here too
         brute = {q for q in enumerate_all_partitions(p) if is_noncrossing(q)}
         assert brute == set(enumerate_nc(p))
+        images, ncyc, ncyc_gamma, ident, gamma = _label_table(p, True)
+        perms = [Perm(row) for row in images.tolist()]
+        assert len(set(perms)) == len(perms)
+        assert {cycle_partition(sigma) for sigma in perms} == brute
+        g = Perm.full_cycle(p)
+        assert (ident, perms[0], perms[gamma]) == (0, Perm.identity(p), g)
+        # the table takes #(gamma sigma^-1) as p + 1 - #sigma, which holds
+        # only if every row is a geodesic
+        assert ncyc == [sigma.num_cycles for sigma in perms]
+        assert ncyc_gamma == [(g * sigma.inverse()).num_cycles for sigma in perms]
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_follows_label_table_rows(self, p):
+        rows = _label_table(p, True)[0].tolist()
+        assert list(enumerate_nc(p)) == [cycle_partition(Perm(row)) for row in rows]
 
     def test_p4_excludes_exactly_the_crossing_pair(self):
         allp = set(enumerate_all_partitions(4))
@@ -86,6 +102,8 @@ class TestEnumerateNC:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_nc(11)
+        with pytest.raises(EnumerationCapError):
+            _label_table(11, True)
 
 
 class TestLeq:
@@ -294,13 +312,19 @@ class TestTables:
         assert (counts.tolist(), classes, types) == perm_pair_table(p, nc)
 
     def test_tables_multiply_no_perms(self, monkeypatch):
-        def refuse(self, other):
-            raise AssertionError("a table was built from Perm products")
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a table was built from Perm or NCPartition objects")
         monkeypatch.setattr(Perm, "__mul__", refuse)
+        monkeypatch.setattr(Perm, "__init__", refuse)
+        monkeypatch.setattr(NCPartition, "__init__", refuse)
         for p, nc in ((6, True), (5, False)):
             _label_table.__wrapped__(p, nc)
             _pair_arrays.__wrapped__(p, nc)
             _pair_table.__wrapped__(p, nc)
+        for p in range(1, 9):
+            combinatorics._nc_images.__wrapped__(p)
+            _label_table.__wrapped__(p, True)
+            _pair_arrays.__wrapped__(p, True)
 
 
 class TestConstraintPoset:

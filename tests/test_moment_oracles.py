@@ -18,7 +18,7 @@ import pytest
 
 from graphstate import moments
 from graphstate.catalog import bell_pair, cycle_graph, exotic_graph, random_marginal
-from graphstate.combinatorics import Perm, all_perms, catalan, nc_to_geodesic
+from graphstate.combinatorics import Perm, all_perms, catalan
 from graphstate.moments import (
     BudgetExceededError,
     asymptotic_moment,
@@ -27,7 +27,7 @@ from graphstate.moments import (
     minimizer_set,
 )
 from graphstate.weingarten import wg_exact
-from oracles import lookup_contract
+from oracles import lookup_contract, nc_to_geodesic
 
 
 def minimizer_sum(marginal, p):

@@ -37,7 +37,7 @@ from graphstate.moments import (
     star_marginal,
 )
 from graphstate.spectra import fc_entropy
-from oracles import f_beta, is_geodesic, law_moments, perm_weingarten_column
+from oracles import f_beta, is_geodesic, law_moments, nc_to_geodesic, perm_weingarten_column
 
 
 class TestFBeta:
@@ -508,7 +508,7 @@ class TestClassify:
         assert counted == [1, 2]
 
     def test_minimizers_are_pinned_geodesics(self):
-        from graphstate.combinatorics import nc_to_geodesic, NCPartition
+        from graphstate.combinatorics import NCPartition
         m = cycle_graph("TSRR")
         ms = minimizer_set(m, 3)
         zero, one = NCPartition.zero(3), NCPartition.one(3)
