@@ -17,10 +17,12 @@ leg per cross bond.  So the block enters as the isometry W = U V, where
 the frame V maps the cross-bond legs into the block space.  For Haar U,
 W is a Haar isometry of shape block_dim x prod(cross legs); for a
 normalized Gaussian U it is a thin Gaussian divided by sqrt(block_dim).
-The sampler draws W directly and contracts the isometries along the
-cross bonds, with 1/sqrt(D) per bond, in a pairwise order fixed once per
-call.  No product state and no full unitary is formed: a one-vertex
-graph at N = 64 costs the QR of one vector.
+The sampler draws W directly; the isometries, joined along the cross
+bonds with 1/sqrt(D) per bond, are the state, which no trial contracts
+to amplitudes: rho on the smaller side comes from the doubled network
+psi (x) conj(psi), or from psi where that costs fewer multiply-adds.  No
+product state and no full unitary is formed: a one-vertex graph at
+N = 64 costs the QR of one vector.
 
 Haar fold.  A Haar unitary on a fully traced (T) or fully kept (S) block
 leaves the reduced spectrum unchanged (the graphical-calculus rule of
@@ -34,13 +36,15 @@ leaves the nonzero spectrum unchanged.  The S/T blocks shrink to their
 remaining members.  Ginibre mode folds nothing, because a Gaussian on an
 S/T block changes the spectrum.
 
-Both caps apply to the arrays actually built: MAX_AMPLITUDES to every
-isometry, intermediate and state of the contraction (after any fold),
-MAX_DENSITY_DIM to the side of the Gram matrix.
+MAX_AMPLITUDES bounds every isometry, intermediate and the state of
+psi's own contraction order, after any fold, whether or not a trial
+builds the state, and every array the reduction builds; MAX_DENSITY_DIM
+bounds the side of rho.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -95,16 +99,26 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 # state assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
 class StateVector:
-    """Amplitudes laid out as one tensor axis per subsystem (id order)."""
+    """A pure state as (array, labels) operands, contracted only when read.
 
-    tensor: np.ndarray
-    dims: tuple        # axis i holds subsystem i+1, size d_i * N
+    Subsystem i's leg is labelled i; a label two operands share is summed.
+    `StateVector(tensor=..., dims=...)` is a dense state of one operand.
+    """
+
+    def __init__(self, tensor=None, dims=(), operands=None):
+        self.dims = tuple(dims)    # subsystem i has size d_i * N
+        ids = tuple(range(1, len(self.dims) + 1))
+        self.operands = [(np.asarray(tensor), ids)] if operands is None else operands
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The amplitudes, one axis per subsystem (id order)."""
+        return _contract(self.operands, _order(self.operands)[0], range(1, len(self.dims) + 1))
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.tensor))
@@ -115,11 +129,10 @@ def assemble_state(marginal: MarginalSpec, N: int, rng=None, mode: str = "haar",
     """Entangled-pair state with one random transform per block.
 
     Each transformed block enters as its isometry (module docstring),
-    Haar or thin Gaussian by `mode`, and the isometries are contracted
-    along the cross bonds.  `unitaries` (block index -> matrix) overrides
-    a block's draw.  Blocks in `pinned` keep the identity transform and
-    draw nothing.  The amplitudes are stored kept subsystems first, so
-    that splitting them along the trace set copies nothing.
+    Haar or thin Gaussian by `mode`; the isometries, joined along the
+    cross bonds, are the state's operands.  `unitaries` (block index ->
+    matrix) overrides a block's draw.  Blocks in `pinned` keep the
+    identity transform and draw nothing.
     """
     graph = marginal.graph
     if mode not in ("haar", "ginibre"):
@@ -135,7 +148,8 @@ def assemble_state(marginal: MarginalSpec, N: int, rng=None, mode: str = "haar",
     size = dict(dim)
     for block_legs in legs.values():
         size.update((label, dim[x]) for x, label in block_legs)
-    order, largest = _contraction_order([labels for _, labels in specs], size)
+    network = tuple(labels for _, labels in specs)
+    _, largest, _ = _search(network, tuple(tuple(size[x] for x in labels) for labels in network))
     if largest > MAX_AMPLITUDES:
         raise ResourceCapError(f"state assembly needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
 
@@ -148,19 +162,13 @@ def assemble_state(marginal: MarginalSpec, N: int, rng=None, mode: str = "haar",
         else:
             rows = math.prod(dim[x] for x in graph.vertex_blocks[idx])
             cols = math.prod(dim[x] for x, _ in legs[idx])
-            if mode == "haar":
-                w = haar_isometry(rng, rows, cols)
-            else:
-                w = standard_complex_gaussian(rng, rows, cols) / math.sqrt(rows)
+            w = (haar_isometry(rng, rows, cols) if mode == "haar"
+                 else standard_complex_gaussian(rng, rows, cols) / math.sqrt(rows))
         operands.append((w.reshape([size[label] for label in labels]), labels))
     if scale != 1.0:
         i = min(range(len(operands)), key=lambda j: operands[j][0].size)
         operands[i] = (operands[i][0] * scale, operands[i][1])
-
-    layout = sorted(dim, key=lambda x: (x in marginal.traced, x))
-    stored = np.asarray(_contract(operands, order, layout), order="C")
-    return StateVector(tensor=np.transpose(stored, np.argsort(layout)),
-                       dims=tuple(dim[x] for x in sorted(dim)))
+    return StateVector(dims=tuple(dim[x] for x in sorted(dim)), operands=operands)
 
 
 def _bond_legs(graph, pinned, dim):
@@ -177,9 +185,7 @@ def _bond_legs(graph, pinned, dim):
     """
     block_of = {x: idx for idx, members in enumerate(graph.vertex_blocks) for x in members}
     legs = {idx: [] for idx in range(graph.k) if idx not in pinned}
-    pairs = []
-    scale = 1.0
-    fresh = graph.n
+    pairs, scale, fresh = [], 1.0, graph.n
     for a, b in graph.bonds:
         ia, ib = block_of[a], block_of[b]
         if ia in pinned and ib in pinned:
@@ -214,8 +220,8 @@ def _frame(graph, idx, block_legs, dim):
     return frame.reshape(math.prod(dim[x] for x in members), -1)
 
 
-def _contraction_order(operand_labels, size):
-    """Pairwise contraction order, and the largest array it builds.
+def _contraction_order(operand_labels, shapes):
+    """Pairwise contraction order, the largest array it builds, and its cost.
 
     Greedy from each start, absorbing next the operand that gives the
     smallest result; of those orders, the one with the fewest
@@ -223,11 +229,13 @@ def _contraction_order(operand_labels, size):
     it touches).  Labels shared by two operands are summed, the others
     are axes of the result.
     """
+    size = {x: n for labels, shape in zip(operand_labels, shapes) for x, n in zip(labels, shape)}
+
     def volume(labels):
         return math.prod(size[label] for label in labels)
 
     largest = max((volume(labels) for labels in operand_labels), default=1)
-    best = None
+    best = (0, (), 0)    # no operands
     for start in range(len(operand_labels)):
         acc, order, cost, peak = set(operand_labels[start]), [start], 0, 0
         rest = [i for i in range(len(operand_labels)) if i != start]
@@ -238,11 +246,18 @@ def _contraction_order(operand_labels, size):
             acc ^= set(operand_labels[nxt])
             order.append(nxt)
             peak = max(peak, volume(acc))
-        if best is None or cost < best[0]:
-            best = (cost, order, peak)
-    if best is None:
-        return [], largest
-    return best[1], max(largest, best[2])
+        if start == 0 or cost < best[0]:
+            best = (cost, tuple(order), peak)
+    return best[1], max(largest, best[2]), best[0]
+
+
+# `_contraction_order`, searched once per (labels, shapes)
+_search = functools.lru_cache(maxsize=64)(lambda labels, shapes: _contraction_order(labels, shapes))
+
+
+def _order(operands):
+    """`_search` of (array, labels) operands: order, largest array, multiply-adds."""
+    return _search(tuple(labels for _, labels in operands), tuple(a.shape for a, _ in operands))
 
 
 def _contract(operands, order, out):
@@ -254,8 +269,7 @@ def _contract(operands, order, out):
     if not operands:
         return np.ones((), dtype=complex)
     first, *rest = order
-    acc, acc_labels = operands[first]
-    acc_labels = list(acc_labels)
+    acc, acc_labels = operands[first][0], list(operands[first][1])
     for i in rest:
         t, labels = operands[i]
         shared = [label for label in acc_labels if label in labels]
@@ -314,35 +328,31 @@ def haar_fold(marginal: MarginalSpec, N: int) -> HaarFold:
 # reduction and spectra
 # ---------------------------------------------------------------------------
 
-def _split_matrix(state: StateVector, kept):
-    """Reshape amplitudes to (kept dims) x (traced dims)."""
-    n = len(state.dims)
-    kept = list(kept)
-    traced = [i for i in range(1, n + 1) if i not in kept]
-    order = [i - 1 for i in kept + traced]
-    moved = np.transpose(state.tensor, order)
-    dim_s = 1
-    for i in kept:
-        dim_s *= state.dims[i - 1]
-    return moved.reshape(dim_s, state.tensor.size // dim_s)
-
-
 def reduced_spectrum(state: StateVector, traced) -> np.ndarray:
-    """Nonzero-part spectrum of the reduced state, via the smaller side.
-
-    The reduced states on the kept and on the traced subsystems share
-    their nonzero eigenvalues, so the Gram matrix is formed on whichever
-    side is smaller.
-    """
-    n = len(state.dims)
-    traced = sorted(set(int(x) for x in traced))
-    kept = [i for i in range(1, n + 1) if i not in traced]
-    mat = _split_matrix(state, kept)
-    small = min(mat.shape)
+    """Nonzero-part spectrum of the reduced state, from rho on the smaller
+    side (the kept and the traced side share their nonzero eigenvalues)."""
+    ids = range(1, len(state.dims) + 1)
+    traced = {int(x) for x in traced}
+    side, other = sorted(([x for x in ids if x not in traced], [x for x in ids if x in traced]),
+                         key=lambda xs: math.prod(state.dims[x - 1] for x in xs))
+    small = math.prod(state.dims[x - 1] for x in side)
     if small > MAX_DENSITY_DIM:
         raise ResourceCapError(f"spectral side {small} over cap {MAX_DENSITY_DIM}")
-    gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
-    return np.linalg.eigvalsh(gram)[::-1]
+    network = _doubled(state.operands, other)
+    order, largest, cost = _order(network)
+    psi_order, _, psi_cost = _order(state.operands)
+    if largest > MAX_AMPLITUDES or psi_cost + small * state.total_dim <= cost:
+        psi = np.ascontiguousarray(_contract(state.operands, psi_order, side + other))
+        network, order = _doubled([(psi, tuple(side + other))], other), (0, 1)
+    rho = _contract(network, order, side + [-x for x in side])
+    return np.linalg.eigvalsh(rho.reshape(small, small))[::-1]
+
+
+def _doubled(operands, summed):
+    """psi (x) conj(psi): the copy shares the `summed` legs, its others are negated."""
+    summed = set(summed)
+    return operands + [(array.conj(), tuple(x if x in summed else -x for x in labels))
+                       for array, labels in operands]
 
 
 # ---------------------------------------------------------------------------
@@ -438,30 +448,23 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
     else:
         results = [one_trial(t) for t in range(trials)]
 
-    moment_rows = np.array([r[0] for r in results])
-    raw_rows = np.array([r[1] for r in results])
-    entropies = np.array([r[2] for r in results])
+    moment_rows, raw_rows, entropies = (np.array(column) for column in zip(*results))
 
     def mean_stderr(col):
-        mean = float(np.mean(col))
         err = float(np.std(col, ddof=1) / math.sqrt(len(col))) if len(col) > 1 else 0.0
-        return mean, err
+        return float(np.mean(col)), err
 
-    moment_mean, moment_stderr = {}, {}
-    raw_mean, raw_stderr = {}, {}
+    moment_mean, moment_stderr, raw_mean, raw_stderr = {}, {}, {}, {}
     for j, p in enumerate(p_list):
         moment_mean[p], moment_stderr[p] = mean_stderr(moment_rows[:, j])
         raw_mean[p], raw_stderr[p] = mean_stderr(raw_rows[:, j])
     h_mean, h_err = mean_stderr(entropies)
 
-    purity_mean = moment_mean.get(2)
-    purity_stderr = moment_stderr.get(2)
     return EstimateReport(
         N=N, trials=trials, seed=seed, mode=mode, p_list=p_list,
         moment_mean=moment_mean, moment_stderr=moment_stderr,
-        entropy_mean=h_mean, entropy_stderr=h_err,
-        entropy_bits_mean=h_mean / math.log(2.0),
-        purity_mean=purity_mean, purity_stderr=purity_stderr,
+        entropy_mean=h_mean, entropy_stderr=h_err, entropy_bits_mean=h_mean / math.log(2.0),
+        purity_mean=moment_mean.get(2), purity_stderr=moment_stderr.get(2),
         raw_moment_mean=raw_mean, raw_moment_stderr=raw_stderr)
 
 
@@ -490,10 +493,8 @@ def ginibre_product_spectra(s: int, N: int, trials: int, p_list=(1, 2, 3, 4),
         raise ResourceCapError("N over product-spectra cap 1024")
     if s > 4:
         raise ValueError("s over product-spectra cap 4")
-    rngs = trial_rngs(seed, trials)
-    rows = []
-    max_eig = 0.0
-    for rng in rngs:
+    rows, max_eig = [], 0.0
+    for rng in trial_rngs(seed, trials):
         g = np.eye(N, dtype=complex)
         for _ in range(s):
             g = g @ (standard_complex_gaussian(rng, N, N) / math.sqrt(N))
@@ -504,6 +505,5 @@ def ginibre_product_spectra(s: int, N: int, trials: int, p_list=(1, 2, 3, 4),
     mean = {p: float(np.mean(arr[:, j])) for j, p in enumerate(p_list)}
     err = {p: float(np.std(arr[:, j], ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
            for j, p in enumerate(p_list)}
-    return ProductSpectraReport(s=s, N=N, trials=trials, seed=seed,
-                                moment_mean=mean, moment_stderr=err,
-                                max_eigenvalue=max_eig)
+    return ProductSpectraReport(s=s, N=N, trials=trials, seed=seed, moment_mean=mean,
+                                moment_stderr=err, max_eigenvalue=max_eig)

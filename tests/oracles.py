@@ -6,8 +6,8 @@ partition and the geodesic test on NC(p); the label, pair and Weingarten
 tables from `Perm` products, one pair at a time; the cost functional
 f_beta; the labeling sum with one Python lookup per entry; the law round trip;
 partition joins of the coupling structure; max-flow duality and axioms;
-Hankel windows; and the full reduced density matrix.  None of them is used by
-`graphstate` itself.
+Hankel windows; and the full reduced density matrix, and its spectrum
+from the dense amplitudes.  None of them is used by `graphstate` itself.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from graphstate.combinatorics import (
 from graphstate.flow import FlowNetwork, MaxFlowResult, marginal_max_flow
 from graphstate.graphs import MarginalSpec
 from graphstate.moments import DistributionId
-from graphstate.montecarlo import MAX_DENSITY_DIM, ResourceCapError, StateVector, _split_matrix
+from graphstate.montecarlo import MAX_DENSITY_DIM, ResourceCapError, StateVector
 from graphstate.weingarten import wg_exact
 
 
@@ -404,6 +404,37 @@ class DensityMatrixSample:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)[::-1]
+
+
+def _split_matrix(state: StateVector, kept):
+    """Reshape amplitudes to (kept dims) x (traced dims)."""
+    n = len(state.dims)
+    kept = list(kept)
+    traced = [i for i in range(1, n + 1) if i not in kept]
+    order = [i - 1 for i in kept + traced]
+    tensor = state.tensor
+    moved = np.transpose(tensor, order)
+    dim_s = 1
+    for i in kept:
+        dim_s *= state.dims[i - 1]
+    return moved.reshape(dim_s, tensor.size // dim_s)
+
+
+def dense_reduced_spectrum(state: StateVector, traced) -> np.ndarray:
+    """Nonzero-part spectrum of the reduced state from the dense amplitudes.
+
+    The amplitudes split as a kept x traced matrix M, and the Gram
+    matrix M M^dagger or M^dagger M is formed on the smaller side.
+    """
+    n = len(state.dims)
+    traced = sorted(set(int(x) for x in traced))
+    kept = [i for i in range(1, n + 1) if i not in traced]
+    mat = _split_matrix(state, kept)
+    small = min(mat.shape)
+    if small > MAX_DENSITY_DIM:
+        raise ResourceCapError(f"spectral side {small} over cap {MAX_DENSITY_DIM}")
+    gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
+    return np.linalg.eigvalsh(gram)[::-1]
 
 
 def partial_trace(state: StateVector, traced) -> DensityMatrixSample:

@@ -17,6 +17,7 @@ from graphstate.catalog import (
     random_marginal,
     star_graph,
 )
+from graphstate.graphs import GraphSpec
 from graphstate.moments import exact_moment, exact_moment_gaussian
 from graphstate.montecarlo import (
     MAX_AMPLITUDES,
@@ -32,7 +33,7 @@ from graphstate.montecarlo import (
 )
 from graphstate.weingarten import wg_exact
 from graphstate.combinatorics import Perm
-from oracles import partial_trace
+from oracles import dense_reduced_spectrum, partial_trace
 
 
 def kron_state(graph, N, unitaries):
@@ -71,6 +72,21 @@ def assembly_corpus(small_corpus):
     wide = [random_marginal(np.random.default_rng(600 + i), max_bonds=4, max_dim=1)
             for i in range(20)]
     return [(m, 2) for m in small_corpus + wide] + [(m, 2) for m in named[:-1]] + [(named[-1], 1)]
+
+
+@pytest.fixture(scope="module")
+def reduction_corpus(assembly_corpus):
+    """The assembly corpus and 40 random marginals (seed fixed here), at N = 2 and 3."""
+    rng = np.random.default_rng(1707)
+    extra = [random_marginal(rng, max_bonds=3, max_dim=2) for _ in range(40)]
+    return [(m, N) for m in [m for m, _ in assembly_corpus] + extra for N in (2, 3)]
+
+
+def sampled_states(m, N, rng):
+    """(state, marginal) pairs: Haar on the fold with its pins, then Ginibre."""
+    fold = haar_fold(m, N)
+    yield assemble_state(fold.marginal, N, rng, pinned=fold.pinned), fold.marginal
+    yield assemble_state(m, N, rng, mode="ginibre"), m
 
 
 class TestHaarUnitary:
@@ -181,6 +197,90 @@ class TestPartialTrace:
         # nonzero parts coincide; lengths may differ by padding zeros
         k = min(len(a), len(b))
         assert np.allclose(a[-k:], b[-k:], atol=1e-10)
+
+
+class TestReducedSpectrum:
+    @staticmethod
+    def assert_matches_dense(state, traced):
+        lam, ref = reduced_spectrum(state, traced), dense_reduced_spectrum(state, traced)
+        assert len(lam) == len(ref)
+        assert np.abs(lam - ref).max() <= 1e-10 * ref.max()
+
+    def test_network_spectrum_equals_dense_oracle(self, reduction_corpus, assembly_corpus):
+        rng = np.random.default_rng(31)
+        for m, N in reduction_corpus:
+            for state, target in sampled_states(m, N, rng):
+                for traced in (target.traced, target.kept):
+                    self.assert_matches_dense(state, traced)
+        for i, (m, N) in enumerate(assembly_corpus):
+            unitaries = block_unitaries(m, N, np.random.default_rng(700 + i))
+            for state in (assemble_state(m, N, unitaries=unitaries),
+                          kron_state(m.graph, N, unitaries)):
+                for traced in (m.traced, m.kept):
+                    self.assert_matches_dense(state, traced)
+
+    def test_reduction_within_cap_and_gram_route_cost(self, reduction_corpus, monkeypatch):
+        # every array the reduction builds stays within MAX_AMPLITUDES, and it
+        # does no more multiply-adds than contracting psi and then psi psi^dagger
+        steps = []
+        tensordot = np.tensordot
+
+        def recording(a, b, axes):
+            out = tensordot(a, b, axes)
+            steps.append((out.size, a.size * b.size // math.prod(a.shape[i] for i in axes[0])))
+            return out
+
+        def reduce(state, traced):
+            steps.clear()
+            monkeypatch.setattr(np, "tensordot", recording)
+            lam = reduced_spectrum(state, traced)
+            monkeypatch.setattr(np, "tensordot", tensordot)
+            return lam, max((size for size, _ in steps), default=1), sum(n for _, n in steps)
+
+        # Ginibre blocks on this graph at N = 1: the doubled network's order is
+        # cheaper than psi first, but builds a larger array than psi's own
+        wide = GraphSpec(vertex_blocks=[[1, 2, 8], [3, 5, 7], [4], [6, 10], [9]],
+                         bonds=[(1, 9), (2, 10), (3, 5), (4, 8), (6, 7)],
+                         dims={1: 2, 2: 3, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2, 9: 2, 10: 3})
+        rng = np.random.default_rng(32)
+        cases = [(s, t.traced) for m, N in reduction_corpus for s, t in sampled_states(m, N, rng)]
+        cases.append((assemble_state(wide.marginal({1, 3, 6, 8, 9}), 1, rng, mode="ginibre"),
+                      {1, 3, 6, 8, 9}))
+        exotic4 = (assemble_state(exotic_graph(), 4, rng), exotic_graph().traced)
+        for state, traced in cases + [exotic4]:
+            psi_cost = montecarlo._order(state.operands)[2]
+            lam, built, work = reduce(state, traced)
+            assert built <= MAX_AMPLITUDES
+            assert work <= psi_cost + len(lam) * state.total_dim
+        assert built == 1048576 and work < 4 ** 13    # exotic at N = 4: no 4^15 Gram product
+        # with the cap at psi's own largest array, no reduction builds more
+        for state, traced in cases:
+            largest = montecarlo._order(state.operands)[1]
+            unbounded = reduce(state, traced)[1]
+            monkeypatch.setattr(montecarlo, "MAX_AMPLITUDES", largest)
+            lam, built, _ = reduce(state, traced)
+            monkeypatch.setattr(montecarlo, "MAX_AMPLITUDES", MAX_AMPLITUDES)
+            assert built <= largest
+            ref = dense_reduced_spectrum(state, traced)
+            assert np.abs(lam - ref).max() <= 1e-10 * ref.max()
+        assert unbounded > largest    # the last case took the fallback
+        rep = estimate(exotic_graph(), 4, 2, p_list=(1,), seed=0)
+        assert rep.moment_mean[1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_order_search_per_estimate(self, monkeypatch):
+        calls = []
+        search = montecarlo._contraction_order
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(montecarlo, "_contraction_order", counting)
+        montecarlo._search.cache_clear()
+        for mode in ("haar", "ginibre"):
+            calls.clear()
+            estimate(cycle_graph("TSRR"), 3, 20, p_list=(2,), seed=8, mode=mode)
+            assert 0 < len(calls) <= 2
 
 
 class TestHaarFold:
