@@ -473,8 +473,8 @@ class ConstraintPoset:
 def count_chains(s: int, p: int) -> int:
     """Number of s-chains sigma_1 <= ... <= sigma_s in NC(p).
 
-    Independent of the Fuss-Catalan binomial formula: a count along the
-    order of NC(p).
+    Independent of the Fuss-Catalan binomial formula: a chain is rooted,
+    so this is `count_poset_tuples`' moment-cumulant recursion.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -484,13 +484,22 @@ def count_chains(s: int, p: int) -> int:
 def count_poset_tuples(poset: ConstraintPoset, p: int) -> int:
     """Number of NC(p)-labelings of the poset nodes respecting all constraints.
 
-    Nodes are labelled in index order.  The count is kept per tuple of
-    labels of the frontier: the labelled nodes that still have an
+    A pin-free poset that is recursively rooted is counted by the free
+    moment-cumulant recursion of `_rooted_moments`, in O(p^3) integer
+    operations per node and with no NC(p) table, at any p.  Every other
+    poset runs a frontier count over the NC(p) labels, up to NC_CAP points:
+    nodes are labelled in index order, and the count is kept per tuple of
+    labels of the frontier, the labelled nodes that still have an
     unlabelled neighbour.  A relation is checked when its later node is
     labelled, so this is exact for every acyclic poset and never walks the
     tuples one by one.  The order (a pair table quadratic in catalan(p)) is
     built only when there is a relation to check.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    counts = None if poset.pins else _rooted_moments(poset, p)
+    if counts is not None:
+        return counts[p]
     _, _, _, zero, one = _label_table(p, True)
     leq = _nc_order(p)[0] if poset.relations else None
     labels = range(catalan(p))
@@ -520,3 +529,64 @@ def count_poset_tuples(poset: ConstraintPoset, p: int) -> int:
                 grown[base] = grown.get(base, 0) + count * len(allowed)
         frontier, counts = kept + ((v,) if last[v] > v else ()), grown
     return sum(counts.values())
+
+
+def _rooted_moments(poset: ConstraintPoset, p: int):
+    """[Z(P, 0), ..., Z(P, p)] for a recursively rooted poset P, else None.
+
+    Z(P, n) counts the order-preserving maps of P into NC(n) (pins are
+    ignored) and is the product over P's connected components.  If a
+    component has a least node r, a map sends r to some pi and the rest R
+    of the component into [pi, 1] = prod over the blocks B of K(pi) of
+    NC(|B|), and if it has a greatest node r, into [0, pi] = prod over the
+    blocks B of pi of NC(|B|) (Nica & Speicher, Lectures on the
+    Combinatorics of Free Probability, Lecture 9).  Either way the
+    component's counts are the moments whose free cumulants are
+    kappa_n = Z(R, n).  A component whose every such R fails to be rooted
+    in turn, or that has neither node, makes P not rooted.
+    """
+    up = {v: set() for v in range(poset.k)}
+    down = {v: set() for v in range(poset.k)}
+    for a, b in poset.relations:
+        up[a].add(b)
+        down[b].add(a)
+
+    @lru_cache(maxsize=None)
+    def moments(nodes):
+        total, rest = [1] * (p + 1), nodes
+        while rest:
+            comp, stack = set(), [min(rest)]
+            while stack:
+                v = stack.pop()
+                if v not in comp:
+                    comp.add(v)
+                    stack += (up[v] | down[v]) & rest
+            rest -= comp
+            kappa = None
+            for side in (down, up):     # a least node, else a greatest one
+                roots = [v for v in comp if not side[v] & comp]
+                if len(roots) == 1 and kappa is None:
+                    kappa = moments(frozenset(comp) - {roots[0]})
+            if kappa is None:
+                return None
+            total = [a * b for a, b in zip(total, _free_moments(kappa))]
+        return total
+
+    return moments(frozenset(range(poset.k)))
+
+
+def _free_moments(kappa):
+    """Moments m_0..m_p of the free cumulants kappa[1..p] (kappa[0] unused).
+
+    m_n sums kappa_s [z^(n-s)] M(z)^s over the size s of the block of 1,
+    with M(z) = sum_j m_j z^j; power[s] grows by one coefficient per n.
+    """
+    p = len(kappa) - 1
+    m, power = [1], [[1] + [0] * p]
+    for n in range(1, p + 1):
+        power.append([])
+        for s in range(1, n + 1):
+            j = n - s
+            power[s].append(sum(m[i] * power[s - 1][j - i] for i in range(j + 1)))
+        m.append(sum(kappa[s] * power[s][n - s] for s in range(1, n + 1)))
+    return m

@@ -5,7 +5,8 @@ node per vertex block.  Source-side capacities count traced subsystems,
 sink-side capacities count kept ones, and inter-block capacities count the
 bonds running between two blocks.  Internal loop bonds create no edges.
 The p-th moment of the reduced state decays like N^(-X(p-1)) where X is
-the max flow.
+the max flow, and the residual graph of a max flow orders the labels that
+reach that bound (`residual_poset`).
 """
 
 from __future__ import annotations
@@ -13,10 +14,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .combinatorics import ConstraintPoset
 from .graphs import MarginalSpec
 
 SOURCE = "source"
 SINK = "sink"
+
+
+class MinimizerConsistencyError(AssertionError):
+    """The minimizers found disagree with the max-flow bound."""
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,44 @@ def _reachable(adj, residual, start, forward: bool):
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+def residual_poset(marginal: MarginalSpec, result: MaxFlowResult = None) -> ConstraintPoset:
+    """The order on the free label classes that every minimizing labeling respects.
+
+    A labeling reaches the bound X(p-1) iff every flow path is a geodesic
+    chain id <= ... <= gamma and every unsaturated bond joins equal labels:
+    a residual edge a -> b forces label b <= label a.  So T blocks merge
+    into the source (id), S blocks into the sink (gamma), and the strongly
+    connected components of the residual edges are the classes of equal
+    labels.  Every class the source class reaches is pinned to id, every
+    class that reaches the sink class to gamma; the others, numbered by
+    their least block, are ordered by b <= a iff a reaches b, and no
+    relation to a pin constrains them.  The minimizers are the
+    order-preserving maps of this poset into NC(p).  The components are
+    the same for every max flow (Picard & Queyranne, Math. Prog. Study 13,
+    1980), so `result` may be any.  Raises MinimizerConsistencyError if
+    the source class reaches the sink class.
+    """
+    result = result or max_flow(build_network(marginal))
+    merged = {i: {"T": SOURCE, "S": SINK}.get(view.kind, i) for i, view in enumerate(marginal.blocks)}
+    edges = {(merged.get(u, u), merged.get(v, v)): 1
+             for (u, v), left in result.residual.items() if left > 0}
+    adj = {u: [] for u in (SOURCE, SINK, *merged.values())}
+    for u, v in edges:
+        adj[u].append(v)
+    reach = {u: _reachable(adj, edges, u, forward=True) for u in adj}
+    if SINK in reach[SOURCE]:
+        raise MinimizerConsistencyError("the residual graph joins the id pins to the gamma pins")
+    free = [i for i in range(marginal.k)
+            if merged[i] == i and i not in reach[SOURCE] and SINK not in reach[i]]
+    classes = []        # the blocks of each class, in order of their least block
+    for i in free:
+        if not any(i in c for c in classes):
+            classes.append({j for j in free if j in reach[i] and i in reach[j]})
+    return ConstraintPoset(k=len(classes), relations=[
+        (b, a) for a, upper in enumerate(classes) for b, lower in enumerate(classes)
+        if a != b and min(lower) in reach[min(upper)]])
 
 
 def marginal_max_flow(marginal: MarginalSpec) -> int:

@@ -7,7 +7,9 @@ one array message per eliminated block, in exact integers.
 Each weight is a monomial d^t N^(e t) in a cycle count t.
 `asymptotic_moment` keeps N formal over the NC(p) geodesics: a monomial is
 the entry (e (p - t), d^t, 1), and the sum keeps the least N-deficit,
-X(p-1).  `exact_moment` and `exact_moment_gaussian` plug N in over S_p,
+X(p-1); at unit dimensions it counts the maps of the max flow's residual
+poset into NC(p) instead, where that poset is recursively rooted.
+`exact_moment` and `exact_moment_gaussian` plug N in over S_p,
 (0, (d N^e)^t, 1), with a Weingarten or a Wick (1/dim^p) block kernel.
 The Haar engines pin fully traced blocks to the identity and fully kept
 ones to the long cycle, where a Haar unitary integrates out, and
@@ -32,13 +34,14 @@ from .combinatorics import (
     _label_table,
     _pair_arrays,
     _pair_table,
+    _rooted_moments,
     catalan,
     count_poset_tuples,
     enumerate_nc,
     fuss_catalan,
     mp_moment,
 )
-from .flow import build_network, max_flow
+from .flow import MinimizerConsistencyError, build_network, max_flow, residual_poset
 from .graphs import MarginalSpec
 from .spectra import fc_entropy, mp_entropy
 from .weingarten import wg_exact
@@ -55,10 +58,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message, estimated):
         super().__init__(message)
         self.estimated = estimated
-
-
-class MinimizerConsistencyError(AssertionError):
-    """The enumerated minimum disagrees with the max-flow bound."""
 
 
 class BudgetSettingError(ValueError):
@@ -434,9 +433,25 @@ def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentRepo
     to cycle counts; the coefficient sums the weights at the least cost,
     which must equal the max-flow bound X(p-1).  With the loop-bond factor
     and the square-root normalization, p=1 always reports (0, 1).
+
+    When every subsystem has d = 1, every such labeling weighs 1, and the
+    labelings are the order-preserving maps of `flow.residual_poset` into
+    NC(p).  If that poset is recursively rooted, the coefficient is their
+    count by `count_poset_tuples`' recursion: no table, no plan and no
+    budget refusal.  Every other case runs `_labeling_sum`, gated by the
+    tuples budget and NC_CAP.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    tuples_budget(budget)   # a malformed budget setting is refused on either path
+    flow = max_flow(build_network(marginal))
+    x = flow.value
+    if all(d == 1 for _, d in marginal.graph.dims):
+        counts = _rooted_moments(residual_poset(marginal, flow), p)
+        if counts is not None:
+            return MomentReport(p=p, exponent=-x * (p - 1), coefficient=Fraction(counts[p]),
+                                minimizer_count=counts[p])
     cost, coefficient, count = _labeling_sum(marginal, p, None, True, budget)
-    x = max_flow(build_network(marginal)).value
     if cost != x * (p - 1):
         raise MinimizerConsistencyError(
             f"least labeling cost {cost} != X(p-1) = {x * (p - 1)} at p={p}")

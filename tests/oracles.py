@@ -6,7 +6,8 @@ partition and the geodesic test on NC(p); the label, pair and Weingarten
 tables from `Perm` products, one pair at a time; the cost functional
 f_beta; the labeling sum with one Python lookup per entry; the law round trip;
 partition joins of the coupling structure; max-flow duality and axioms;
-Hankel windows; and the full reduced density matrix, and its spectrum
+Hankel windows; a graph's copy at other dimension factors, and a graph
+whose residual poset is not rooted; and the full reduced density matrix, and its spectrum
 from the dense amplitudes.  None of them is used by `graphstate` itself.
 """
 
@@ -30,7 +31,7 @@ from graphstate.combinatorics import (
     mp_moment,
 )
 from graphstate.flow import FlowNetwork, MaxFlowResult, marginal_max_flow
-from graphstate.graphs import MarginalSpec
+from graphstate.graphs import GraphSpec, MarginalSpec
 from graphstate.moments import DistributionId
 from graphstate.montecarlo import MAX_DENSITY_DIM, ResourceCapError, StateVector
 from graphstate.weingarten import wg_exact
@@ -373,6 +374,30 @@ def restrict_partition(parts, keep):
 def duality_check(marginal: MarginalSpec) -> bool:
     """True iff exchanging kept and traced subsystems preserves the max flow."""
     return marginal_max_flow(marginal) == marginal_max_flow(marginal.swap())
+
+
+def with_dims(marginal: MarginalSpec, d: int) -> MarginalSpec:
+    """The same graph and trace set with every dimension factor set to d.
+
+    The plan of a labeling sum depends on the structure alone, so d = 2
+    keeps a graph's gates and tables while taking it off the
+    unit-dimension path of `asymptotic_moment`; d = 1 puts it there.
+    """
+    g = marginal.graph
+    return GraphSpec(g.vertex_blocks, g.bonds, {i: d for i, _ in g.dims}).marginal(marginal.traced)
+
+
+def n_shaped_marginal() -> MarginalSpec:
+    """A graph whose residual poset is the N {0 <= 2, 1 <= 2, 1 <= 3}.
+
+    Every block holds a loop bond with one end traced, and the cross
+    bonds 0-2, 1-2 and 1-3 run from a traced end to a kept one.  Then the
+    source and sink edges and the cross bonds are all saturated by the
+    only max flow, so no class is pinned and each bond orders its ends.
+    """
+    g = GraphSpec(vertex_blocks=[[1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14]],
+                  bonds=[(1, 8), (4, 9), (5, 12), (2, 3), (6, 7), (10, 11), (13, 14)])
+    return g.marginal({1, 2, 4, 5, 6, 10, 13})
 
 
 def check_flow_axioms(net: FlowNetwork, result: MaxFlowResult):

@@ -20,7 +20,10 @@ from graphstate.cli import (
     parse_graph,
     run,
 )
+from graphstate import combinatorics
 from graphstate.catalog import cycle_graph, exotic_graph, fc_template, one_loop
+from graphstate.combinatorics import catalan
+from oracles import with_dims
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,17 +183,26 @@ class TestRun:
         assert text.startswith("validation error") and f"'{field}'" in text
 
     def test_budget_error_exit_3(self, tmp_path, monkeypatch):
+        # the labeling sum of exotic at d = 2 is gated; at d = 1 its
+        # residual poset is counted, which refuses nothing
         monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "10")
-        code, text = run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])
+        path = write_graph(tmp_path, graph_to_dict(with_dims(exotic_graph(), 2)))
+        code, text = run(["analyze", path, "--pmax", "4"])
         assert code == 3
         assert "budget" in text.lower()
+        assert run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])[0] == 0
 
-    def test_enumeration_cap_exit_3(self):
-        code, text = run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])
+    def test_enumeration_cap_exit_3(self, tmp_path):
+        path = write_graph(tmp_path, graph_to_dict(one_loop(2)))
+        code, text = run(["analyze", path, "--pmax", "11"])
         assert code == 3
         assert "enumeration cap" in text
+        # at d = 1 the cap binds only the labeling sum, which does not run
+        code, text = run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])
+        assert code == 0, text
+        assert json.loads(text)["moments"][-1]["coefficient"] == str(catalan(11))
 
-    def test_top_order_refused_before_any_sum(self, monkeypatch):
+    def test_top_order_refused_before_any_sum(self, tmp_path, monkeypatch):
         # both commands evaluate p_max first, so its refusal comes before
         # any lower order is summed
         def summed(*args):
@@ -198,8 +210,30 @@ class TestRun:
         monkeypatch.setattr(moments, "_contract", summed)
         code, text = run(["exact", str(DATA / "exotic.json"), "--N", "2", "--pmax", "8"])
         assert code == 3 and "budget" in text
-        code, text = run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])
+        path = write_graph(tmp_path, graph_to_dict(one_loop(2)))
+        code, text = run(["analyze", path, "--pmax", "11"])
         assert code == 3 and "enumeration cap" in text
+        # at d = 1 no order runs a sum at all
+        assert run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])[0] == 0
+
+    @pytest.mark.parametrize("name", ["exotic", "fc2_template", "figure_example", "one_loop"])
+    def test_analyze_builds_no_label_table(self, monkeypatch, name):
+        # every graph here has unit dimensions and a rooted residual poset,
+        # and its law is checked by closed forms and the poset recursion
+        def unbuilt(p, *args):
+            raise AssertionError(f"built a label table at order {p}")
+        monkeypatch.setattr(moments, "_label_table", unbuilt)
+        monkeypatch.setattr(combinatorics, "_label_table", unbuilt)
+        code, text = run(["analyze", str(DATA / f"{name}.json"), "--pmax", "6"])
+        assert code == 0, text
+
+    def test_analyze_past_the_nc_cap(self):
+        # NC_CAP = 10 binds only the labeling sum and the frontier count
+        code, text = run(["analyze", str(DATA / "exotic.json"), "--pmax", "12"])
+        assert code == 0, text
+        report = json.loads(text)
+        assert report["distribution"]["kind"] == "poset_law"
+        assert report["moments"][7]["coefficient"] == "6304689"
 
     def test_exact_below_order(self):
         code, text = run(["exact", str(DATA / "one_loop.json"), "--N", "1", "--pmax", "3"])

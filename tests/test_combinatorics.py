@@ -249,8 +249,11 @@ class TestCounts:
         assert count_chains(3, 1) == 1
 
     def test_chain_cap(self):
+        # a chain is rooted, so the recursion counts it past the cap; the
+        # frontier count of the N-shaped poset, which is not rooted, keeps it
         with pytest.raises(EnumerationCapError):
-            count_chains(2, 11)
+            count_poset_tuples(N_SHAPED, 11)
+        assert count_chains(2, 11) == fuss_catalan(2, 11)
 
 
 def binom_exact(n, k):
@@ -265,6 +268,28 @@ def brute_force_count(poset, p):
                for v in range(poset.k)]
     return sum(1 for labels in itertools.product(*choices)
                if all(leq(labels[a], labels[b]) for a, b in poset.relations))
+
+
+# two least and two greatest nodes: with the 2 + 2 bipartite order, one of
+# the two smallest posets that are not rooted
+N_SHAPED = ConstraintPoset(k=4, relations=[(0, 2), (1, 2), (1, 3)])
+
+
+def small_posets(n):
+    """(k, transitive closure) of every poset on nodes 0..k-1, 1 <= k <= n."""
+    for k in range(1, n + 1):
+        pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+        seen = set()
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            closure = {pair for pair, on in zip(pairs, chosen) if on}
+            while True:
+                longer = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+                if not longer:
+                    break
+                closure |= longer
+            if all(a != b for a, b in closure) and frozenset(closure) not in seen:
+                seen.add(frozenset(closure))
+                yield k, frozenset(closure)
 
 
 class TestNCOrder:
@@ -376,6 +401,44 @@ class TestConstraintPoset:
     def test_disjoint_chains_factor(self):
         poset = ConstraintPoset(k=5, relations=[(0, 1), (1, 2), (3, 4)])
         assert count_poset_tuples(poset, 6) == fuss_catalan(3, 6) * fuss_catalan(2, 6)
+
+    def test_order_below_one_rejected(self):
+        for poset in (ConstraintPoset(k=1), N_SHAPED):
+            with pytest.raises(ValueError):
+                count_poset_tuples(poset, 0)
+
+    def test_n_shaped_poset_is_not_rooted(self):
+        # counted by the frontier count alone
+        assert combinatorics._rooted_moments(N_SHAPED, 3) is None
+        assert count_poset_tuples(N_SHAPED, 3) == brute_force_count(N_SHAPED, 3) == 107
+
+    def test_recursion_equals_frontier_count(self, monkeypatch):
+        # every poset on at most 4 nodes, by its transitive closure and by
+        # its covering relations, against the frontier count of one copy
+        # per isomorphism class
+        def cover(k, closure):
+            return [(a, b) for a, b in closure
+                    if not any((a, c) in closure and (c, b) in closure for c in range(k))]
+
+        counts, unrooted = {}, set()
+        for k, closure in small_posets(4):
+            # the least relabeling, whose low nodes sit low: a small frontier
+            shape = min(tuple(sorted((q[a], q[b]) for a, b in closure))
+                        for q in itertools.permutations(range(k)))
+            if (k, shape) not in counts:
+                with monkeypatch.context() as patch:
+                    patch.setattr(combinatorics, "_rooted_moments", lambda *args: None)
+                    poset = ConstraintPoset(k, cover(k, set(shape)))
+                    counts[k, shape] = [1] + [count_poset_tuples(poset, p) for p in range(1, 7)]
+            for relations in (sorted(closure), cover(k, closure)):
+                rooted = combinatorics._rooted_moments(ConstraintPoset(k, relations), 6)
+                if rooted is None:
+                    unrooted.add((k, shape))
+                else:
+                    assert rooted == counts[k, shape], (k, relations)
+        assert len(counts) == 1 + 2 + 5 + 16
+        # the N and the 2 + 2 bipartite order are the only ones not rooted
+        assert unrooted == {(4, ((0, 1), (0, 2), (3, 1))), (4, ((0, 1), (0, 2), (3, 1), (3, 2)))}
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):

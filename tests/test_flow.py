@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from graphstate.catalog import (
+    bell_pair,
     cycle_graph,
     exotic_graph,
     fc_template,
@@ -17,9 +18,12 @@ from graphstate.flow import (
     SOURCE,
     build_network,
     marginal_max_flow,
+    MaxFlowResult,
+    MinimizerConsistencyError,
     max_flow,
+    residual_poset,
 )
-from oracles import check_flow_axioms, duality_check
+from oracles import check_flow_axioms, duality_check, n_shaped_marginal
 
 
 class TestBuildNetwork:
@@ -92,6 +96,30 @@ class TestMaxFlow:
         result = max_flow(build_network(figure_example()))
         assert set(result.labels) == {0, 1, 2}
         assert set(result.labels.values()) <= {"source-side", "sink-side", "inner"}
+
+
+class TestResidualPoset:
+    @pytest.mark.parametrize("marginal,k,relations", [
+        (one_loop(), 1, ()),
+        (bell_pair(), 0, ()),                           # a T block and an S block
+        (exotic_graph(), 3, ((0, 1), (0, 2))),          # the hub below both leaves
+        (cycle_graph("TSRR"), 2, ((1, 0),)),
+        (fc_template(3), 3, ((0, 1), (0, 2), (1, 2))),  # reachability, so closed
+        (n_shaped_marginal(), 4, ((0, 2), (1, 2), (1, 3))),
+    ], ids=["one_loop", "bell_pair", "exotic", "TSRR", "fc_template_3", "n_shaped"])
+    def test_classes_and_order(self, marginal, k, relations):
+        poset = residual_poset(marginal)
+        assert (poset.k, poset.relations, poset.pins) == (k, relations, {})
+
+    def test_any_max_flow_result(self, corpus):
+        for m in corpus:
+            assert residual_poset(m, max_flow(build_network(m))) == residual_poset(m)
+
+    def test_source_reaching_sink_is_refused(self):
+        # no max flow leaves this path; a residual map with one is refused
+        residual = {(SOURCE, 0): 1, (0, SINK): 1}
+        with pytest.raises(MinimizerConsistencyError):
+            residual_poset(one_loop(), MaxFlowResult(value=0, flow={}, residual=residual))
 
 
 class TestDuality:

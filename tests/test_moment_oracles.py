@@ -18,7 +18,7 @@ import pytest
 
 from graphstate import moments
 from graphstate.catalog import bell_pair, cycle_graph, exotic_graph, random_marginal
-from graphstate.combinatorics import Perm, all_perms, catalan
+from graphstate.combinatorics import ConstraintPoset, Perm, all_perms, catalan, count_poset_tuples
 from graphstate.moments import (
     BudgetExceededError,
     asymptotic_moment,
@@ -27,7 +27,7 @@ from graphstate.moments import (
     minimizer_set,
 )
 from graphstate.weingarten import wg_exact
-from oracles import lookup_contract, nc_to_geodesic
+from oracles import lookup_contract, n_shaped_marginal, nc_to_geodesic, with_dims
 
 
 def minimizer_sum(marginal, p):
@@ -94,6 +94,40 @@ def test_asymptotic_matches_minimizer_sum(corpus):
             assert r.minimizer_count == len(minimizer_set(m, p))
 
 
+def test_residual_poset_count_equals_labeling_sum(corpus, small_corpus, monkeypatch):
+    # the corpora of this file at unit dimensions, then 1,000 graphs drawn
+    # at unit dimensions; each residual poset is rooted, so the labeling
+    # sum runs only as the reference
+    rng = np.random.default_rng(1414)
+    graphs = [with_dims(m, 1) for m in corpus + small_corpus]
+    graphs += [with_dims(random_marginal(rng, max_bonds=4, max_dim=3), 1) for _ in range(200)]
+    rng = np.random.default_rng(1818)
+    graphs += [random_marginal(rng, max_dim=1) for _ in range(1000)]
+    labeling_sum = moments._labeling_sum
+
+    def unsummed(*args):
+        raise AssertionError("the labeling sum ran on a unit-dimension graph")
+    monkeypatch.setattr(moments, "_labeling_sum", unsummed)
+    for m in graphs:
+        for p in range(1, 6):
+            cost, coefficient, count = labeling_sum(m, p, None, True, None)
+            r = asymptotic_moment(m, p)
+            assert (r.exponent, r.coefficient, r.minimizer_count) == (-cost, coefficient, count)
+
+
+def test_unrooted_residual_poset_takes_the_labeling_sum(contractions):
+    # the N-shaped poset has no recursion; the labeling sum counts its
+    # order-preserving maps, as the frontier count and the minimizers do
+    m = n_shaped_marginal()
+    poset = ConstraintPoset(k=4, relations=[(0, 2), (1, 2), (1, 3)])
+    for p in range(2, 6):
+        r = asymptotic_moment(m, p)
+        assert r.minimizer_count == r.coefficient == count_poset_tuples(poset, p)
+        if p <= 3:
+            assert (r.exponent, r.coefficient, r.minimizer_count) == minimizer_sum(m, p)
+    assert len(contractions) == 4
+
+
 def test_exact_matches_unpinned_weingarten_sum(small_corpus):
     for m in small_corpus:
         for p in (1, 2, 3):
@@ -121,11 +155,15 @@ def test_exact_gate_counts_planned_entries():
 
 def test_exotic_p7_within_default_budget():
     # the hub-and-leaves graph eliminates its two leaves: 2 * catalan(7)^2
-    # entries, on top of the NC(7) label table
+    # entries, on top of the NC(7) label table; the plan depends on the
+    # structure alone, so the d = 2 copy has the same one
+    exotic2 = with_dims(exotic_graph(), 2)
     with pytest.raises(BudgetExceededError) as err:
-        asymptotic_moment(exotic_graph(), 7, budget=0)
+        asymptotic_moment(exotic2, 7, budget=0)
     assert err.value.estimated == 2 * catalan(7) ** 2 + catalan(7)
-    r = asymptotic_moment(exotic_graph(), 7)
+    assert asymptotic_moment(exotic2, 7).minimizer_count == 502878
+    # at d = 1 the residual poset is counted, and no budget is needed
+    r = asymptotic_moment(exotic_graph(), 7, budget=0)
     assert r.minimizer_count == r.coefficient == 502878
 
 
@@ -142,12 +180,17 @@ def test_gates_refuse_before_any_label_table(monkeypatch):
         exact_moment_gaussian(bell_pair(), 12, 2)    # the Wick sum pins nothing
     assert err.value.estimated > math.factorial(12) ** 2
     with pytest.raises(BudgetExceededError) as err:
-        asymptotic_moment(exotic_graph(), 12)
+        asymptotic_moment(with_dims(exotic_graph(), 2), 12)
     assert err.value.estimated > catalan(12) ** 2
+    # at d = 1 the residual poset of exotic is counted instead
+    r = asymptotic_moment(exotic_graph(), 12)
+    assert r.minimizer_count == r.coefficient == 206701768044
     # a graph of S and T blocks alone has no free block to label
     assert exact_moment(bell_pair(), 12, 2) == Fraction(1, 2 ** 11)
     r = asymptotic_moment(bell_pair(), 12)
     assert (r.exponent, r.coefficient, r.minimizer_count) == (-11, 1, 1)
+    r = asymptotic_moment(bell_pair(2), 12)
+    assert (r.exponent, r.coefficient, r.minimizer_count) == (-11, Fraction(1, 2 ** 11), 1)
 
 
 @pytest.fixture
@@ -197,8 +240,10 @@ def test_labeling_sum_weights_and_counts_are_python_ints(contractions):
                              31847968755226011847081625050473824256)
     assert value.numerator > 2 ** 63
     assert exact_moment(exotic_graph(), 6, 2) == Fraction(18322570156577, 97356128096747520)
-    asymptotic_moment(exotic_graph(), 5)
+    asymptotic_moment(with_dims(exotic_graph(), 2), 5)
     exact_moment_gaussian(cycle_graph("TSRR"), 3, 4)
+    assert len(contractions) == 4
+    asymptotic_moment(exotic_graph(), 5)    # counted on its residual poset
     assert len(contractions) == 4
     for factors, *_ in contractions:
         for _, cost, weight, count in factors:

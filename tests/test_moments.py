@@ -37,7 +37,14 @@ from graphstate.moments import (
     star_marginal,
 )
 from graphstate.spectra import fc_entropy
-from oracles import f_beta, is_geodesic, law_moments, nc_to_geodesic, perm_weingarten_column
+from oracles import (
+    f_beta,
+    is_geodesic,
+    law_moments,
+    nc_to_geodesic,
+    perm_weingarten_column,
+    with_dims,
+)
 
 
 class TestFBeta:
@@ -214,7 +221,10 @@ class TestExactMoment:
         with pytest.raises(BudgetExceededError):
             exact_moment(cycle_graph("TSRR"), 12, 3)
         with pytest.raises(BudgetExceededError):
-            asymptotic_moment(exotic_graph(), 12)
+            asymptotic_moment(with_dims(exotic_graph(), 2), 12)
+        # at d = 1 the residual poset is counted, with no table at all
+        assert asymptotic_moment(exotic_graph(), 12).minimizer_count == \
+            count_poset_tuples(exotic_poset(), 12)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_integer_weingarten_column(self, p):
