@@ -32,7 +32,7 @@ from .combinatorics import (
     fuss_catalan,
     mobius,
 )
-from .flow import FlowNetwork, MaxFlowResult, build_network, marginal_max_flow, max_flow
+from .flow import FlowNetwork, MaxFlowResult, build_network, max_flow
 from .graphs import GraphSpec, GraphValidationError, MarginalSpec, validate
 from .moments import (
     BudgetExceededError,
@@ -43,6 +43,7 @@ from .moments import (
     cycle_marginal,
     exact_moment,
     exact_moment_gaussian,
+    marginal_max_flow,
     minimizer_set,
     moment_table,
     one_unitary_marginal,

@@ -159,7 +159,7 @@ def random_marginal(rng, max_bonds: int = 4, max_dim: int = 3,
     """
     m = int(rng.integers(1, max_bonds + 1))
     n = 2 * m
-    ids = list(rng.permutation(range(1, n + 1)))
+    ids = rng.permutation(range(1, n + 1)).tolist()     # Python ints, as in a graph file
     bonds = [(ids[2 * i], ids[2 * i + 1]) for i in range(m)]
     dims = {}
     for a, b in bonds:

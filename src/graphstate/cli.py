@@ -20,10 +20,11 @@ import numpy as np
 
 from .combinatorics import EnumerationCapError
 from .graphs import GraphSpec, GraphValidationError, MarginalSpec
-from .flow import SINK, SOURCE, build_network, max_flow
+from .flow import SINK, SOURCE
 from .moments import (
     BudgetExceededError,
     BudgetSettingError,
+    _solved,
     classify_reports,
     exact_moment,
     moment_table,
@@ -124,8 +125,8 @@ def graph_to_dict(marginal: MarginalSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 def _network_summary(marginal: MarginalSpec) -> dict:
-    net = build_network(marginal)
-    result = max_flow(net)
+    solved = _solved(marginal)
+    net, result = solved.network, solved.flow
     name = {SOURCE: "source", SINK: "sink"}
     edges = [{"from": name.get(u, f"b{u + 1}" if isinstance(u, int) else u),
               "to": name.get(v, f"b{v + 1}" if isinstance(v, int) else v),
@@ -340,52 +341,46 @@ def _rational(arg):
                                      f"such as 1/4; got {arg!r}")
 
 
-def _build_parser() -> _Parser:
+def _int(flag, **kwargs):
+    return flag, dict(type=int, **kwargs)
+
+
+_N, _TRIALS, _SEED = _int("--N", required=True), _int("--trials", default=100), _int("--seed", default=0)
+_PMAX, _THREADS = _int("--pmax", default=3), _int("--threads", default=1)
+
+# Every command: its help line, whether it reads a graph file, and its own
+# arguments in order.
+_COMMANDS = {
+    "analyze": ("flow, asymptotic moments, limit-law tag", True, [_int("--pmax", default=6)]),
+    "exact": ("exact finite-N moments", True, [_N, _PMAX]),
+    "simulate": ("Monte Carlo moment estimates", True, [
+        _N, _TRIALS, _SEED, ("--mode", {"choices": ("haar", "ginibre"), "default": "haar"}),
+        _PMAX, _THREADS]),
+    "verify": ("analytic predictions against Monte Carlo", True, [
+        _N, _TRIALS, _SEED, _PMAX, _THREADS,
+        ("--ladder", {"help": "comma-separated N values for drift trend"})]),
+    "dist": ("density grids for the limit laws", False, [
+        ("family", {"choices": ("mp", "fc")}),
+        ("--c", {"type": _rational, "help": "free Poisson parameter (mp)"}),
+        _int("--s", help="Fuss-Catalan order (fc)"), _int("--grid", default=256)]),
+}
+
+
+def _build_parser(names) -> _Parser:
+    """The top-level parser with a subparser for each command in `names`."""
     parser = _Parser(prog="graphstate",
                      description="Spectral statistics of random graph-state marginals.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_graph=True):
-        if needs_graph:
+    for name in names:
+        help_line, reads_graph, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        if reads_graph:
             p.add_argument("graph", help="path to a JSON graph document")
             p.add_argument("--trace", help="comma-separated subsystem ids to trace "
                                            "(overrides the file's trace set)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("analyze", help="flow, asymptotic moments, limit-law tag")
-    common(p)
-    p.add_argument("--pmax", type=int, default=6)
-
-    p = sub.add_parser("exact", help="exact finite-N moments")
-    common(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--pmax", type=int, default=3)
-
-    p = sub.add_parser("simulate", help="Monte Carlo moment estimates")
-    common(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("haar", "ginibre"), default="haar")
-    p.add_argument("--pmax", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
-
-    p = sub.add_parser("verify", help="analytic predictions against Monte Carlo")
-    common(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pmax", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--ladder", help="comma-separated N values for drift trend")
-
-    p = sub.add_parser("dist", help="density grids for the limit laws")
-    common(p, needs_graph=False)
-    p.add_argument("family", choices=("mp", "fc"))
-    p.add_argument("--c", type=_rational, help="free Poisson parameter (mp)")
-    p.add_argument("--s", type=int, help="Fuss-Catalan order (fc)")
-    p.add_argument("--grid", type=int, default=256)
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -400,7 +395,9 @@ def _parse_ints(flag, arg):
 
 def run(argv) -> tuple[int, str]:
     """Execute a command line; returns (exit code, output text)."""
-    parser = _build_parser()
+    # a command line that starts with a command builds that command's
+    # parser alone; any other (help, none, a wrong name) lists them all
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         for flag in ("pmax", "N", "trials", "threads", "grid", "s"):

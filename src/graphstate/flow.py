@@ -190,7 +190,3 @@ def residual_poset(marginal: MarginalSpec, result: MaxFlowResult = None) -> Cons
     return ConstraintPoset(k=len(classes), relations=[
         (b, a) for a, upper in enumerate(classes) for b, lower in enumerate(classes)
         if a != b and min(lower) in reach[min(upper)]])
-
-
-def marginal_max_flow(marginal: MarginalSpec) -> int:
-    return max_flow(build_network(marginal)).value

@@ -161,6 +161,15 @@ class MarginalSpec:
         self.kept = frozenset(range(1, graph.n + 1)) - traced
         self._build_views()
 
+    def __eq__(self, other):
+        """Equal marginals have the same graph and trace set, and so every derived number."""
+        if not isinstance(other, MarginalSpec):
+            return NotImplemented
+        return (self.graph, self.traced) == (other.graph, other.traced)
+
+    def __hash__(self):
+        return hash((self.graph, self.traced))
+
     def _build_views(self):
         g = self.graph
         blocks = []

@@ -8,7 +8,9 @@ Each weight is a monomial d^t N^(e t) in a cycle count t.
 `asymptotic_moment` keeps N formal over the NC(p) geodesics: a monomial is
 the entry (e (p - t), d^t, 1), and the sum keeps the least N-deficit,
 X(p-1); at unit dimensions it counts the maps of the max flow's residual
-poset into NC(p) instead, where that poset is recursively rooted.
+poset into NC(p) instead, where that poset is recursively rooted.  The
+flow and the poset do not depend on p, so `_solved` keeps them per
+marginal for every order and caller.
 `exact_moment` and `exact_moment_gaussian` plug N in over S_p,
 (0, (d N^e)^t, 1), with a Weingarten or a Wick (1/dim^p) block kernel.
 The Haar engines pin fully traced blocks to the identity and fully kept
@@ -21,6 +23,7 @@ classifiers sit on top.  The label and pair tables live in `combinatorics`.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -85,6 +88,46 @@ def _budget(override, env, default) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the max flow, solved once per marginal
+# ---------------------------------------------------------------------------
+
+class _Solved:
+    """A marginal's flow network and a max flow of it, and its residual poset's counts.
+
+    The exponent X and the residual poset depend on the graph and its trace
+    set alone, not on p.  `_solved` keeps them for the last 64 marginals,
+    so every order, engine and report reads one solve; callers must not
+    change what they read.  The poset is built when first asked for, and a
+    MinimizerConsistencyError it raises is raised again on every ask, as
+    nothing is kept for it.  The counts are kept at the highest order asked.
+    """
+
+    def __init__(self, marginal: MarginalSpec):
+        self.marginal = marginal
+        self.network = build_network(marginal)
+        self.flow = max_flow(self.network)
+        self._counts = ()
+
+    @functools.cached_property
+    def poset(self):
+        return residual_poset(self.marginal, self.flow)
+
+    def rooted_counts(self, p: int):
+        """`_rooted_moments` of the poset up to at least p, or None if it is not rooted."""
+        if self._counts is not None and len(self._counts) <= p:
+            self._counts = _rooted_moments(self.poset, p)
+        return self._counts
+
+
+_solved = functools.lru_cache(maxsize=64)(_Solved)
+
+
+def marginal_max_flow(marginal: MarginalSpec) -> int:
+    """The max flow X of the marginal's network."""
+    return _solved(marginal).flow.value
+
+
+# ---------------------------------------------------------------------------
 # the brute-force minimizer oracle
 # ---------------------------------------------------------------------------
 
@@ -114,7 +157,7 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
     are exactly the tuples whose cost equals X(p-1) where X is the max
     flow; the enumerated minimum is checked against that bound.
     """
-    x = max_flow(build_network(marginal)).value
+    x = marginal_max_flow(marginal)
     target = x * (p - 1)
 
     pinned = {}
@@ -444,10 +487,10 @@ def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentRepo
     if p < 1:
         raise ValueError("p must be >= 1")
     tuples_budget(budget)   # a malformed budget setting is refused on either path
-    flow = max_flow(build_network(marginal))
-    x = flow.value
+    solved = _solved(marginal)
+    x = solved.flow.value
     if all(d == 1 for _, d in marginal.graph.dims):
-        counts = _rooted_moments(residual_poset(marginal, flow), p)
+        counts = solved.rooted_counts(p)
         if counts is not None:
             return MomentReport(p=p, exponent=-x * (p - 1), coefficient=Fraction(counts[p]),
                                 minimizer_count=counts[p])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphstate import moments
 from graphstate.catalog import random_marginal, star_graph
 from graphstate.montecarlo import estimate
 
@@ -23,3 +24,11 @@ def small_corpus():
 def star_estimate():
     """Haar estimate of star(1,1) at N = 16: 300 trials, p = 1, 2, seed 11."""
     return estimate(star_graph(2, 1, 1), 16, 300, p_list=(1, 2), seed=11)
+
+
+@pytest.fixture
+def cold_flows():
+    """No marginal's max flow solved before the test, and none of its flows kept after."""
+    moments._solved.cache_clear()
+    yield
+    moments._solved.cache_clear()

@@ -30,9 +30,9 @@ from graphstate.combinatorics import (
     mobius,
     mp_moment,
 )
-from graphstate.flow import FlowNetwork, MaxFlowResult, marginal_max_flow
+from graphstate.flow import FlowNetwork, MaxFlowResult
 from graphstate.graphs import GraphSpec, MarginalSpec
-from graphstate.moments import DistributionId
+from graphstate.moments import DistributionId, marginal_max_flow
 from graphstate.montecarlo import MAX_DENSITY_DIM, ResourceCapError, StateVector
 from graphstate.weingarten import wg_exact
 

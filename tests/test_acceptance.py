@@ -28,11 +28,11 @@ from graphstate.combinatorics import (
     fuss_catalan,
     mp_moment,
 )
-from graphstate.flow import marginal_max_flow
 from graphstate.moments import (
     asymptotic_moment,
     exact_moment,
     exact_moment_gaussian,
+    marginal_max_flow,
     minimizer_set,
     moment_table,
 )

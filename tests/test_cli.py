@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from graphstate import moments
+from graphstate import flow, moments
 from graphstate.cli import (
     GraphFileError,
     cmd_analyze,
@@ -16,6 +16,7 @@ from graphstate.cli import (
     cmd_exact,
     cmd_verify,
     graph_to_dict,
+    main,
     marginal_from_dict,
     parse_graph,
     run,
@@ -130,6 +131,64 @@ class TestCommands:
         assert [row["N"] for row in report["drift_ladder"]] == [4, 8]
 
 
+HELP = """\
+usage: graphstate [-h] {analyze,exact,simulate,verify,dist} ...
+
+Spectral statistics of random graph-state marginals.
+
+positional arguments:
+  {analyze,exact,simulate,verify,dist}
+    analyze             flow, asymptotic moments, limit-law tag
+    exact               exact finite-N moments
+    simulate            Monte Carlo moment estimates
+    verify              analytic predictions against Monte Carlo
+    dist                density grids for the limit laws
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+class TestSurface:
+    """Help and usage errors, byte for byte: each command builds only its own
+    parser, and a command line that names none still lists every command."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")     # argparse wraps help to the terminal
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_every_command(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main([flag])
+        assert exit_.value.code == 0
+        assert capsys.readouterr() == (HELP, "")
+
+    @pytest.mark.parametrize("command,usage", [
+        ("analyze", "usage: graphstate analyze [-h] [--trace TRACE] [--format {json,csv}]"),
+        ("exact", "usage: graphstate exact [-h] [--trace TRACE] [--format {json,csv}] --N N"),
+        ("simulate", "usage: graphstate simulate [-h] [--trace TRACE] [--format {json,csv}] --N N"),
+        ("verify", "usage: graphstate verify [-h] [--trace TRACE] [--format {json,csv}] --N N"),
+        ("dist", "usage: graphstate dist [-h] [--format {json,csv}] [--c C] [--s S]"),
+    ])
+    def test_command_help_usage_line(self, capsys, command, usage):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == usage
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                    "'analyze', 'exact', 'simulate', 'verify', 'dist')"),
+        (["analyze"], "the following arguments are required: graph"),
+        (["exact", str(DATA / "one_loop.json")], "the following arguments are required: --N"),
+        (["dist"], "the following arguments are required: family"),
+    ], ids=["none", "bogus", "analyze", "exact", "dist"])
+    def test_usage_error_text(self, argv, message):
+        assert run(argv) == (1, f"usage error: {message}\n")
+
+
 class TestRun:
     def test_analyze_json_round_trips(self, tmp_path):
         code, text = run(["analyze", str(DATA / "one_loop.json"), "--pmax", "3"])
@@ -191,6 +250,35 @@ class TestRun:
         assert code == 3
         assert "budget" in text.lower()
         assert run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])[0] == 0
+
+    def test_budget_setting_checked_with_a_warm_flow(self, monkeypatch):
+        # the second run's marginal has its flow solved already, and its
+        # malformed budget setting is still refused
+        argv = ["analyze", str(DATA / "one_loop.json"), "--pmax", "3"]
+        assert run(argv)[0] == 0
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "lots")
+        code, text = run(argv)
+        assert code == 1
+        assert "GRAPHSTATE_BUDGET_TUPLES" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", str(DATA / "exotic.json"), "--pmax", "6"],
+        ["verify", str(DATA / "one_loop.json"), "--N", "3", "--trials", "3", "--pmax", "3"],
+    ], ids=["analyze", "verify"])
+    def test_one_max_flow_per_command(self, cold_flows, argv):
+        # every order and the network summary read one solve
+        solves = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is flow.max_flow.__code__:
+                solves.append(event)
+        sys.setprofile(profile)
+        try:
+            code, text = run(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, text
+        assert len(solves) == 1
 
     def test_enumeration_cap_exit_3(self, tmp_path):
         path = write_graph(tmp_path, graph_to_dict(one_loop(2)))

@@ -17,12 +17,12 @@ from graphstate.flow import (
     SINK,
     SOURCE,
     build_network,
-    marginal_max_flow,
     MaxFlowResult,
     MinimizerConsistencyError,
     max_flow,
     residual_poset,
 )
+from graphstate.moments import marginal_max_flow
 from oracles import check_flow_axioms, duality_check, n_shaped_marginal
 
 

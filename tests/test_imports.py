@@ -6,7 +6,8 @@ is paid on every command.  scipy serves only the quadrature behind
 only `estimate` with more than one thread.  Two modules stay eager on
 purpose: `numpy.random`, which numpy otherwise loads on first use (inside
 the first sampled trial), and `locale`, which argparse's gettext imports
-on every parse.
+on every parse.  And the CLI builds its argument parsers when it runs, one
+per command named, never at import.
 """
 
 import json
@@ -42,13 +43,18 @@ print(json.dumps(out))
 """
 
 
-def test_commands_import_no_scipy():
+def _fresh_process(script):
+    """The JSON a script prints, run in a new interpreter on the one_loop graph."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, ONE_LOOP],
+    proc = subprocess.run([sys.executable, "-c", script, ONE_LOOP],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_commands_import_no_scipy():
+    out = _fresh_process(SCRIPT)
     assert out["import"] == {"scipy": False, "concurrent.futures": False, "numpy.random": True}
     assert out["cli"] == {"scipy": False, "locale": True}
     assert out["codes"] == [0] * 5
@@ -56,3 +62,28 @@ def test_commands_import_no_scipy():
     # the quadrature still works, and loads scipy when it runs
     assert abs(out["mass"] - 1.0) <= 1e-8
     assert out["quadrature"] == {"scipy": True}
+
+
+PARSERS = """
+import argparse, json, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+import graphstate.cli
+out = {"import": len(built)}
+for name, argv in [("analyze", ["analyze", sys.argv[1], "--pmax", "3"]), ("bogus", ["bogus"])]:
+    built.clear()
+    out[name] = [graphstate.cli.run(argv)[0], len(built)]
+print(json.dumps(out))
+"""
+
+
+def test_cli_builds_only_the_named_commands_parser():
+    # the top-level parser plus one subparser; a wrong name builds all five
+    assert _fresh_process(PARSERS) == {"import": 0, "analyze": [0, 2], "bogus": [1, 6]}

@@ -10,6 +10,7 @@ against the same elimination with one Python lookup per entry.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -17,14 +18,17 @@ import numpy as np
 import pytest
 
 from graphstate import moments
-from graphstate.catalog import bell_pair, cycle_graph, exotic_graph, random_marginal
+from graphstate.catalog import bell_pair, cycle_graph, exotic_graph, one_loop, random_marginal
+from graphstate.cli import graph_to_dict, marginal_from_dict
 from graphstate.combinatorics import ConstraintPoset, Perm, all_perms, catalan, count_poset_tuples
+from graphstate.flow import SINK, SOURCE, MaxFlowResult, MinimizerConsistencyError
 from graphstate.moments import (
     BudgetExceededError,
     asymptotic_moment,
     exact_moment,
     exact_moment_gaussian,
     minimizer_set,
+    moment_table,
 )
 from graphstate.weingarten import wg_exact
 from oracles import lookup_contract, n_shaped_marginal, nc_to_geodesic, with_dims
@@ -126,6 +130,49 @@ def test_unrooted_residual_poset_takes_the_labeling_sum(contractions):
         if p <= 3:
             assert (r.exponent, r.coefficient, r.minimizer_count) == minimizer_sum(m, p)
     assert len(contractions) == 4
+
+
+def test_one_marginals_flow_never_serves_another(corpus, small_corpus, cold_flows):
+    # each marginal, its dual and the same graph re-parsed with its own and
+    # with another trace set, one after the other, so that a flow kept for
+    # one and read for the next would show; the labeling sum solves no flow
+    rng = np.random.default_rng(2626)
+    graphs = corpus + small_corpus + [random_marginal(rng, max_dim=1) for _ in range(100)]
+    for m in graphs:
+        doc = json.loads(json.dumps(graph_to_dict(m)))   # as a graph file
+        other = sorted(m.traced ^ {1})
+        for marginal in (m, m.swap(), marginal_from_dict(doc),
+                         marginal_from_dict(doc, trace_override=other)):
+            reports = moment_table(marginal, 5)
+            for p, r in enumerate(reports, start=1):
+                cost, coefficient, count = moments._labeling_sum(marginal, p, None, True, None)
+                assert (r.exponent, r.coefficient, r.minimizer_count) == (-cost, coefficient, count)
+
+
+def test_consistency_errors_are_raised_on_every_call(monkeypatch, cold_flows):
+    # n_shaped's poset is not rooted: its labeling sum runs on every call,
+    # and a least cost off X(p-1) is refused every time, warm flow or not
+    m = n_shaped_marginal()
+    expected = moment_table(m, 3)
+    labeling_sum = moments._labeling_sum
+    monkeypatch.setattr(moments, "_labeling_sum",
+                        lambda *args: (lambda c, w, n: (c + 1, w, n))(*labeling_sum(*args)))
+    for _ in range(2):
+        with pytest.raises(MinimizerConsistencyError):
+            moment_table(m, 3)
+    monkeypatch.setattr(moments, "_labeling_sum", labeling_sum)
+    assert moment_table(m, 3) == expected
+    # a flow whose residual map joins the id pins to the gamma pins: its
+    # poset is refused on every order and every call, and so is a minimum
+    # off its value
+    bad = MaxFlowResult(value=2, flow={}, residual={(SOURCE, 0): 1, (0, SINK): 1})
+    monkeypatch.setattr(moments, "max_flow", lambda net: bad)
+    for _ in range(2):
+        for p in (1, 2, 3):
+            with pytest.raises(MinimizerConsistencyError):
+                asymptotic_moment(one_loop(), p)
+        with pytest.raises(MinimizerConsistencyError):
+            minimizer_set(one_loop(), 2)
 
 
 def test_exact_matches_unpinned_weingarten_sum(small_corpus):

@@ -19,7 +19,6 @@ from graphstate.catalog import (
 )
 from graphstate.cli import cmd_analyze
 from graphstate.combinatorics import Perm, catalan, count_poset_tuples, fuss_catalan, mp_moment
-from graphstate.flow import marginal_max_flow
 from graphstate.graphs import GraphSpec
 from graphstate.moments import (
     BudgetExceededError,
@@ -31,6 +30,7 @@ from graphstate.moments import (
     cycle_marginal,
     exact_moment,
     exact_moment_gaussian,
+    marginal_max_flow,
     minimizer_set,
     moment_table,
     one_unitary_marginal,
