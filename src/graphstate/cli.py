@@ -326,8 +326,14 @@ def _render_csv(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    class Help(Exception):
+        """A help flag was given: the help text, which `run` returns."""
+
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):    # the help action would print it and exit
+        raise self.Help(self.format_help())
 
 
 def _rational(arg):
@@ -426,6 +432,8 @@ def run(argv) -> tuple[int, str]:
                                     p_max=args.pmax, threads=args.threads,
                                     ladder=ladder)
         return 0, render(report, args.format)
+    except _Parser.Help as exc:
+        return 0, exc.args[0]
     except (UsageError, BudgetSettingError) as exc:
         return 1, f"usage error: {exc}\n"
     except (BudgetExceededError, ResourceCapError, EnumerationCapError) as exc:

@@ -308,6 +308,23 @@ def _pair_arrays(p: int, nc: bool):
 
 
 @lru_cache(maxsize=None)
+def _label_groups(p):
+    """S_p's labels a in groups g by (#a, #(gamma a^-1)), all a free Haar block's weight
+    reads of a: each group's two counts, and T[g, b, c] = #{a in g : class(a^-1 b) = c}."""
+    ncyc, ncyc_gamma = _label_table(p, False)[1:3]
+    keys = sorted(set(zip(ncyc, ncyc_gamma)))
+    group = np.array([keys.index(key) for key in zip(ncyc, ncyc_gamma)])
+    _, classes, types = _pair_arrays(p, False)
+    n, size = len(group), len(types)
+    tensor = np.array([np.bincount((classes[group == g] + size * np.arange(n)).ravel(), minlength=n * size)
+                       for g in range(len(keys))])
+    groups = *np.array(keys).T, tensor.reshape(len(keys), n, size)
+    for table in groups:
+        table.flags.writeable = False
+    return groups
+
+
+@lru_cache(maxsize=None)
 def _pair_table(p: int, nc: bool):
     """`_pair_arrays(p, nc)` as Python int lists, for entry-by-entry
     readers: numpy integers in the weights would overflow silently."""

@@ -34,6 +34,7 @@ import numpy as np
 from .combinatorics import (
     ConstraintPoset,
     EnumerationCapError,
+    _label_groups,
     _label_table,
     _pair_arrays,
     _pair_table,
@@ -290,14 +291,14 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
         view = marginal.blocks[i]
         kept_cost, kept_weight = monomials(len(view.kept), view.dim_kept)
         traced_cost, traced_weight = monomials(len(view.traced), view.dim_traced)
-        cost = kept_cost[ncyc_gamma] + traced_cost[ncyc]
-        weight = kept_weight[ncyc_gamma] * traced_weight[ncyc]
-        if haar and not nc:
-            dim = view.dim_block * N ** len(view.members)
-            column, denominator = _weingarten_column(p, dim, weight.tolist())
-            cost, weight = np.zeros(n_labels, dtype=np.int64), np.array(column, dtype=object)
+        cost = kept_cost[ncyc_gamma] + traced_cost[ncyc]    # all 0 at finite N
+        if haar and not nc:     # a Weingarten column, from one weight per label group
+            ncyc_g, ncyc_gamma_g = _label_groups(p)[:2]
+            weight, denominator = _weingarten_column(p, view.dim_block * N ** len(view.members),
+                                                     kept_weight[ncyc_gamma_g] * traced_weight[ncyc_g])
             prefactor /= denominator
         else:   # the 1/dim^p kernel, kept out of the sum so that it stays integral
+            weight = kept_weight[ncyc_gamma] * traced_weight[ncyc]
             prefactor /= monomial(len(view.members), view.dim_block, p)[1]
         unary[i] = cost, weight
 
@@ -336,24 +337,21 @@ def _factor(scope, entries, index):
 _ONE = np.array(1, dtype=object)
 
 
-def _weingarten_column(p, dim, weights):
-    """(h, D) with h[b] / D = sum_a weights[a] Wg(a^-1 b, dim) over S_p.
-
-    The sum runs class by class, with the Weingarten table scaled by the
-    lcm D of its denominators, so integer weights give integer entries.
-    """
-    _, classes, types = _pair_table(p, False)
-    table = wg_exact(p, dim)
-    wg = [table.by_type(t) for t in types]
+@functools.lru_cache(maxsize=64)
+def _weingarten_rows(p, dim):
+    """(Q, D) with Q[g, b] / D = sum over a in group g of Wg(a^-1 b, dim): T . wg
+    in Python ints, the table scaled by the lcm D of its denominators; read-only."""
+    wg = list(map(wg_exact(p, dim).by_type, _pair_arrays(p, False)[2]))
     denominator = math.lcm(*(w.denominator for w in wg))
-    wg = [w.numerator * (denominator // w.denominator) for w in wg]
-    column = []
-    for row in classes:     # class(b^-1 a) = class(a^-1 b)
-        acc = [0] * len(types)
-        for w, c in zip(weights, row):
-            acc[c] += w
-        column.append(sum(n * w for n, w in zip(acc, wg)))
-    return column, denominator
+    rows = np.dot(_label_groups(p)[2], np.array([int(w * denominator) for w in wg], dtype=object))
+    rows.flags.writeable = False
+    return rows, denominator
+
+
+def _weingarten_column(p, dim, weights):
+    """(h, D), h[b] / D = sum_a weights[g(a)] Wg(a^-1 b, dim), one weight per label group g."""
+    rows, denominator = _weingarten_rows(p, dim)
+    return np.dot(weights, rows), denominator
 
 
 def _plan(blocks, size, scopes, cap, env, extra=0):

@@ -76,16 +76,16 @@ def _content_product(shape, n: int) -> int:
 
 
 def wg_exact(p: int, n: int) -> WeingartenTable:
-    """Exact Weingarten table at order p and integer dimension n >= 1."""
+    """Exact Weingarten table at order p and integer dimension n >= 1, over one denominator."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    shapes = [lam for lam in _partitions(p) if len(lam) <= n]
-    ones = (1,) * p
-    weights = [Fraction(_character(lam, ones), _content_product(lam, n)) for lam in shapes]
-    values = {rho: sum(w * _character(lam, rho) for lam, w in zip(shapes, weights))
-              / math.factorial(p) for rho in sorted(_partitions(p))}
+    kept = [(lam, _content_product(lam, n)) for lam in _partitions(p) if len(lam) <= n]
+    common = math.lcm(*(c for _, c in kept))
+    terms = [(lam, _character(lam, (1,) * p) * (common // c)) for lam, c in kept]
+    values = {rho: Fraction(sum(w * _character(lam, rho) for lam, w in terms), math.factorial(p) * common)
+              for rho in sorted(_partitions(p))}
     return WeingartenTable(p=p, n=n, values=values)
 
 

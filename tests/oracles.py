@@ -34,7 +34,7 @@ from graphstate.flow import FlowNetwork, MaxFlowResult
 from graphstate.graphs import GraphSpec, MarginalSpec
 from graphstate.moments import DistributionId, marginal_max_flow
 from graphstate.montecarlo import MAX_DENSITY_DIM, ResourceCapError, StateVector
-from graphstate.weingarten import wg_exact
+from graphstate.weingarten import _character, _content_product, _partitions, wg_exact
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +204,23 @@ def perm_pair_table(p: int, nc: bool):
     return [[len(types[c]) for c in row] for row in classes], classes, types
 
 
-def perm_weingarten_column(p: int, dim: int, weights):
-    """h[b] = sum_a weights[a] Wg(a^-1 b, dim) over S_p in Fractions, pair by pair."""
+def fraction_wg_values(p: int, n: int) -> dict:
+    """`wg_exact(p, n).values` by the character formula, one Fraction term per shape."""
+    shapes = [lam for lam in _partitions(p) if len(lam) <= n]
+    ones = (1,) * p
+    weights = [Fraction(_character(lam, ones), _content_product(lam, n)) for lam in shapes]
+    return {rho: sum(w * _character(lam, rho) for lam, w in zip(shapes, weights))
+            / math.factorial(p) for rho in sorted(_partitions(p))}
+
+
+def perm_weingarten_column(p: int, dim: int, weights, at=None):
+    """h[b] = sum_a weights[a] Wg(a^-1 b, dim) over S_p in Fractions, pair by pair,
+    at the label indices `at` (every label by default)."""
     perms = all_perms(p)
     inverses = [a.inverse() for a in perms]
     table = wg_exact(p, dim)
-    return [sum((Fraction(w) * table(a * b) for w, a in zip(weights, inverses)), Fraction(0))
-            for b in perms]
+    return [sum((Fraction(w) * table(a * perms[b]) for w, a in zip(weights, inverses)), Fraction(0))
+            for b in (range(len(perms)) if at is None else at)]
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,9 @@ class TestSurface:
 
     @pytest.mark.parametrize("flag", ["--help", "-h"])
     def test_help_lists_every_command(self, capsys, flag):
-        with pytest.raises(SystemExit) as exit_:
-            main([flag])
-        assert exit_.value.code == 0
+        assert main([flag]) == 0
         assert capsys.readouterr() == (HELP, "")
+        assert run([flag]) == (0, HELP)
 
     @pytest.mark.parametrize("command,usage", [
         ("analyze", "usage: graphstate analyze [-h] [--trace TRACE] [--format {json,csv}]"),
@@ -172,10 +171,10 @@ class TestSurface:
         ("dist", "usage: graphstate dist [-h] [--format {json,csv}] [--c C] [--s S]"),
     ])
     def test_command_help_usage_line(self, capsys, command, usage):
-        with pytest.raises(SystemExit) as exit_:
-            main([command, "--help"])
-        assert exit_.value.code == 0
-        assert capsys.readouterr().out.splitlines()[0] == usage
+        assert main([command, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == usage and err == ""
+        assert run([command, "--help"]) == (0, out)
 
     @pytest.mark.parametrize("argv,message", [
         ([], "the following arguments are required: command"),

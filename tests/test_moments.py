@@ -1,10 +1,10 @@
 """Moment engines: minimizers, asymptotics, exact sums, classification."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graphstate import moments
@@ -18,7 +18,15 @@ from graphstate.catalog import (
     star_graph,
 )
 from graphstate.cli import cmd_analyze
-from graphstate.combinatorics import Perm, catalan, count_poset_tuples, fuss_catalan, mp_moment
+from graphstate.combinatorics import (
+    Perm,
+    _label_groups,
+    all_perms,
+    catalan,
+    count_poset_tuples,
+    fuss_catalan,
+    mp_moment,
+)
 from graphstate.graphs import GraphSpec
 from graphstate.moments import (
     BudgetExceededError,
@@ -226,16 +234,39 @@ class TestExactMoment:
         assert asymptotic_moment(exotic_graph(), 12).minimizer_count == \
             count_poset_tuples(exotic_poset(), 12)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_integer_weingarten_column(self, p):
-        # dimensions below p, where Wg is a pseudo-inverse, and above it
+        # one weight per label group (#a, #(gamma a^-1)), the only weights the
+        # engine passes, expanded to every label a for the oracle; dimensions
+        # below p, where Wg is a pseudo-inverse, and above it.  At p = 6 the
+        # Perm-product oracle checks one dimension at 64 random labels b.
         rng = random.Random(p)
-        weights = [rng.randrange(1, 10 ** 6) for _ in range(math.factorial(p))]
-        for dim in sorted({1, 2, max(p - 1, 1), p, p + 1, 36}):
-            column, denominator = moments._weingarten_column(p, dim, weights)
+        groups = _label_groups(p)
+        weights = {key: rng.randrange(1, 10 ** 6) for key in zip(groups[0].tolist(), groups[1].tolist())}
+        gamma = Perm.full_cycle(p)
+        labels = [weights[a.num_cycles, (gamma * a.inverse()).num_cycles] for a in all_perms(p)]
+        at = sorted(rng.sample(range(720), 64)) if p == 6 else None
+        for dim in [36] if p == 6 else sorted({1, 2, max(p - 1, 1), p, p + 1, 36}):
+            column, denominator = moments._weingarten_column(
+                p, dim, np.array(list(weights.values()), dtype=object))
             assert type(denominator) is int and all(type(h) is int for h in column)
-            assert [Fraction(h, denominator) for h in column] == \
-                perm_weingarten_column(p, dim, weights), dim
+            assert [Fraction(column[b], denominator) for b in at or range(len(column))] == \
+                perm_weingarten_column(p, dim, labels, at), dim
+
+    def test_one_weingarten_row_per_order_and_dimension(self, monkeypatch):
+        # a free Haar block reads its scaled Weingarten row once per (p, dim)
+        # in a process: exotic at N = 4 has 8 distinct pairs over p <= 4
+        # (12 blocks), fc_template(2) 5 over p <= 5 (10 blocks)
+        built = []
+        real = moments.wg_exact
+        monkeypatch.setattr(moments, "wg_exact", lambda p, n: built.append((p, n)) or real(p, n))
+        for marginal, p_max, rows in ((exotic_graph(), 4, 8), (fc_template(2), 5, 5)):
+            moments._weingarten_rows.cache_clear()
+            built.clear()
+            for p in range(1, p_max + 1):
+                exact_moment(marginal, p, 4, budget=10 ** 8)
+            assert len(built) == len(set(built)) == rows
+        moments._weingarten_rows.cache_clear()
 
     def test_scalar_state_at_dimension_one(self):
         # at N = 1 the mixed block has dimension 1 < p and the state is a scalar

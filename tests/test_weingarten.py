@@ -9,6 +9,7 @@ import pytest
 from graphstate import combinatorics, weingarten
 from graphstate.combinatorics import Perm, all_perms
 from graphstate.weingarten import convolution_defect, wg_asym, wg_exact
+from oracles import fraction_wg_values
 
 
 def gram_solver_table(p, n):
@@ -80,6 +81,17 @@ class TestExact:
     def test_equals_gram_solver(self, p):
         for n in range(p, 13):
             assert wg_exact(p, n).values == gram_solver_table(p, n)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])
+    def test_equals_term_by_term_fractions(self, p):
+        # below n = p, where the table is a pseudo-inverse, and above it; the
+        # Gram solver agrees where it applies (at p = 7 on n = 7 alone, as it
+        # takes about a second a dimension there)
+        for n in [*range(1, p + 2), 100]:
+            values = wg_exact(p, n).values
+            assert list(values.items()) == list(fraction_wg_values(p, n).items())
+            if n >= p and (p < 7 or n == p):
+                assert values == gram_solver_table(p, n)
 
     def test_below_order_is_u2_moment(self):
         # S_3 at n = 2 keeps the shapes (3) and (2, 1); E|U_11|^6 on U(2) is 1/4
