@@ -2,15 +2,16 @@
 
 Everything downstream (Weingarten tables, moment coefficients, limit-law
 moments) reduces to counting structures in the symmetric group S_p and in
-the lattice NC(p) of non-crossing partitions of {1..p}.  All counts are
-exact Python integers; nothing here touches floating point.  The label
-and pair tables are computed on int8 permutation arrays with numpy and
-handed out as Python ints.
+the lattice NC(p) of non-crossing partitions of {1..p}, in exact integers
+and Fractions; the label and pair tables are read-only int8 arrays.  Poset
+labelings are counted by the free moment-cumulant recursion, or by the
+bucket elimination `_contract` that the moment engines share.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,14 @@ NC_CAP = 10
 
 class EnumerationCapError(ValueError):
     """Requested order exceeds the configured enumeration cap."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Enumeration would exceed the configured work budget."""
+
+    def __init__(self, message, estimated):
+        super().__init__(message)
+        self.estimated = estimated
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +333,6 @@ def _label_groups(p):
     return groups
 
 
-@lru_cache(maxsize=None)
-def _pair_table(p: int, nc: bool):
-    """`_pair_arrays(p, nc)` as Python int lists, for entry-by-entry
-    readers: numpy integers in the weights would overflow silently."""
-    counts, classes, types = _pair_arrays(p, nc)
-    return counts.tolist(), None if classes is None else classes.tolist(), types
-
-
 def _inverse(images):
     """Row-wise inverses of an (M, p) image array."""
     inverse = np.empty_like(images)
@@ -369,18 +370,106 @@ def _codes(images):
     return images.astype(np.int64) @ p ** np.arange(p - 1, -1, -1, dtype=np.int64)
 
 
-def _nc_order(p: int):
-    """Refinement on the NC(p) labels of `_label_table(p, True)`.
+# ---------------------------------------------------------------------------
+# bucket elimination: the sum over labelings that every engine shares
+# ---------------------------------------------------------------------------
 
-    Returns leq(a, b) on label indices with the indices of 0-hat (id) and
-    1-hat (gamma).  On geodesics sigma <= tau iff |sigma| + |sigma^-1 tau|
-    = |tau| (Biane 1997), a comparison of the cycle counts the moment
-    engine's pair table already holds.
+def _plan(blocks, size, scopes, cap, env, extra=0):
+    """Elimination order of `blocks` for `_contract`, refused if its work exceeds `cap`.
+
+    Every block has `size` labels.  Blocks go in min-degree order, ties to
+    the lower index; eliminating block v with neighbours joins them and
+    fills size^(1 + #neighbours) entries, none at a single label (p = 1).
+    The work is those entries plus the `extra` entries of the caller's own
+    tables (its label table among them); callers plan from the sizes
+    before building any table.
     """
-    _, ncyc, _, zero, one = _label_table(p, True)
-    pair = _pair_table(p, True)[0]
-    return (lambda a, b: ncyc[a] + pair[a][b] == p + ncyc[b]), zero, one
+    adj = {v: set() for v in blocks}
+    for scope in scopes:
+        for b in adj.keys() & set(scope):
+            adj[b] |= adj.keys() & set(scope) - {b}
+    order, work = [], extra
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        nbrs = adj.pop(v)
+        work += size ** (1 + len(nbrs)) if nbrs and size > 1 else 0
+        for n in nbrs:
+            adj[n] = (adj[n] | nbrs) - {n, v}
+        order.append(v)
+    if work > cap:
+        raise BudgetExceededError(f"moment sum needs {work} table entries (> budget {cap}); "
+                                  f"lower p or raise {env}", work)
+    return order
 
+
+def _contract(factors, order, size):
+    """Sum over all labelings of the blocks, eliminating them in `order`.
+
+    Every block ranges over `size` labels.  A factor is (scope, cost,
+    weight, count): arrays with one axis per block of the scope, the cost
+    in int64 and the weight and count in Python ints (object dtype), which
+    never overflow.  Products add costs and multiply the rest; sums keep
+    the least cost and add the rest at it.  A bucket whose costs are all 0
+    (every finite-N sum) is summed out by one object einsum per array,
+    except that counts which are all broadcasts of one value (as every
+    finite-N count is) sum to one more broadcast, size times their product.
+    Any other takes the least cost over the block's axis and sums weights
+    and counts where it is reached, a slice of neighbour labelings at a
+    time, so no temporary exceeds _SLICE_ENTRIES entries (or one row of
+    `size`).
+    """
+    for v in order:
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        nbrs = tuple(sorted({b for f in bucket for b in f[0]} - {v}))
+        shape = (size,) * len(nbrs)
+        # each factor with its axes in the order nbrs, v: v's axis is last
+        axes = {b: a for a, b in enumerate(nbrs + (v,))}
+        local = []
+        for scope, *arrays in bucket:
+            scope = [axes[b] for b in scope]
+            turn = np.argsort(scope)
+            local.append((sorted(scope), *(x.transpose(turn) for x in arrays)))
+        if not any(f[1].any() for f in local):
+            def sum_out(k):
+                return np.asarray(np.einsum(*[x for f in local for x in (f[k], f[0])],
+                                            list(range(len(nbrs)))), dtype=object)
+            weight = sum_out(2)
+            if any(any(f[3].strides) for f in local):
+                count = sum_out(3)
+            else:   # every count is a broadcast of one value, and so is their sum
+                count = np.broadcast_to(
+                    np.array(size * math.prod(f[3].flat[0] for f in local), dtype=object), shape)
+            factors.append((nbrs, np.zeros(shape, dtype=np.int64), weight, count))
+            continue
+        total = math.prod(shape)
+        message = [np.empty(total, dtype=t) for t in (np.int64, object, object)]
+        step = max(1, _SLICE_ENTRIES // size)
+        for lo in range(0, total, step):
+            at = slice(lo, lo + step)
+            # the neighbours' labels in this slice, then v's: every label
+            flat = np.arange(lo, min(lo + step, total))
+            labels = [*(np.unravel_index(flat, shape) if nbrs else ()), slice(None)]
+            cost = np.zeros((len(flat), size), dtype=np.int64)
+            for scope, c, _, _ in local:     # each holds v, on its last axis
+                cost += c[tuple(labels[a] for a in scope)]
+            least = cost.min(axis=1)
+            rows, cols = np.nonzero(cost == least[:, None])
+            labels = [x[rows] for x in labels[:-1]] + [cols]
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            message[0][at] = least
+            for k in (1, 2):
+                terms = math.prod(f[k + 1][tuple(labels[a] for a in f[0])] for f in local)
+                message[k][at] = np.add.reduceat(terms, starts)
+        factors.append((nbrs, *(x.reshape(shape) for x in message)))
+    cost, weight, count = 0, 1, 1
+    for _, c, w, n in factors:
+        cost, weight, count = cost + int(c), weight * w[()], count * n[()]
+    return cost, weight, count
+
+
+_SLICE_ENTRIES = 1 << 13
+_ONE = np.array(1, dtype=object)
 
 # ---------------------------------------------------------------------------
 # Catalan / Fuss-Catalan numbers and the Moebius function
@@ -504,64 +593,71 @@ def count_poset_tuples(poset: ConstraintPoset, p: int) -> int:
     A pin-free poset that is recursively rooted is counted by the free
     moment-cumulant recursion of `_rooted_moments`, in O(p^3) integer
     operations per node and with no NC(p) table, at any p.  Every other
-    poset runs a frontier count over the NC(p) labels, up to NC_CAP points:
-    nodes are labelled in index order, and the count is kept per tuple of
-    labels of the frontier, the labelled nodes that still have an
-    unlabelled neighbour.  A relation is checked when its later node is
-    labelled, so this is exact for every acyclic poset and never walks the
-    tuples one by one.  The order (a pair table quadratic in catalan(p)) is
-    built only when there is a relation to check.
+    poset is counted by `_poset_sum` over the NC(p) labels, up to NC_CAP
+    points.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     counts = None if poset.pins else _rooted_moments(poset, p)
     if counts is not None:
         return counts[p]
-    _, _, _, zero, one = _label_table(p, True)
-    leq = _nc_order(p)[0] if poset.relations else None
-    labels = range(catalan(p))
-    domains = [{"zero": (zero,), "one": (one,)}.get(poset.pins.get(v), labels)
-               for v in range(poset.k)]
-    last = list(range(poset.k))              # the last node each node is related to
-    earlier = [[] for _ in range(poset.k)]   # per node: (earlier related node, is it below)
-    for a, b in poset.relations:
-        last[a], last[b] = max(last[a], b), max(last[b], a)
-        earlier[max(a, b)].append((min(a, b), a < b))
-
-    frontier, counts = (), {(): 1}
-    for v in range(poset.k):
-        kept = tuple(u for u in frontier if last[u] > v)
-        grown = {}
-        for key, count in counts.items():
-            fixed = dict(zip(frontier, key))
-            allowed = domains[v]
-            for u, below in earlier[v]:
-                x = fixed[u]
-                allowed = [y for y in allowed if (leq(x, y) if below else leq(y, x))]
-            base = tuple(fixed[u] for u in kept)
-            if last[v] > v:
-                for y in allowed:
-                    grown[base + (y,)] = grown.get(base + (y,), 0) + count
-            else:
-                grown[base] = grown.get(base, 0) + count * len(allowed)
-        frontier, counts = kept + ((v,) if last[v] > v else ()), grown
-    return sum(counts.values())
+    cost, _, count = _poset_sum(poset, p)
+    return count if cost == 0 else 0
 
 
-def _rooted_moments(poset: ConstraintPoset, p: int):
-    """[Z(P, 0), ..., Z(P, p)] for a recursively rooted poset P, else None.
+def _poset_sum(poset: ConstraintPoset, p: int, x=None, cap=math.inf, env=None):
+    """(least cost, weighted sum, count) over the labelings of the poset's
+    nodes by NC(p), at a cost of 1 per violated cover relation or pin.
 
-    Z(P, n) counts the order-preserving maps of P into NC(n) (pins are
-    ignored) and is the product over P's connected components.  If a
-    component has a least node r, a map sends r to some pi and the rest R
-    of the component into [pi, 1] = prod over the blocks B of K(pi) of
-    NC(|B|), and if it has a greatest node r, into [0, pi] = prod over the
-    blocks B of pi of NC(|B|) (Nica & Speicher, Lectures on the
-    Combinatorics of Free Probability, Lecture 9).  Either way the
-    component's counts are the moments whose free cumulants are
-    kappa_n = Z(R, n).  A component whose every such R fails to be rooted
-    in turn, or that has neither node, makes P not rooted.
+    At cost 0 these are the order-preserving maps sigma, and the weighted
+    sum adds prod_v x_v^(#sigma_v) over them (every x_v is 1 by default).
+    A pin is a node whose one label of cost 0 is id (# = p) or gamma
+    (# = 1); a <= b iff #a + #(a^-1 b) = p + #b.  `_contract` sums the
+    labelings in the order `_plan` gives, refused past `cap` planned
+    entries.  A weight x = n/d enters as n^# d^(p - #), so that the sum
+    stays integral, and the sum is divided by d^p.
     """
+    x = [1] * poset.k if x is None else x
+    rel = set(poset.relations)
+    cover = [(a, b) for a, b in rel
+             if not any((a, c) in rel and (c, b) in rel for c in range(poset.k))]
+    n = catalan(p)
+    order = _plan(range(poset.k), n, cover, cap, env, n)
+    ncyc = np.array(_label_table(p, True)[1])
+    factors, scale = [], Fraction(1)
+    for v in range(poset.k):
+        num, den = Fraction(x[v]).as_integer_ratio()
+        weight = np.array([num ** t * den ** (p - t) for t in range(p + 1)], dtype=object)[ncyc]
+        pin = {"zero": p, "one": 1}.get(poset.pins.get(v))
+        cost = (ncyc != pin).astype(np.int64) if pin else np.zeros(n, dtype=np.int64)
+        factors.append(((v,), cost, weight, np.broadcast_to(_ONE, (n,))))
+        scale /= den ** p
+    if cover:
+        violated = (ncyc[:, None] + _pair_arrays(p, True)[0] != p + ncyc).astype(np.int64)
+        ones = np.broadcast_to(_ONE, violated.shape)
+        factors += [((a, b), violated, ones, ones) for a, b in cover]
+    cost, weight, count = _contract(factors, order, n)
+    return cost, scale * weight, count
+
+
+def _rooted_moments(poset: ConstraintPoset, p: int, x=None):
+    """[W(P, 0), ..., W(P, p)] for a recursively rooted poset P, else None.
+
+    W(P, n) sums prod_v x_v^(#sigma_v) (1 by default, a count) over the
+    order-preserving maps sigma of P into NC(n), pins ignored, and is the
+    product over P's connected components.  If a component has a least
+    node r, a map sends r to some pi and the rest R into [pi, 1], which
+    tau -> pi^-1 tau maps onto prod over the cycles c of pi^-1 gamma of
+    NC(|c|), #tau = #pi - n + sum_c #tau_c (Biane, Discrete Math. 175,
+    1997): W_n = y x_r^n m_n, with y the product of x over the component
+    and m the moments of the free cumulants kappa_n = W(R, n) / y.  If it
+    has a greatest node r, R goes into [0, pi] = prod over the blocks B of
+    pi of NC(|B|), and W holds the moments of kappa_n = x_r W(R, n) (Nica
+    & Speicher, Lectures on the Combinatorics of Free Probability, Lecture
+    9).  A component whose every such R fails to be rooted in turn, or
+    that has neither node, makes P not rooted.
+    """
+    x = [1] * poset.k if x is None else x
     up = {v: set() for v in range(poset.k)}
     down = {v: set() for v in range(poset.k)}
     for a, b in poset.relations:
@@ -579,14 +675,19 @@ def _rooted_moments(poset: ConstraintPoset, p: int):
                     comp.add(v)
                     stack += (up[v] | down[v]) & rest
             rest -= comp
-            kappa = None
-            for side in (down, up):     # a least node, else a greatest one
-                roots = [v for v in comp if not side[v] & comp]
-                if len(roots) == 1 and kappa is None:
-                    kappa = moments(frozenset(comp) - {roots[0]})
-            if kappa is None:
-                return None
-            total = [a * b for a, b in zip(total, _free_moments(kappa))]
+            least, greatest = ([v for v in comp if not side[v] & comp] for side in (down, up))
+            inner = moments(frozenset(comp) - set(least)) if len(least) == 1 else None
+            if inner is not None:       # a least node r
+                r, y = least[0], math.prod(x[v] for v in comp)
+                # a division by y = 1 would turn integer counts into floats
+                m = _free_moments([c / y for c in inner] if y != 1 else inner)
+                w = [1] + [y * x[r] ** n * m[n] for n in range(1, p + 1)]
+            else:                       # a greatest node r
+                inner = moments(frozenset(comp) - set(greatest)) if len(greatest) == 1 else None
+                if inner is None:
+                    return None
+                w = _free_moments([x[greatest[0]] * c for c in inner])
+            total = [a * b for a, b in zip(total, w)]
         return total
 
     return moments(frozenset(range(poset.k)))

@@ -154,22 +154,23 @@ def _reachable(adj, residual, start, forward: bool):
     return seen
 
 
-def residual_poset(marginal: MarginalSpec, result: MaxFlowResult = None) -> ConstraintPoset:
-    """The order on the free label classes that every minimizing labeling respects.
+def residual_poset(marginal: MarginalSpec, result: MaxFlowResult = None):
+    """(poset, place): the order on the free label classes that every
+    minimizing labeling respects, and each block's class index or pin.
 
     A labeling reaches the bound X(p-1) iff every flow path is a geodesic
     chain id <= ... <= gamma and every unsaturated bond joins equal labels:
     a residual edge a -> b forces label b <= label a.  So T blocks merge
     into the source (id), S blocks into the sink (gamma), and the strongly
     connected components of the residual edges are the classes of equal
-    labels.  Every class the source class reaches is pinned to id, every
-    class that reaches the sink class to gamma; the others, numbered by
-    their least block, are ordered by b <= a iff a reaches b, and no
-    relation to a pin constrains them.  The minimizers are the
-    order-preserving maps of this poset into NC(p).  The components are
-    the same for every max flow (Picard & Queyranne, Math. Prog. Study 13,
-    1980), so `result` may be any.  Raises MinimizerConsistencyError if
-    the source class reaches the sink class.
+    labels.  Every class the source class reaches is pinned to id
+    ("zero"), every class that reaches the sink class to gamma ("one"); the
+    others, numbered by their least block, are ordered by b <= a iff a
+    reaches b, and no relation to a pin constrains them.  The minimizers
+    are the order-preserving maps of this poset into NC(p).  The
+    components are the same for every max flow (Picard & Queyranne, Math.
+    Prog. Study 13, 1980), so `result` may be any.  Raises
+    MinimizerConsistencyError if the source class reaches the sink class.
     """
     result = result or max_flow(build_network(marginal))
     merged = {i: {"T": SOURCE, "S": SINK}.get(view.kind, i) for i, view in enumerate(marginal.blocks)}
@@ -181,12 +182,14 @@ def residual_poset(marginal: MarginalSpec, result: MaxFlowResult = None) -> Cons
     reach = {u: _reachable(adj, edges, u, forward=True) for u in adj}
     if SINK in reach[SOURCE]:
         raise MinimizerConsistencyError("the residual graph joins the id pins to the gamma pins")
-    free = [i for i in range(marginal.k)
-            if merged[i] == i and i not in reach[SOURCE] and SINK not in reach[i]]
+    place = ["zero" if u in reach[SOURCE] else "one" if SINK in reach[u] else None
+             for u in merged.values()]
     classes = []        # the blocks of each class, in order of their least block
-    for i in free:
-        if not any(i in c for c in classes):
-            classes.append({j for j in free if j in reach[i] and i in reach[j]})
+    for i in range(marginal.k):
+        if place[i] is None:
+            classes.append({j for j in range(marginal.k)
+                            if place[j] is None and j in reach[i] and i in reach[j]})
+            place = [len(classes) - 1 if j in classes[-1] else c for j, c in enumerate(place)]
     return ConstraintPoset(k=len(classes), relations=[
         (b, a) for a, upper in enumerate(classes) for b, lower in enumerate(classes)
-        if a != b and min(lower) in reach[min(upper)]])
+        if a != b and min(lower) in reach[min(upper)]]), tuple(place)

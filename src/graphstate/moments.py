@@ -1,24 +1,18 @@
 """Moment engines and limit-law classification for graph-state marginals.
 
-Every moment is one sum over labelings of the vertex blocks, with a factor
-per block label and one per pair of bonded blocks.  `_labeling_sum` builds
-it for all three engines and `_contract` sums it by bucket elimination,
-one array message per eliminated block, in exact integers.
-Each weight is a monomial d^t N^(e t) in a cycle count t.
-`asymptotic_moment` keeps N formal over the NC(p) geodesics: a monomial is
-the entry (e (p - t), d^t, 1), and the sum keeps the least N-deficit,
-X(p-1); at unit dimensions it counts the maps of the max flow's residual
-poset into NC(p) instead, where that poset is recursively rooted.  The
-flow and the poset do not depend on p, so `_solved` keeps them per
-marginal for every order and caller.
-`exact_moment` and `exact_moment_gaussian` plug N in over S_p,
-(0, (d N^e)^t, 1), with a Weingarten or a Wick (1/dim^p) block kernel.
-The Haar engines pin fully traced blocks to the identity and fully kept
-ones to the long cycle, where a Haar unitary integrates out, and
-`_labeling_sum` takes them out of the sum it builds.  The Wick sum pins
-nothing, as a Gaussian block does not drop out.  `minimizer_set` checks
-the asymptotic engine by brute force, with pins of its own; the law
-classifiers sit on top.  The label and pair tables live in `combinatorics`.
+`asymptotic_moment` gives the leading term of E tr(rho^p), N^(-X(p-1))
+with X the max flow, times the weighted count of the order-preserving
+maps of the flow's residual poset into NC(p); the flow, the poset and its
+weights do not depend on p, so `_solved` keeps them per marginal.
+`exact_moment` and `exact_moment_gaussian` sum at finite N over the
+labelings of the blocks by S_p, with a Weingarten or a Wick (1/dim^p)
+block kernel: `_labeling_sum` builds a factor per block label and one per
+pair of bonded blocks, and `combinatorics._contract` sums them by bucket
+elimination in exact integers.  The Haar engines pin fully traced blocks
+to the identity and fully kept ones to the long cycle, where a Haar
+unitary integrates out; the Wick sum pins nothing, as a Gaussian block
+does not drop out.  `minimizer_set` checks the asymptotic engine by brute
+force, with pins of its own; the law classifiers sit on top.
 """
 
 from __future__ import annotations
@@ -32,12 +26,15 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import (
+    _ONE,
+    BudgetExceededError,
     ConstraintPoset,
-    EnumerationCapError,
+    _contract,
     _label_groups,
     _label_table,
     _pair_arrays,
-    _pair_table,
+    _plan,
+    _poset_sum,
     _rooted_moments,
     catalan,
     count_poset_tuples,
@@ -54,14 +51,6 @@ TUPLES_BUDGET_DEFAULT = 5_000_000
 TERMS_BUDGET_DEFAULT = 10_000_000
 TUPLES_BUDGET_ENV = "GRAPHSTATE_BUDGET_TUPLES"
 TERMS_BUDGET_ENV = "GRAPHSTATE_BUDGET_TERMS"
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured work budget."""
-
-    def __init__(self, message, estimated):
-        super().__init__(message)
-        self.estimated = estimated
 
 
 class BudgetSettingError(ValueError):
@@ -93,31 +82,59 @@ def _budget(override, env, default) -> int:
 # ---------------------------------------------------------------------------
 
 class _Solved:
-    """A marginal's flow network and a max flow of it, and its residual poset's counts.
+    """A marginal's flow network, a max flow of it, and its residual poset's weights.
 
-    The exponent X and the residual poset depend on the graph and its trace
-    set alone, not on p.  `_solved` keeps them for the last 64 marginals,
-    so every order, engine and report reads one solve; callers must not
-    change what they read.  The poset is built when first asked for, and a
-    MinimizerConsistencyError it raises is raised again on every ask, as
-    nothing is kept for it.  The counts are kept at the highest order asked.
+    The exponent X, the residual poset and its weights depend on the graph
+    and its trace set alone, not on p.  `_solved` keeps them for the last
+    64 marginals, so every order, engine and report reads one solve;
+    callers must not change what they read.  The poset is built when first
+    asked for, and a MinimizerConsistencyError it raises is raised again on
+    every ask, as nothing is kept for it.  A rooted poset's weighted counts
+    are kept at the highest order asked.
     """
 
     def __init__(self, marginal: MarginalSpec):
         self.marginal = marginal
         self.network = build_network(marginal)
         self.flow = max_flow(self.network)
-        self._counts = ()
+        self._sums = ((),)
 
     @functools.cached_property
     def poset(self):
         return residual_poset(self.marginal, self.flow)
 
-    def rooted_counts(self, p: int):
-        """`_rooted_moments` of the poset up to at least p, or None if it is not rooted."""
-        if self._counts is not None and len(self._counts) <= p:
-            self._counts = _rooted_moments(self.poset, p)
-        return self._counts
+    @functools.cached_property
+    def weights(self):
+        """(x, a, b): at order p a minimizer sigma weighs a b^p prod_c x_c^(#sigma_c).
+
+        Block i at label s weighs d_kept^(p+1-#s) d_traced^#s / d_block^p,
+        a bond of dimension d between labels s <= t weighs d^(p + #t - #s),
+        and the prefactor is (d_loops / sqrt(d_all))^p.  A block's label is
+        its class's sigma_c, or its pin: id, with # = p, or gamma, with # = 1.
+        """
+        (poset, place), m = self.poset, self.marginal
+        x = dict.fromkeys([*range(poset.k), "zero", "one"], Fraction(1))
+        a, b = Fraction(1), Fraction(math.prod(v.dim_loops for v in m.blocks), m.dim_all_sqrt)
+        for i, view in enumerate(m.blocks):
+            a, b = a * view.dim_kept, b * Fraction(view.dim_kept, view.dim_block)
+            x[place[i]] *= Fraction(view.dim_traced, view.dim_kept)
+        for i, j in m.cross_bonds:
+            d, lower, upper = m.cross_dim(i, j), place[i], place[j]
+            b *= d
+            if lower == "one" or upper == "zero" or (upper, lower) in poset.relations:
+                lower, upper = upper, lower
+            if lower != upper:
+                x[upper], x[lower] = x[upper] * d, x[lower] / d
+        return [x[c] for c in range(poset.k)], a * x["one"], b * x["zero"]
+
+    def rooted_sums(self, p: int):
+        """(weighted, plain) `_rooted_moments` up to at least p, or None if not rooted."""
+        if self._sums is not None and len(self._sums[0]) <= p:
+            poset, x = self.poset[0], self.weights[0]
+            counts = _rooted_moments(poset, p)
+            self._sums = None if counts is None else (
+                counts if all(w == 1 for w in x) else _rooted_moments(poset, p, x), counts)
+        return self._sums
 
 
 _solved = functools.lru_cache(maxsize=64)(_Solved)
@@ -182,7 +199,7 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
             f"lower p or raise {TUPLES_BUDGET_ENV}", est)
     parts = enumerate_nc(p)
     _, ncyc, ncyc_gamma, idx_zero, idx_one = _label_table(p, True)
-    pair_ncyc = _pair_table(p, True)[0] if cross else None
+    pair_ncyc = _pair_arrays(p, True)[0].tolist() if cross else None
     kept_w = [len(v.kept) for v in marginal.blocks]
     traced_w = [len(v.traced) for v in marginal.blocks]
 
@@ -237,104 +254,86 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
 
 
 # ---------------------------------------------------------------------------
-# labeling sums over the block graph
+# finite-N labeling sums over the block graph
 # ---------------------------------------------------------------------------
 
-def _labeling_sum(marginal: MarginalSpec, p: int, N, haar: bool, budget):
-    """(least cost, prefactor * weight, count) of the labeling sum behind every engine.
+def _labeling_sum(marginal: MarginalSpec, p: int, N: int, haar: bool, budget) -> Fraction:
+    """E tr(rho^p) at finite N: a sum over labelings of the blocks by S_p.
 
-    Every weight is a monomial d^t N^(e t) in a cycle count t.  N=None keeps
-    N formal: labels are NC(p) geodesics, and the monomial is the entry
-    (e (p - t), d^t, 1), whose cost is its N-deficit.  An integer N labels
-    by S_p and plugs N in: (0, (d N^e)^t, 1).  Haar sums pin T blocks to id
-    and S blocks to gamma, whose factor is then exactly 1, and sum over the
-    free blocks alone: a bond from a pin to a free label b is a factor of
-    b at #b (id) or #(gamma b^-1) (gamma), and a bond between two pins is a
-    constant at p (equal pins) or 1.  A free Haar block at finite N weighs
-    a Weingarten column at its dimension; every other free block weighs its
-    monomials, over dim_block^p in the prefactor.  Each factor is an array
-    over its scope, read off the p + 1 monomials by the cycle counts.
+    Every weight is a power (d N^e)^t of a cycle count t.  Haar sums pin T
+    blocks to id and S blocks to gamma, whose factor is then exactly 1, and
+    sum over the free blocks alone: a bond from a pin to a free label b is
+    a factor of b at #b (id) or #(gamma b^-1) (gamma), and a bond between
+    two pins is a constant at p (equal pins) or 1.  A free Haar block weighs
+    a Weingarten column at its dimension; a Wick block weighs its powers,
+    over dim_block^p in the prefactor.  Each factor is an array over its
+    scope, read off the p + 1 powers by the cycle counts, at cost 0.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if N is not None and N < 1:
+    if N < 1:
         raise ValueError("N must be >= 1")
-    nc = N is None
     pins = {i: v.kind for i, v in enumerate(marginal.blocks) if haar and v.kind in ("T", "S")}
     free = [i for i in range(marginal.k) if i not in pins]
-    # without free blocks no label table is built, NC(p) or S_p
-    n_labels = (catalan(p) if nc else math.factorial(p)) if free else 0
-    # a free Haar block at finite N needs a Weingarten column per label
-    columns = len(free) * n_labels ** 2 if haar and not nc and n_labels > 1 else 0
-    cap, env = ((tuples_budget(budget), TUPLES_BUDGET_ENV) if nc
-                else (terms_budget(budget), TERMS_BUDGET_ENV))
-    order = _plan(free, n_labels, marginal.cross_bonds, cap, env, n_labels + columns)
+    # without free blocks no label table is built
+    n_labels = math.factorial(p) if free else 0
+    # a free Haar block needs a Weingarten column per label
+    columns = len(free) * n_labels ** 2 if haar and n_labels > 1 else 0
+    order = _plan(free, n_labels, marginal.cross_bonds, terms_budget(budget), TERMS_BUDGET_ENV,
+                  n_labels + columns)
 
-    def monomial(e, d, t):
-        return (e * (p - t), d ** t) if nc else (0, (d * N ** e) ** t)
+    def powers(e, d):
+        """(d N^e)^t at t = 0..p, a Python-int array."""
+        return np.array([(d * N ** e) ** t for t in range(p + 1)], dtype=object)
 
-    def monomials(e, d):
-        """(cost, weight) of the monomial at t = 0..p: int64 and Python-int arrays."""
-        cost, weight = zip(*(monomial(e, d, t) for t in range(p + 1)))
-        return np.array(cost, dtype=np.int64), np.array(weight, dtype=object)
-
-    prefactor = Fraction(1, monomial(marginal.graph.m, marginal.dim_all_sqrt, p)[1])
+    prefactor = Fraction(1, (marginal.dim_all_sqrt * N ** marginal.graph.m) ** p)
     for view in marginal.blocks:
-        prefactor *= monomial(len(view.loop_bonds), view.dim_loops, p)[1]
+        prefactor *= (view.dim_loops * N ** len(view.loop_bonds)) ** p
     unary = {}
     if free:
-        ncyc, ncyc_gamma = map(np.array, _label_table(p, nc)[1:3])
+        ncyc, ncyc_gamma = map(np.array, _label_table(p, False)[1:3])
         pin_rows = {"T": ncyc, "S": ncyc_gamma}     # #(a^-1 b) for a = id, gamma
         if any(not pins.keys() & bond for bond in marginal.cross_bonds):
-            pair = _pair_arrays(p, nc)[0]
+            pair = _pair_arrays(p, False)[0]
     for i in free:
         view = marginal.blocks[i]
-        kept_cost, kept_weight = monomials(len(view.kept), view.dim_kept)
-        traced_cost, traced_weight = monomials(len(view.traced), view.dim_traced)
-        cost = kept_cost[ncyc_gamma] + traced_cost[ncyc]    # all 0 at finite N
-        if haar and not nc:     # a Weingarten column, from one weight per label group
+        kept = powers(len(view.kept), view.dim_kept)
+        traced = powers(len(view.traced), view.dim_traced)
+        dim = view.dim_block * N ** len(view.members)
+        if haar:    # a Weingarten column, from one weight per label group
             ncyc_g, ncyc_gamma_g = _label_groups(p)[:2]
-            weight, denominator = _weingarten_column(p, view.dim_block * N ** len(view.members),
-                                                     kept_weight[ncyc_gamma_g] * traced_weight[ncyc_g])
+            unary[i], denominator = _weingarten_column(p, dim, kept[ncyc_gamma_g] * traced[ncyc_g])
             prefactor /= denominator
         else:   # the 1/dim^p kernel, kept out of the sum so that it stays integral
-            weight = kept_weight[ncyc_gamma] * traced_weight[ncyc]
-            prefactor /= monomial(len(view.members), view.dim_block, p)[1]
-        unary[i] = cost, weight
+            unary[i] = kept[ncyc_gamma] * traced[ncyc]
+            prefactor /= dim ** p
 
     factors, shared = [], {}
     for (i, j), bonds in marginal.cross_bonds.items():
         key = len(bonds), marginal.cross_dim(i, j)
-        entries = monomials(*key)
+        weights = powers(*key)
         if i in pins and j in pins:     # a factor on no block
-            factors.append(_factor((), entries, np.array(p if pins[i] == pins[j] else 1)))
+            factors.append(_factor((), weights[p if pins[i] == pins[j] else 1]))
         elif i in pins or j in pins:
             pin, v = (i, j) if i in pins else (j, i)
-            rows = pin_rows[pins[pin]]
-            unary[v] = unary[v][0] + entries[0][rows], unary[v][1] * entries[1][rows]
+            unary[v] = unary[v] * weights[pin_rows[pins[pin]]]
         else:
             # alike bonds share their arrays, of n_labels^2 entries each
             if key not in shared:
-                shared[key] = _factor((), entries, pair)[1:]
+                shared[key] = _factor((), weights[pair])[1:]
             factors.append(((i, j), *shared[key]))
-    factors += [_factor((i,), entries, np.arange(n_labels)) for i, entries in unary.items()]
-    cost, weight, count = _contract(factors, order, n_labels)
-    return cost, prefactor * weight, count
+    factors += [_factor((i,), weight) for i, weight in unary.items()]
+    return prefactor * _contract(factors, order, n_labels)[1]
 
 
-def _factor(scope, entries, index):
-    """(scope, cost, weight, count) with entries[index] as its cost and weight.
-
-    Every count is 1, and an array whose entries are all alike is a
-    read-only broadcast of that one value, so an NC(8) pair of unit
-    dimension stores only its int64 costs.
-    """
-    arrays = [np.broadcast_to(column[:1].reshape(()), index.shape) if (column == column[0]).all()
-              else np.asarray(column[index], dtype=column.dtype) for column in entries]
-    return scope, *arrays, np.broadcast_to(_ONE, index.shape)
+def _factor(scope, weight):
+    """(scope, cost, weight, count): the weight as an object array, with cost
+    0 and count 1 as read-only broadcasts of one value."""
+    weight = np.asarray(weight, dtype=object)
+    return scope, np.broadcast_to(_ZERO, weight.shape), weight, np.broadcast_to(_ONE, weight.shape)
 
 
-_ONE = np.array(1, dtype=object)
+_ZERO = np.array(0, dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,103 +353,6 @@ def _weingarten_column(p, dim, weights):
     return np.dot(weights, rows), denominator
 
 
-def _plan(blocks, size, scopes, cap, env, extra=0):
-    """Elimination order of `blocks` for `_contract`, refused if its work exceeds `cap`.
-
-    Every block has `size` labels.  Blocks go in min-degree order, ties to
-    the lower index; eliminating block v with neighbours joins them and
-    fills size^(1 + #neighbours) entries, none at a single label (p = 1).
-    The work is those entries plus the `extra` entries of the caller's own
-    tables (its label table among them); callers plan from the sizes
-    before building any table.
-    """
-    adj = {v: set() for v in blocks}
-    for scope in scopes:
-        for b in adj.keys() & set(scope):
-            adj[b] |= adj.keys() & set(scope) - {b}
-    order, work = [], extra
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        nbrs = adj.pop(v)
-        work += size ** (1 + len(nbrs)) if nbrs and size > 1 else 0
-        for n in nbrs:
-            adj[n] = (adj[n] | nbrs) - {n, v}
-        order.append(v)
-    if work > cap:
-        raise BudgetExceededError(f"moment sum needs {work} table entries (> budget {cap}); "
-                                  f"lower p or raise {env}", work)
-    return order
-
-
-def _contract(factors, order, size):
-    """Sum over all labelings of the blocks, eliminating them in `order`.
-
-    Every block ranges over `size` labels.  A factor is (scope, cost,
-    weight, count): arrays with one axis per block of the scope, the cost
-    in int64 and the weight and count in Python ints (object dtype), which
-    never overflow.  Products add costs and multiply the rest; sums keep
-    the least cost and add the rest at it.  A bucket whose costs are all 0
-    (every finite-N sum) is summed out by one object einsum per array,
-    except that counts which are all broadcasts of one value (as every
-    finite-N count is) sum to one more broadcast, size times their product.
-    Any other takes the least cost over the block's axis and sums weights
-    and counts where it is reached, a slice of neighbour labelings at a
-    time, so no temporary exceeds _SLICE_ENTRIES entries (or one row of
-    `size`).
-    """
-    for v in order:
-        bucket = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        nbrs = tuple(sorted({b for f in bucket for b in f[0]} - {v}))
-        shape = (size,) * len(nbrs)
-        # each factor with its axes in the order nbrs, v: v's axis is last
-        axes = {b: a for a, b in enumerate(nbrs + (v,))}
-        local = []
-        for scope, *arrays in bucket:
-            scope = [axes[b] for b in scope]
-            turn = np.argsort(scope)
-            local.append((sorted(scope), *(x.transpose(turn) for x in arrays)))
-        if not any(f[1].any() for f in local):
-            def sum_out(k):
-                return np.asarray(np.einsum(*[x for f in local for x in (f[k], f[0])],
-                                            list(range(len(nbrs)))), dtype=object)
-            weight = sum_out(2)
-            if any(any(f[3].strides) for f in local):
-                count = sum_out(3)
-            else:   # every count is a broadcast of one value, and so is their sum
-                count = np.broadcast_to(
-                    np.array(size * math.prod(f[3].flat[0] for f in local), dtype=object), shape)
-            factors.append((nbrs, np.zeros(shape, dtype=np.int64), weight, count))
-            continue
-        total = math.prod(shape)
-        message = [np.empty(total, dtype=t) for t in (np.int64, object, object)]
-        step = max(1, _SLICE_ENTRIES // size)
-        for lo in range(0, total, step):
-            at = slice(lo, lo + step)
-            # the neighbours' labels in this slice, then v's: every label
-            flat = np.arange(lo, min(lo + step, total))
-            labels = [*(np.unravel_index(flat, shape) if nbrs else ()), slice(None)]
-            cost = np.zeros((len(flat), size), dtype=np.int64)
-            for scope, c, _, _ in local:     # each holds v, on its last axis
-                cost += c[tuple(labels[a] for a in scope)]
-            least = cost.min(axis=1)
-            rows, cols = np.nonzero(cost == least[:, None])
-            labels = [x[rows] for x in labels[:-1]] + [cols]
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            message[0][at] = least
-            for k in (1, 2):
-                terms = math.prod(f[k + 1][tuple(labels[a] for a in f[0])] for f in local)
-                message[k][at] = np.add.reduceat(terms, starts)
-        factors.append((nbrs, *(x.reshape(shape) for x in message)))
-    cost, weight, count = 0, 1, 1
-    for _, c, w, n in factors:
-        cost, weight, count = cost + int(c), weight * w[()], count * n[()]
-    return cost, weight, count
-
-
-_SLICE_ENTRIES = 1 << 13
-
-
 # ---------------------------------------------------------------------------
 # the three engines
 # ---------------------------------------------------------------------------
@@ -466,38 +368,32 @@ class MomentReport:
 
 
 def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentReport:
-    """Exact leading coefficient of E tr(rho^p) and its N-exponent.
+    """Exact leading coefficient of E tr(rho^p) and its N-exponent -X(p-1).
 
-    Labels are NC(p) geodesics, T blocks pinned to id and S blocks to
-    gamma.  A labeling costs sum_i |kept_i| |gamma b_i^-1| + |traced_i| |b_i|
-    plus, per cross bond, |b_i^-1 b_j|, and weighs dimension factors raised
-    to cycle counts; the coefficient sums the weights at the least cost,
-    which must equal the max-flow bound X(p-1).  With the loop-bond factor
-    and the square-root normalization, p=1 always reports (0, 1).
-
-    When every subsystem has d = 1, every such labeling weighs 1, and the
-    labelings are the order-preserving maps of `flow.residual_poset` into
-    NC(p).  If that poset is recursively rooted, the coefficient is their
-    count by `count_poset_tuples`' recursion: no table, no plan and no
-    budget refusal.  Every other case runs `_labeling_sum`, gated by the
-    tuples budget and NC_CAP.
+    The labelings of the blocks by NC(p) geodesics that reach the bound,
+    with T blocks at id and S blocks at gamma, are the order-preserving
+    maps sigma of `flow.residual_poset` into NC(p), each of weight
+    a b^p prod_c x_c^(#sigma_c) (`_Solved.weights`).  A recursively rooted
+    poset sums them by `_rooted_moments`, with no table and no budget
+    refusal at any p; any other by the class contraction `_poset_sum`,
+    gated by the tuples budget and NC_CAP, whose least cost (violated
+    relations) must be 0.  `minimizer_count` is the count at every x_c = 1.
+    p=1 always reports (0, 1).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    tuples_budget(budget)   # a malformed budget setting is refused on either path
+    cap = tuples_budget(budget)     # a malformed budget setting is refused on either path
     solved = _solved(marginal)
-    x = solved.flow.value
-    if all(d == 1 for _, d in marginal.graph.dims):
-        counts = solved.rooted_counts(p)
-        if counts is not None:
-            return MomentReport(p=p, exponent=-x * (p - 1), coefficient=Fraction(counts[p]),
-                                minimizer_count=counts[p])
-    cost, coefficient, count = _labeling_sum(marginal, p, None, True, budget)
-    if cost != x * (p - 1):
-        raise MinimizerConsistencyError(
-            f"least labeling cost {cost} != X(p-1) = {x * (p - 1)} at p={p}")
-    return MomentReport(p=p, exponent=-x * (p - 1), coefficient=coefficient,
-                        minimizer_count=count)
+    x, a, b = solved.weights
+    sums = solved.rooted_sums(p)
+    if sums is not None:
+        weighted, count = sums[0][p], sums[1][p]
+    else:
+        cost, weighted, count = _poset_sum(solved.poset[0], p, x, cap, TUPLES_BUDGET_ENV)
+        if cost != 0:
+            raise MinimizerConsistencyError(f"least violated relations {cost} != 0 at p={p}")
+    return MomentReport(p=p, exponent=-solved.flow.value * (p - 1),
+                        coefficient=a * b ** p * weighted, minimizer_count=count)
 
 
 def moment_table(marginal: MarginalSpec, p_max: int, budget=None):
@@ -516,7 +412,7 @@ def exact_moment(marginal: MarginalSpec, p: int, N: int, budget=None) -> Fractio
     fully traced block and delta(b, gamma) on a fully kept one, so those
     are pinned and need no table.
     """
-    return _labeling_sum(marginal, p, N, True, budget)[1]
+    return _labeling_sum(marginal, p, N, True, budget)
 
 
 def exact_moment_gaussian(marginal: MarginalSpec, p: int, N: int, budget=None) -> Fraction:
@@ -528,7 +424,7 @@ def exact_moment_gaussian(marginal: MarginalSpec, p: int, N: int, budget=None) -
     order on `one_loop` and the RRRR and SRR cycles but not in general: on
     TSRR, N^4 times this tends to 5 and N^4 times `exact_moment` to 3.
     """
-    return _labeling_sum(marginal, p, N, False, budget)[1]
+    return _labeling_sum(marginal, p, N, False, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +595,8 @@ def classify_reports(reports) -> DistributionId:
     coeffs = [r.coefficient for r in reports]
     x = -reports[1].exponent if len(coeffs) >= 2 else 0
     for law in _candidate_laws(coeffs, x):
-        try:
-            if all(law.moment(p) == coeff for p, coeff in enumerate(coeffs, start=1)):
-                return law
-        except EnumerationCapError:
-            continue
+        if all(law.moment(p) == coeff for p, coeff in enumerate(coeffs, start=1)):
+            return law
     return DistributionId(kind="unknown", moments=tuple(coeffs))
 
 

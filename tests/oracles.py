@@ -2,13 +2,16 @@
 
 They check the library from outside: the refinement order, meets and
 joins of set partitions, the Kreweras complement, the geodesic of a
-partition and the geodesic test on NC(p); the label, pair and Weingarten
-tables from `Perm` products, one pair at a time; the cost functional
-f_beta; the labeling sum with one Python lookup per entry; the law round trip;
-partition joins of the coupling structure; max-flow duality and axioms;
-Hankel windows; a graph's copy at other dimension factors, and a graph
-whose residual poset is not rooted; and the full reduced density matrix, and its spectrum
-from the dense amplitudes.  None of them is used by `graphstate` itself.
+partition and the geodesic test on NC(p); the NC(p) order from the pair
+table, and a frontier count of poset labelings; the label, pair and
+Weingarten tables from `Perm` products, one pair at a time; the cost
+functional f_beta; the asymptotic labeling sum over blocks with N formal,
+and the labeling sum with one Python lookup per entry; the law round
+trip; partition joins of the coupling structure; max-flow duality and
+axioms; Hankel windows; a graph's copy at other dimension factors, and a
+graph for any poset; and the full reduced density matrix, and its
+spectrum from the dense amplitudes.  None of them is used by `graphstate`
+itself.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ import numpy as np
 from graphstate.combinatorics import (
     NCPartition,
     Perm,
+    _contract,
+    _label_table,
+    _pair_arrays,
+    _plan,
     all_perms,
+    catalan,
     count_poset_tuples,
     enumerate_nc,
     fuss_catalan,
@@ -183,6 +191,58 @@ def mobius_inversion_defect(beta: Perm) -> int:
     return total
 
 
+def nc_order(p: int):
+    """Refinement on the NC(p) labels of `_label_table(p, True)`.
+
+    Returns leq(a, b) on label indices with the indices of 0-hat (id) and
+    1-hat (gamma).  On geodesics sigma <= tau iff |sigma| + |sigma^-1 tau|
+    = |tau| (Biane 1997), a comparison of the cycle counts the pair table
+    holds.
+    """
+    _, ncyc, _, zero, one = _label_table(p, True)
+    pair = _pair_arrays(p, True)[0].tolist()
+    return (lambda a, b: ncyc[a] + pair[a][b] == p + ncyc[b]), zero, one
+
+
+def frontier_count(poset, p: int) -> int:
+    """NC(p)-labelings of the poset's nodes that respect its relations and pins.
+
+    Nodes are labelled in index order, and the count is kept per tuple of
+    labels of the frontier, the labelled nodes that still have an
+    unlabelled neighbour.  A relation is checked when its later node is
+    labelled, so this is exact for every acyclic poset and never walks the
+    tuples one by one.
+    """
+    leq, zero, one = nc_order(p)
+    labels = range(catalan(p))
+    domains = [{"zero": (zero,), "one": (one,)}.get(poset.pins.get(v), labels)
+               for v in range(poset.k)]
+    last = list(range(poset.k))              # the last node each node is related to
+    earlier = [[] for _ in range(poset.k)]   # per node: (earlier related node, is it below)
+    for a, b in poset.relations:
+        last[a], last[b] = max(last[a], b), max(last[b], a)
+        earlier[max(a, b)].append((min(a, b), a < b))
+
+    frontier, counts = (), {(): 1}
+    for v in range(poset.k):
+        kept = tuple(u for u in frontier if last[u] > v)
+        grown = {}
+        for key, count in counts.items():
+            fixed = dict(zip(frontier, key))
+            allowed = domains[v]
+            for u, below in earlier[v]:
+                x = fixed[u]
+                allowed = [y for y in allowed if (leq(x, y) if below else leq(y, x))]
+            base = tuple(fixed[u] for u in kept)
+            if last[v] > v:
+                for y in allowed:
+                    grown[base + (y,)] = grown.get(base + (y,), 0) + count
+            else:
+                grown[base] = grown.get(base, 0) + count * len(allowed)
+        frontier, counts = kept + ((v,) if last[v] > v else ()), grown
+    return sum(counts.values())
+
+
 # ---------------------------------------------------------------------------
 # label, pair and Weingarten tables from Perm products
 # ---------------------------------------------------------------------------
@@ -193,7 +253,7 @@ def perm_labels(p: int, nc: bool):
 
 
 def perm_pair_table(p: int, nc: bool):
-    """`_pair_table(p, nc)` from one Perm product a^-1 b per label pair."""
+    """`_pair_arrays(p, nc)` as lists, from one Perm product a^-1 b per label pair."""
     perms = perm_labels(p, nc)
     inverses = [a.inverse() for a in perms]
     if nc:
@@ -272,6 +332,57 @@ def law_moments(dist: DistributionId, p_max: int):
     if dist.kind == "poset_law":
         return [Fraction(count_poset_tuples(dist.poset, p)) for p in ps]
     raise ValueError(f"no moment rule for tag {dist.kind!r}")
+
+
+def nc_labeling_sum(marginal: MarginalSpec, p: int):
+    """(least cost, coefficient, count) of the asymptotic labeling sum, block by block.
+
+    Every block is labelled by an NC(p) geodesic, T blocks pinned to id and
+    S blocks to gamma.  A weight d^t N^(e t) in a cycle count t is the
+    entry (e (p - t), d^t, 1), whose cost is its N-deficit; the sum keeps
+    the least deficit, which must be X(p-1).  A block weighs its kept and
+    traced entries at #(gamma b^-1) and #b over dim_block^p, a bond its
+    entry at #(a^-1 b), with a = id or gamma for a pin, and a bond between
+    two pins its entry at p (equal pins) or 1.  The reference for the
+    weighted residual-poset count of `asymptotic_moment`.
+    """
+    pins = {i: v.kind for i, v in enumerate(marginal.blocks) if v.kind in ("T", "S")}
+    free = [i for i in range(marginal.k) if i not in pins]
+    n = catalan(p) if free else 0
+    _, ncyc, ncyc_gamma, _, _ = _label_table(p, True)
+    at = {"T": np.array(ncyc), "S": np.array(ncyc_gamma), "pair": _pair_arrays(p, True)[0]}
+
+    def entry(e, d, t):
+        """(cost, weight) arrays of d^t N^(e t) at the cycle counts t."""
+        weight = np.array([d ** s for s in range(p + 1)], dtype=object)[t]
+        return np.asarray(e * (p - np.asarray(t, dtype=np.int64))), np.asarray(weight, dtype=object)
+
+    def ones(shape):
+        return np.broadcast_to(np.array(1, dtype=object), shape)
+
+    prefactor = Fraction(math.prod(v.dim_loops for v in marginal.blocks), marginal.dim_all_sqrt) ** p
+    unary = {}
+    for i in free:
+        v = marginal.blocks[i]
+        (ck, wk), (ct, wt) = (entry(len(v.kept), v.dim_kept, at["S"]),
+                              entry(len(v.traced), v.dim_traced, at["T"]))
+        unary[i] = ck + ct, wk * wt
+        prefactor /= Fraction(v.dim_block) ** p
+    factors = []
+    for (i, j), bonds in marginal.cross_bonds.items():
+        e, d = len(bonds), marginal.cross_dim(i, j)
+        if i in pins and j in pins:
+            factors.append(((), *entry(e, d, np.array(p if pins[i] == pins[j] else 1)), ones(())))
+        elif i in pins or j in pins:
+            pin, v = (i, j) if i in pins else (j, i)
+            c, w = entry(e, d, at[pins[pin]])
+            unary[v] = unary[v][0] + c, unary[v][1] * w
+        else:
+            factors.append(((i, j), *entry(e, d, at["pair"]), ones((n, n))))
+    factors += [((i,), c, w, ones(n)) for i, (c, w) in unary.items()]
+    order = _plan(free, n, marginal.cross_bonds, math.inf, None)
+    cost, weight, count = _contract(factors, order, n)
+    return cost, prefactor * weight, count
 
 
 def lookup_contract(factors, order, labels):
@@ -397,17 +508,39 @@ def with_dims(marginal: MarginalSpec, d: int) -> MarginalSpec:
     return GraphSpec(g.vertex_blocks, g.bonds, {i: d for i, _ in g.dims}).marginal(marginal.traced)
 
 
-def n_shaped_marginal() -> MarginalSpec:
-    """A graph whose residual poset is the N {0 <= 2, 1 <= 2, 1 <= 3}.
+def poset_marginal(k: int, relations, d: int = 1) -> MarginalSpec:
+    """A graph whose residual poset is the order on nodes 0..k-1 that `relations` generate.
 
-    Every block holds a loop bond with one end traced, and the cross
-    bonds 0-2, 1-2 and 1-3 run from a traced end to a kept one.  Then the
-    source and sink edges and the cross bonds are all saturated by the
-    only max flow, so no class is pinned and each bond orders its ends.
+    Block v holds one loop bond with one end traced, and each relation
+    a <= b adds a bond from a traced end in block a to a kept end in block
+    b.  Then the source and sink edges and the cross bonds are all
+    saturated by the only max flow, so no class is pinned and each bond
+    orders its ends.  Every subsystem has dimension factor d.
     """
-    g = GraphSpec(vertex_blocks=[[1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14]],
-                  bonds=[(1, 8), (4, 9), (5, 12), (2, 3), (6, 7), (10, 11), (13, 14)])
-    return g.marginal({1, 2, 4, 5, 6, 10, 13})
+    blocks = [[] for _ in range(k)]
+    bonds, traced = [], set()
+
+    def subsystem(v, trace):
+        blocks[v].append(sum(map(len, blocks)) + 1)
+        if trace:
+            traced.add(blocks[v][-1])
+        return blocks[v][-1]
+
+    for a, b in relations:
+        bonds.append((subsystem(a, True), subsystem(b, False)))
+    for v in range(k):
+        bonds.append((subsystem(v, True), subsystem(v, False)))
+    # number the subsystems block by block
+    ids = {old: new for new, old in enumerate((x for blk in blocks for x in blk), start=1)}
+    g = GraphSpec(vertex_blocks=[[ids[x] for x in blk] for blk in blocks],
+                  bonds=[(ids[x], ids[y]) for x, y in bonds],
+                  dims={i: d for i in ids.values()})
+    return g.marginal({ids[x] for x in traced})
+
+
+def n_shaped_marginal() -> MarginalSpec:
+    """A graph whose residual poset is the N {0 <= 2, 1 <= 2, 1 <= 3}."""
+    return poset_marginal(4, [(0, 2), (1, 2), (1, 3)])
 
 
 def check_flow_axioms(net: FlowNetwork, result: MaxFlowResult):

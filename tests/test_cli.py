@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from graphstate import flow, moments
 from graphstate.cli import (
     GraphFileError,
-    cmd_analyze,
     cmd_dist,
     cmd_exact,
     cmd_verify,
@@ -22,9 +22,9 @@ from graphstate.cli import (
     run,
 )
 from graphstate import combinatorics
-from graphstate.catalog import cycle_graph, exotic_graph, fc_template, one_loop
+from graphstate.catalog import cycle_graph, exotic_graph, one_loop
 from graphstate.combinatorics import catalan
-from oracles import with_dims
+from oracles import n_shaped_marginal, nc_labeling_sum, with_dims
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,23 +69,28 @@ class TestParseGraph:
         assert again.traced == m.traced
 
 
+def golden_analyze(name, p_max):
+    """`analyze` of tests/data/<name>.json, checked byte for byte against its golden report
+    as `json.dumps(report, indent=1, sort_keys=True)`; returns the report."""
+    code, text = run(["analyze", str(DATA / f"{name}.json"), "--pmax", str(p_max)])
+    assert code == 0, text
+    report = json.loads(text)
+    dumped = json.dumps(report, indent=1, sort_keys=True).encode()
+    assert dumped == (DATA / f"golden_analyze_{name}.json").read_bytes()
+    return report
+
+
 class TestCommands:
     def test_analyze_golden_one_loop(self):
-        report = cmd_analyze(one_loop(), p_max=6)
-        golden = json.loads((DATA / "golden_analyze_one_loop.json").read_text())
-        assert report == golden
+        golden_analyze("one_loop", 6)
 
     def test_analyze_golden_fc2(self):
-        report = cmd_analyze(fc_template(2), p_max=5)
-        golden = json.loads((DATA / "golden_analyze_fc2_template.json").read_text())
-        assert report == golden
+        report = golden_analyze("fc2_template", 5)
         assert report["max_flow"] == 3
         assert report["distribution"]["kind"] == "fuss_catalan"
 
     def test_analyze_golden_exotic(self):
-        report = cmd_analyze(exotic_graph(), p_max=4)
-        golden = json.loads((DATA / "golden_analyze_exotic.json").read_text())
-        assert report == golden
+        report = golden_analyze("exotic", 4)
         assert report["max_flow"] == 5
         assert [row["coefficient"] for row in report["moments"]] == ["1", "5", "38", "353"]
 
@@ -241,14 +246,20 @@ class TestRun:
         assert text.startswith("validation error") and f"'{field}'" in text
 
     def test_budget_error_exit_3(self, tmp_path, monkeypatch):
-        # the labeling sum of exotic at d = 2 is gated; at d = 1 its
-        # residual poset is counted, which refuses nothing
+        # the class contraction of the N-shaped poset at d = 2 is gated;
+        # exotic's residual poset is rooted and counted at every dimension,
+        # which refuses nothing
         monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "10")
-        path = write_graph(tmp_path, graph_to_dict(with_dims(exotic_graph(), 2)))
+        path = write_graph(tmp_path, graph_to_dict(with_dims(n_shaped_marginal(), 2)))
         code, text = run(["analyze", path, "--pmax", "4"])
         assert code == 3
         assert "budget" in text.lower()
         assert run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])[0] == 0
+        path = write_graph(tmp_path, graph_to_dict(with_dims(exotic_graph(), 2)), "exotic2.json")
+        code, text = run(["analyze", path, "--pmax", "4"])
+        assert code == 0, text
+        assert [row["coefficient"] for row in json.loads(text)["moments"]] == \
+            ["1", "5/32", "19/512", "353/32768"]
 
     def test_budget_setting_checked_with_a_warm_flow(self, monkeypatch):
         # the second run's marginal has its flow solved already, and its
@@ -279,15 +290,23 @@ class TestRun:
         assert code == 0, text
         assert len(solves) == 1
 
-    def test_enumeration_cap_exit_3(self, tmp_path):
-        path = write_graph(tmp_path, graph_to_dict(one_loop(2)))
+    def test_enumeration_cap_exit_3(self, tmp_path, monkeypatch):
+        # the N-shaped poset's class contraction at p = 11 plans 1.0e10
+        # entries; with the budget lifted, NC_CAP still refuses it
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "1e12")
+        path = write_graph(tmp_path, graph_to_dict(with_dims(n_shaped_marginal(), 2)))
         code, text = run(["analyze", path, "--pmax", "11"])
         assert code == 3
         assert "enumeration cap" in text
-        # at d = 1 the cap binds only the labeling sum, which does not run
+        # the cap binds only the class contraction, which a rooted poset
+        # does not run, at any dimension
         code, text = run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])
         assert code == 0, text
         assert json.loads(text)["moments"][-1]["coefficient"] == str(catalan(11))
+        path = write_graph(tmp_path, graph_to_dict(one_loop(2)), "one_loop2.json")
+        code, text = run(["analyze", path, "--pmax", "11"])
+        assert code == 0, text
+        assert json.loads(text)["moments"][-1]["coefficient"] == str(Fraction(catalan(11), 2 ** 10))
 
     def test_top_order_refused_before_any_sum(self, tmp_path, monkeypatch):
         # both commands evaluate p_max first, so its refusal comes before
@@ -295,27 +314,50 @@ class TestRun:
         def summed(*args):
             raise AssertionError("a moment sum ran before the refusal")
         monkeypatch.setattr(moments, "_contract", summed)
+        monkeypatch.setattr(combinatorics, "_contract", summed)
         code, text = run(["exact", str(DATA / "exotic.json"), "--N", "2", "--pmax", "8"])
         assert code == 3 and "budget" in text
-        path = write_graph(tmp_path, graph_to_dict(one_loop(2)))
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "1e12")
+        path = write_graph(tmp_path, graph_to_dict(with_dims(n_shaped_marginal(), 2)))
         code, text = run(["analyze", path, "--pmax", "11"])
         assert code == 3 and "enumeration cap" in text
-        # at d = 1 no order runs a sum at all
+        # a rooted poset runs no contraction at any order or dimension
         assert run(["analyze", str(DATA / "one_loop.json"), "--pmax", "11"])[0] == 0
+        path = write_graph(tmp_path, graph_to_dict(one_loop(2)), "one_loop2.json")
+        assert run(["analyze", path, "--pmax", "11"])[0] == 0
 
     @pytest.mark.parametrize("name", ["exotic", "fc2_template", "figure_example", "one_loop"])
-    def test_analyze_builds_no_label_table(self, monkeypatch, name):
-        # every graph here has unit dimensions and a rooted residual poset,
-        # and its law is checked by closed forms and the poset recursion
+    def test_analyze_builds_no_label_table(self, monkeypatch, tmp_path, name):
+        # every graph here has a rooted residual poset, at unit dimensions
+        # and in its copy at d = 2, and its law is checked by closed forms
+        # and the poset recursion
         def unbuilt(p, *args):
             raise AssertionError(f"built a label table at order {p}")
         monkeypatch.setattr(moments, "_label_table", unbuilt)
         monkeypatch.setattr(combinatorics, "_label_table", unbuilt)
-        code, text = run(["analyze", str(DATA / f"{name}.json"), "--pmax", "6"])
+        copy = write_graph(tmp_path, graph_to_dict(with_dims(parse_graph(str(DATA / f"{name}.json")), 2)))
+        for path in (str(DATA / f"{name}.json"), copy):
+            code, text = run(["analyze", path, "--pmax", "6"])
+            assert code == 0, text
+
+    @pytest.mark.parametrize("argv,oracle", [
+        (["--pmax", "9"], exotic_graph), (["--pmax", "30"], exotic_graph),
+        (["--pmax", "11"], one_loop)], ids=["exotic-9", "exotic-30", "one_loop-11"])
+    def test_analyze_d2_rooted_runs_ungated(self, tmp_path, argv, oracle):
+        # the d = 2 copies count their rooted residual posets with class
+        # weights, which neither the tuples budget nor NC_CAP gates
+        marginal = with_dims(oracle(), 2)
+        code, text = run(["analyze", write_graph(tmp_path, graph_to_dict(marginal)), *argv])
         assert code == 0, text
+        rows = json.loads(text)["moments"]
+        assert len(rows) == int(argv[1])
+        for row in rows[:8 if oracle is exotic_graph else 5]:
+            cost, coefficient, count = nc_labeling_sum(marginal, row["p"])
+            assert (row["exponent"], row["coefficient"], row["minimizers"]) == \
+                (-cost, str(coefficient), count)
 
     def test_analyze_past_the_nc_cap(self):
-        # NC_CAP = 10 binds only the labeling sum and the frontier count
+        # NC_CAP = 10 binds only the class contraction of unrooted posets
         code, text = run(["analyze", str(DATA / "exotic.json"), "--pmax", "12"])
         assert code == 0, text
         report = json.loads(text)

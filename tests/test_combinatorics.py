@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from graphstate import combinatorics
@@ -11,9 +12,7 @@ from graphstate.combinatorics import (
     NCPartition,
     Perm,
     _label_table,
-    _nc_order,
     _pair_arrays,
-    _pair_table,
     all_perms,
     catalan,
     count_chains,
@@ -25,6 +24,7 @@ from graphstate.combinatorics import (
 from oracles import (
     cycle_partition,
     enumerate_all_partitions,
+    frontier_count,
     is_geodesic,
     is_noncrossing,
     join,
@@ -33,6 +33,7 @@ from oracles import (
     meet,
     mobius_inversion_defect,
     nc_join,
+    nc_order,
     nc_to_geodesic,
     perm_labels,
     perm_pair_table,
@@ -250,7 +251,7 @@ class TestCounts:
 
     def test_chain_cap(self):
         # a chain is rooted, so the recursion counts it past the cap; the
-        # frontier count of the N-shaped poset, which is not rooted, keeps it
+        # class contraction of the N-shaped poset, which is not rooted, keeps it
         with pytest.raises(EnumerationCapError):
             count_poset_tuples(N_SHAPED, 11)
         assert count_chains(2, 11) == fuss_catalan(2, 11)
@@ -295,7 +296,7 @@ def small_posets(n):
 class TestNCOrder:
     @pytest.mark.parametrize("p", range(1, 8))
     def test_cycle_count_order_is_refinement(self, p):
-        leq_index, zero, one = _nc_order(p)
+        leq_index, zero, one = nc_order(p)
         parts = [cycle_partition(Perm(row)) for row in _label_table(p, True)[0].tolist()]
         assert parts == list(enumerate_nc(p))
         assert (parts[zero], parts[one]) == (NCPartition.zero(p), NCPartition.one(p))
@@ -324,9 +325,10 @@ class TestTables:
 
     @pytest.mark.parametrize("p,nc", TABLE_ORDERS, ids=lambda v: str(v))
     def test_pair_table_equals_perm_products(self, p, nc):
-        counts, classes, types = _pair_table(p, nc)
-        assert (counts, classes, types) == perm_pair_table(p, nc)
-        assert _all_ints(counts) and _all_ints(classes or [])
+        counts, classes, types = _pair_arrays(p, nc)
+        classes = None if classes is None else classes.tolist()
+        assert (counts.tolist(), classes, types) == perm_pair_table(p, nc)
+        assert counts.dtype == np.int8 and not counts.flags.writeable
 
     @pytest.mark.parametrize("p,nc", [(5, True), (4, False)], ids=lambda v: str(v))
     def test_pair_table_in_row_slices(self, p, nc, monkeypatch):
@@ -345,7 +347,6 @@ class TestTables:
         for p, nc in ((6, True), (5, False)):
             _label_table.__wrapped__(p, nc)
             _pair_arrays.__wrapped__(p, nc)
-            _pair_table.__wrapped__(p, nc)
         for p in range(1, 9):
             combinatorics._nc_images.__wrapped__(p)
             _label_table.__wrapped__(p, True)
@@ -387,14 +388,15 @@ class TestConstraintPoset:
         ConstraintPoset(k=5, relations=[(1, 0), (1, 4), (3, 2)], pins={2: "zero", 4: "one"}),
     ], ids=["diamond", "pinned_forest"])
     def test_frontier_count_equals_product_loop(self, poset, p):
-        # the diamond keeps two labels on its frontier; the forest checks
-        # relations whose later node is the lower one
-        assert count_poset_tuples(poset, p) == brute_force_count(poset, p)
+        # the diamond is rooted and keeps two labels on the oracle's
+        # frontier; the forest's pins send it to the class contraction,
+        # and its relations' later node is the lower one
+        assert count_poset_tuples(poset, p) == brute_force_count(poset, p) == frontier_count(poset, p)
 
     def test_no_relation_builds_no_pair_table(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("pair table built for a poset without relations")
-        monkeypatch.setattr(combinatorics, "_pair_table", refuse)
+        monkeypatch.setattr(combinatorics, "_pair_arrays", refuse)
         assert count_poset_tuples(ConstraintPoset(k=2), 7) == catalan(7) ** 2
         assert count_chains(1, 7) == 429
 
@@ -408,14 +410,14 @@ class TestConstraintPoset:
                 count_poset_tuples(poset, 0)
 
     def test_n_shaped_poset_is_not_rooted(self):
-        # counted by the frontier count alone
+        # counted by the class contraction alone
         assert combinatorics._rooted_moments(N_SHAPED, 3) is None
         assert count_poset_tuples(N_SHAPED, 3) == brute_force_count(N_SHAPED, 3) == 107
 
     def test_recursion_equals_frontier_count(self, monkeypatch):
         # every poset on at most 4 nodes, by its transitive closure and by
-        # its covering relations, against the frontier count of one copy
-        # per isomorphism class
+        # its covering relations, against the oracle's frontier count of one
+        # copy per isomorphism class, which the class contraction matches
         def cover(k, closure):
             return [(a, b) for a, b in closure
                     if not any((a, c) in closure and (c, b) in closure for c in range(k))]
@@ -426,10 +428,11 @@ class TestConstraintPoset:
             shape = min(tuple(sorted((q[a], q[b]) for a, b in closure))
                         for q in itertools.permutations(range(k)))
             if (k, shape) not in counts:
+                poset = ConstraintPoset(k, cover(k, set(shape)))
+                counts[k, shape] = [1] + [frontier_count(poset, p) for p in range(1, 7)]
                 with monkeypatch.context() as patch:
                     patch.setattr(combinatorics, "_rooted_moments", lambda *args: None)
-                    poset = ConstraintPoset(k, cover(k, set(shape)))
-                    counts[k, shape] = [1] + [count_poset_tuples(poset, p) for p in range(1, 7)]
+                    assert [1] + [count_poset_tuples(poset, p) for p in range(1, 7)] == counts[k, shape]
             for relations in (sorted(closure), cover(k, closure)):
                 rooted = combinatorics._rooted_moments(ConstraintPoset(k, relations), 6)
                 if rooted is None:

@@ -99,17 +99,18 @@ class TestMaxFlow:
 
 
 class TestResidualPoset:
-    @pytest.mark.parametrize("marginal,k,relations", [
-        (one_loop(), 1, ()),
-        (bell_pair(), 0, ()),                           # a T block and an S block
-        (exotic_graph(), 3, ((0, 1), (0, 2))),          # the hub below both leaves
-        (cycle_graph("TSRR"), 2, ((1, 0),)),
-        (fc_template(3), 3, ((0, 1), (0, 2), (1, 2))),  # reachability, so closed
-        (n_shaped_marginal(), 4, ((0, 2), (1, 2), (1, 3))),
-    ], ids=["one_loop", "bell_pair", "exotic", "TSRR", "fc_template_3", "n_shaped"])
-    def test_classes_and_order(self, marginal, k, relations):
-        poset = residual_poset(marginal)
-        assert (poset.k, poset.relations, poset.pins) == (k, relations, {})
+    @pytest.mark.parametrize("marginal,k,relations,place", [
+        (one_loop(), 1, (), (0,)),
+        (bell_pair(), 0, (), ("one", "zero")),                      # a T block and an S block
+        (exotic_graph(), 3, ((0, 1), (0, 2)), (0, 1, 2)),           # the hub below both leaves
+        (cycle_graph("TSRR"), 2, ((1, 0),), ("zero", "one", 0, 1)),
+        (fc_template(3), 3, ((0, 1), (0, 2), (1, 2)), (0, 1, 2)),   # reachability, so closed
+        (n_shaped_marginal(), 4, ((0, 2), (1, 2), (1, 3)), (0, 1, 2, 3)),
+        (cycle_graph("TRR"), 0, (), ("zero", "zero", "zero")),      # mixed blocks the source reaches
+    ], ids=["one_loop", "bell_pair", "exotic", "TSRR", "fc_template_3", "n_shaped", "TRR"])
+    def test_classes_and_order(self, marginal, k, relations, place):
+        poset, places = residual_poset(marginal)
+        assert (poset.k, poset.relations, poset.pins, places) == (k, relations, {}, place)
 
     def test_any_max_flow_result(self, corpus):
         for m in corpus:

@@ -1,12 +1,15 @@
 """The moment engines against brute-force sums over every labeling.
 
-The engines contract the block graph one block at a time, and the Haar
-engines pin fully traced blocks to the identity and fully kept blocks to
-the long cycle.  The references here do neither: the asymptotic
-coefficient is summed tuple by tuple over `minimizer_set`, and the
-finite-N moments sum every block over all of S_p against its full
-Weingarten (or Wick) factor.  The array contraction itself is checked
-against the same elimination with one Python lookup per entry.
+The asymptotic engine counts the maps of the residual poset's classes
+into NC(p), with one weight per class; the finite-N engines contract the
+block graph one block at a time, and the Haar engines pin fully traced
+blocks to the identity and fully kept blocks to the long cycle.  The
+references here do neither: the asymptotic coefficient is summed over
+the NC(p) labelings of the blocks with N formal (`nc_labeling_sum`) and
+tuple by tuple over `minimizer_set`, and the finite-N moments sum every
+block over all of S_p against its full Weingarten (or Wick) factor.  The
+array contraction itself is checked against the same elimination with
+one Python lookup per entry.
 """
 
 import itertools
@@ -17,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphstate import moments
+from graphstate import combinatorics, moments
 from graphstate.catalog import bell_pair, cycle_graph, exotic_graph, one_loop, random_marginal
 from graphstate.cli import graph_to_dict, marginal_from_dict
-from graphstate.combinatorics import ConstraintPoset, Perm, all_perms, catalan, count_poset_tuples
+from graphstate.combinatorics import ConstraintPoset, Perm, all_perms, catalan
 from graphstate.flow import SINK, SOURCE, MaxFlowResult, MinimizerConsistencyError
 from graphstate.moments import (
     BudgetExceededError,
@@ -31,7 +34,22 @@ from graphstate.moments import (
     moment_table,
 )
 from graphstate.weingarten import wg_exact
-from oracles import lookup_contract, n_shaped_marginal, nc_to_geodesic, with_dims
+from oracles import (
+    frontier_count,
+    lookup_contract,
+    n_shaped_marginal,
+    nc_labeling_sum,
+    nc_to_geodesic,
+    poset_marginal,
+    with_dims,
+)
+
+# the N, the bowtie {0, 1 <= 2, 3} and the 6-crown: posets that are not rooted
+UNROOTED = {
+    "N": (4, [(0, 2), (1, 2), (1, 3)]),
+    "bowtie": (4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+    "crown": (6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)]),
+}
 
 
 def minimizer_sum(marginal, p):
@@ -100,33 +118,60 @@ def test_asymptotic_matches_minimizer_sum(corpus):
 
 def test_residual_poset_count_equals_labeling_sum(corpus, small_corpus, monkeypatch):
     # the corpora of this file at unit dimensions, then 1,000 graphs drawn
-    # at unit dimensions; each residual poset is rooted, so the labeling
-    # sum runs only as the reference
+    # at unit dimensions; the block labeling sum runs only as the reference
     rng = np.random.default_rng(1414)
     graphs = [with_dims(m, 1) for m in corpus + small_corpus]
     graphs += [with_dims(random_marginal(rng, max_bonds=4, max_dim=3), 1) for _ in range(200)]
     rng = np.random.default_rng(1818)
     graphs += [random_marginal(rng, max_dim=1) for _ in range(1000)]
-    labeling_sum = moments._labeling_sum
 
     def unsummed(*args):
-        raise AssertionError("the labeling sum ran on a unit-dimension graph")
+        raise AssertionError("the finite-N labeling sum ran for an asymptotic moment")
     monkeypatch.setattr(moments, "_labeling_sum", unsummed)
     for m in graphs:
         for p in range(1, 6):
-            cost, coefficient, count = labeling_sum(m, p, None, True, None)
+            cost, coefficient, count = nc_labeling_sum(m, p)
             r = asymptotic_moment(m, p)
             assert (r.exponent, r.coefficient, r.minimizer_count) == (-cost, coefficient, count)
 
 
+def test_weighted_poset_count_equals_labeling_sum(monkeypatch):
+    # 1,000 graphs with dimension factors up to 3, most of them not 1: the
+    # class weights x_c and the constant C(p) against the block labeling sum
+    rng = np.random.default_rng(2121)
+    graphs = [random_marginal(rng, max_bonds=6, max_dim=3) for _ in range(1000)]
+    assert sum(any(d != 1 for _, d in m.graph.dims) for m in graphs) > 900
+    monkeypatch.setattr(moments, "_labeling_sum", None)
+    for m in graphs:
+        for p in range(1, 6):
+            cost, coefficient, count = nc_labeling_sum(m, p)
+            r = asymptotic_moment(m, p)
+            assert (r.exponent, r.coefficient, r.minimizer_count) == (-cost, coefficient, count)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(UNROOTED))
+def test_unrooted_posets_weighted_by_class(contractions, name, d):
+    # one contraction over the classes per order, equal to the block sum
+    k, relations = UNROOTED[name]
+    m = poset_marginal(k, relations, d)
+    orders = range(1, 5 if k > 4 else 6)
+    for p in orders:
+        r = asymptotic_moment(m, p)
+        assert (-r.exponent, r.coefficient, r.minimizer_count) == nc_labeling_sum(m, p)
+        if p <= 4:
+            assert r.minimizer_count == frontier_count(ConstraintPoset(k, relations), p)
+    assert len(contractions) == len(orders)
+
+
 def test_unrooted_residual_poset_takes_the_labeling_sum(contractions):
-    # the N-shaped poset has no recursion; the labeling sum counts its
+    # the N-shaped poset has no recursion; the class contraction counts its
     # order-preserving maps, as the frontier count and the minimizers do
     m = n_shaped_marginal()
     poset = ConstraintPoset(k=4, relations=[(0, 2), (1, 2), (1, 3)])
     for p in range(2, 6):
         r = asymptotic_moment(m, p)
-        assert r.minimizer_count == r.coefficient == count_poset_tuples(poset, p)
+        assert r.minimizer_count == r.coefficient == frontier_count(poset, p)
         if p <= 3:
             assert (r.exponent, r.coefficient, r.minimizer_count) == minimizer_sum(m, p)
     assert len(contractions) == 4
@@ -145,22 +190,22 @@ def test_one_marginals_flow_never_serves_another(corpus, small_corpus, cold_flow
                          marginal_from_dict(doc, trace_override=other)):
             reports = moment_table(marginal, 5)
             for p, r in enumerate(reports, start=1):
-                cost, coefficient, count = moments._labeling_sum(marginal, p, None, True, None)
+                cost, coefficient, count = nc_labeling_sum(marginal, p)
                 assert (r.exponent, r.coefficient, r.minimizer_count) == (-cost, coefficient, count)
 
 
 def test_consistency_errors_are_raised_on_every_call(monkeypatch, cold_flows):
-    # n_shaped's poset is not rooted: its labeling sum runs on every call,
-    # and a least cost off X(p-1) is refused every time, warm flow or not
+    # n_shaped's poset is not rooted: its class contraction runs on every
+    # call, and a least cost off 0 is refused every time, warm flow or not
     m = n_shaped_marginal()
     expected = moment_table(m, 3)
-    labeling_sum = moments._labeling_sum
-    monkeypatch.setattr(moments, "_labeling_sum",
-                        lambda *args: (lambda c, w, n: (c + 1, w, n))(*labeling_sum(*args)))
+    poset_sum = moments._poset_sum
+    monkeypatch.setattr(moments, "_poset_sum",
+                        lambda *args: (lambda c, w, n: (c + 1, w, n))(*poset_sum(*args)))
     for _ in range(2):
         with pytest.raises(MinimizerConsistencyError):
             moment_table(m, 3)
-    monkeypatch.setattr(moments, "_labeling_sum", labeling_sum)
+    monkeypatch.setattr(moments, "_poset_sum", poset_sum)
     assert moment_table(m, 3) == expected
     # a flow whose residual map joins the id pins to the gamma pins: its
     # poset is refused on every order and every call, and so is a minimum
@@ -201,17 +246,23 @@ def test_exact_gate_counts_planned_entries():
 
 
 def test_exotic_p7_within_default_budget():
-    # the hub-and-leaves graph eliminates its two leaves: 2 * catalan(7)^2
-    # entries, on top of the NC(7) label table; the plan depends on the
-    # structure alone, so the d = 2 copy has the same one
-    exotic2 = with_dims(exotic_graph(), 2)
+    # the N-shaped classes eliminate one cover relation at a time: 3 *
+    # catalan(7)^2 entries, on top of the NC(7) label table; the plan
+    # depends on the structure alone, so the d = 2 copy has the same one
+    n_shaped2 = with_dims(n_shaped_marginal(), 2)
     with pytest.raises(BudgetExceededError) as err:
-        asymptotic_moment(exotic2, 7, budget=0)
-    assert err.value.estimated == 2 * catalan(7) ** 2 + catalan(7)
-    assert asymptotic_moment(exotic2, 7).minimizer_count == 502878
-    # at d = 1 the residual poset is counted, and no budget is needed
+        asymptotic_moment(n_shaped2, 7, budget=0)
+    assert err.value.estimated == 3 * catalan(7) ** 2 + catalan(7)
+    r = asymptotic_moment(n_shaped2, 7)
+    assert (-r.exponent, r.coefficient, r.minimizer_count) == nc_labeling_sum(n_shaped2, 7)
+    # exotic's residual poset is rooted: it is counted, and no budget is
+    # needed, at every dimension
     r = asymptotic_moment(exotic_graph(), 7, budget=0)
     assert r.minimizer_count == r.coefficient == 502878
+    exotic2 = with_dims(exotic_graph(), 2)
+    r = asymptotic_moment(exotic2, 7, budget=0)
+    assert (-r.exponent, r.coefficient, r.minimizer_count) == nc_labeling_sum(exotic2, 7)
+    assert r.coefficient == Fraction(502878, 2 ** 30)
 
 
 def test_gates_refuse_before_any_label_table(monkeypatch):
@@ -220,6 +271,7 @@ def test_gates_refuse_before_any_label_table(monkeypatch):
     def unbuilt(p, *args):
         raise AssertionError(f"built a label table at order {p}")
     monkeypatch.setattr(moments, "_label_table", unbuilt)
+    monkeypatch.setattr(combinatorics, "_label_table", unbuilt)
     with pytest.raises(BudgetExceededError) as err:
         exact_moment(cycle_graph("TSRR"), 12, 3)
     assert err.value.estimated > math.factorial(12) ** 2
@@ -227,11 +279,13 @@ def test_gates_refuse_before_any_label_table(monkeypatch):
         exact_moment_gaussian(bell_pair(), 12, 2)    # the Wick sum pins nothing
     assert err.value.estimated > math.factorial(12) ** 2
     with pytest.raises(BudgetExceededError) as err:
-        asymptotic_moment(with_dims(exotic_graph(), 2), 12)
+        asymptotic_moment(with_dims(n_shaped_marginal(), 2), 12)
     assert err.value.estimated > catalan(12) ** 2
-    # at d = 1 the residual poset of exotic is counted instead
+    # the residual poset of exotic is rooted, and is counted instead
     r = asymptotic_moment(exotic_graph(), 12)
     assert r.minimizer_count == r.coefficient == 206701768044
+    r = asymptotic_moment(with_dims(exotic_graph(), 2), 12)
+    assert (r.coefficient, r.minimizer_count) == (Fraction(206701768044, 2 ** 55), 206701768044)
     # a graph of S and T blocks alone has no free block to label
     assert exact_moment(bell_pair(), 12, 2) == Fraction(1, 2 ** 11)
     r = asymptotic_moment(bell_pair(), 12)
@@ -242,9 +296,11 @@ def test_gates_refuse_before_any_label_table(monkeypatch):
 
 @pytest.fixture
 def contractions(monkeypatch):
-    """Every (factors, order, size, result) that `moments._contract` is called with."""
+    """Every (factors, order, size, result) that `_contract` is called with,
+    from the finite-N sums of `moments` and the class contraction of
+    `combinatorics`."""
     calls = []
-    contract = moments._contract
+    contract = combinatorics._contract
 
     def recorded(factors, order, size):
         result = contract(factors, order, size)
@@ -252,19 +308,25 @@ def contractions(monkeypatch):
         return result
 
     monkeypatch.setattr(moments, "_contract", recorded)
+    monkeypatch.setattr(combinatorics, "_contract", recorded)
     return calls
 
 
-@pytest.mark.parametrize("slice_entries", [moments._SLICE_ENTRIES, 16])
+@pytest.mark.parametrize("slice_entries", [combinatorics._SLICE_ENTRIES, 16])
 def test_array_contraction_matches_lookup_oracle(contractions, monkeypatch, slice_entries):
-    # 16 entries cut the (min, +) messages into slices of a few labelings
-    monkeypatch.setattr(moments, "_SLICE_ENTRIES", slice_entries)
+    # 16 entries cut the (min, +) messages of the class contractions into
+    # slices of a few labelings
+    monkeypatch.setattr(combinatorics, "_SLICE_ENTRIES", slice_entries)
     rng = np.random.default_rng(1414)
     for m in [random_marginal(rng, max_bonds=4, max_dim=3) for _ in range(200)]:
         asymptotic_moment(m, 3)
         for N in (1, 2, 3):
             exact_moment(m, 3, N)
             exact_moment_gaussian(m, 3, N)
+    # the unrooted posets at d = 2, weighted by class: (min, +) buckets
+    for k, relations in UNROOTED.values():
+        for p in (1, 3):
+            asymptotic_moment(poset_marginal(k, relations, 2), p)
     # one label; no free block; a T block bonded to an S block, a constant
     asymptotic_moment(exotic_graph(), 1)
     exact_moment(exotic_graph(), 1, 2)
@@ -273,6 +335,7 @@ def test_array_contraction_matches_lookup_oracle(contractions, monkeypatch, slic
     exact_moment(cycle_graph("TSRR"), 3, 2)
     sizes = {size for _, _, size, _ in contractions}
     assert {0, 1} <= sizes
+    assert any(c.any() for factors, *_ in contractions for _, c, _, _ in factors)
     assert any(scope == () for factors, *_ in contractions for scope, *_ in factors)
     for factors, order, size, result in contractions:
         lookups = [(scope, lambda key, c=c, w=w, n=n: (int(c[key]), w[key], n[key]))
@@ -287,10 +350,14 @@ def test_labeling_sum_weights_and_counts_are_python_ints(contractions):
                              31847968755226011847081625050473824256)
     assert value.numerator > 2 ** 63
     assert exact_moment(exotic_graph(), 6, 2) == Fraction(18322570156577, 97356128096747520)
-    asymptotic_moment(with_dims(exotic_graph(), 2), 5)
+    # the class contraction scales each weight x_c = n/d to n^# d^(p - #)
+    n_shaped2 = with_dims(n_shaped_marginal(), 2)
+    assert asymptotic_moment(n_shaped2, 5).coefficient == nc_labeling_sum(n_shaped2, 5)[1]
     exact_moment_gaussian(cycle_graph("TSRR"), 3, 4)
     assert len(contractions) == 4
-    asymptotic_moment(exotic_graph(), 5)    # counted on its residual poset
+    # counted on their rooted residual posets
+    assert asymptotic_moment(exotic_graph(), 5).coefficient == 3695
+    assert asymptotic_moment(with_dims(exotic_graph(), 2), 5).coefficient == Fraction(3695, 2 ** 20)
     assert len(contractions) == 4
     for factors, *_ in contractions:
         for _, cost, weight, count in factors:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphstate import moments
+from graphstate import combinatorics, moments
 from graphstate.catalog import (
     cycle_graph,
     exotic_graph,
@@ -49,6 +49,7 @@ from oracles import (
     f_beta,
     is_geodesic,
     law_moments,
+    n_shaped_marginal,
     nc_to_geodesic,
     perm_weingarten_column,
     with_dims,
@@ -226,13 +227,17 @@ class TestExactMoment:
         def unbuilt(p, *args):
             raise AssertionError(f"built a label table at order {p}")
         monkeypatch.setattr(moments, "_label_table", unbuilt)
+        monkeypatch.setattr(combinatorics, "_label_table", unbuilt)
         with pytest.raises(BudgetExceededError):
             exact_moment(cycle_graph("TSRR"), 12, 3)
         with pytest.raises(BudgetExceededError):
-            asymptotic_moment(with_dims(exotic_graph(), 2), 12)
-        # at d = 1 the residual poset is counted, with no table at all
-        assert asymptotic_moment(exotic_graph(), 12).minimizer_count == \
-            count_poset_tuples(exotic_poset(), 12)
+            asymptotic_moment(with_dims(n_shaped_marginal(), 2), 12)
+        # exotic's residual poset is rooted, and counted with no table at
+        # all, at every dimension
+        count = count_poset_tuples(exotic_poset(), 12)
+        assert asymptotic_moment(exotic_graph(), 12).minimizer_count == count
+        r = asymptotic_moment(with_dims(exotic_graph(), 2), 12)
+        assert (r.coefficient, r.minimizer_count) == (Fraction(count, 2 ** 55), count)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_integer_weingarten_column(self, p):
