@@ -3,7 +3,7 @@
 Graphs of maximally entangled pairs coupled by per-vertex Haar unitaries
 induce random density matrices under partial tracing.  This package
 computes their moments exactly (Weingarten sums) and asymptotically
-(max-flow exponents with minimizer-set coefficients), identifies the
+(max-flow exponents with residual-poset coefficients), identifies the
 limiting eigenvalue laws (free Poisson, Fuss-Catalan, their products,
 and label-poset laws), and verifies everything against a Monte Carlo
 sampler.

@@ -18,12 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import EnumerationCapError
+from .combinatorics import BudgetSettingError, EnumerationCapError
 from .graphs import GraphSpec, GraphValidationError, MarginalSpec
 from .flow import SINK, SOURCE
 from .moments import (
     BudgetExceededError,
-    BudgetSettingError,
     _solved,
     classify_reports,
     exact_moment,

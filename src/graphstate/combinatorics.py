@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -374,7 +375,31 @@ def _codes(images):
 # bucket elimination: the sum over labelings that every engine shares
 # ---------------------------------------------------------------------------
 
-def _plan(blocks, size, scopes, cap, env, extra=0):
+BUDGET_ENV = "GRAPHSTATE_BUDGET_TERMS"
+BUDGET_DEFAULT = 10_000_000
+
+
+class BudgetSettingError(ValueError):
+    """The budget environment variable does not hold a non-negative integer."""
+
+
+def work_budget(override=None) -> int:
+    """The cap on planned table entries of every gate: `override`, else
+    BUDGET_ENV in any integer-valued notation (such as 1e7), else BUDGET_DEFAULT."""
+    if override is not None:
+        return int(override)
+    raw = os.environ.get(BUDGET_ENV, str(BUDGET_DEFAULT))
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if value.is_integer() and value >= 0:
+        return int(value)
+    raise BudgetSettingError(
+        f"{BUDGET_ENV} must be a non-negative integer such as 1e7, got {raw!r}")
+
+
+def _plan(blocks, size, scopes, cap, extra=0):
     """Elimination order of `blocks` for `_contract`, refused if its work exceeds `cap`.
 
     Every block has `size` labels.  Blocks go in min-degree order, ties to
@@ -398,7 +423,7 @@ def _plan(blocks, size, scopes, cap, env, extra=0):
         order.append(v)
     if work > cap:
         raise BudgetExceededError(f"moment sum needs {work} table entries (> budget {cap}); "
-                                  f"lower p or raise {env}", work)
+                                  f"lower p or raise {BUDGET_ENV}", work)
     return order
 
 
@@ -605,7 +630,7 @@ def count_poset_tuples(poset: ConstraintPoset, p: int) -> int:
     return count if cost == 0 else 0
 
 
-def _poset_sum(poset: ConstraintPoset, p: int, x=None, cap=math.inf, env=None):
+def _poset_sum(poset: ConstraintPoset, p: int, x=None, cap=math.inf):
     """(least cost, weighted sum, count) over the labelings of the poset's
     nodes by NC(p), at a cost of 1 per violated cover relation or pin.
 
@@ -622,7 +647,7 @@ def _poset_sum(poset: ConstraintPoset, p: int, x=None, cap=math.inf, env=None):
     cover = [(a, b) for a, b in rel
              if not any((a, c) in rel and (c, b) in rel for c in range(poset.k))]
     n = catalan(p)
-    order = _plan(range(poset.k), n, cover, cap, env, n)
+    order = _plan(range(poset.k), n, cover, cap, n)
     ncyc = np.array(_label_table(p, True)[1])
     factors, scale = [], Fraction(1)
     for v in range(poset.k):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .combinatorics import (
     _ONE,
+    BUDGET_ENV,
     BudgetExceededError,
     ConstraintPoset,
     _contract,
@@ -41,41 +41,12 @@ from .combinatorics import (
     enumerate_nc,
     fuss_catalan,
     mp_moment,
+    work_budget,
 )
 from .flow import MinimizerConsistencyError, build_network, max_flow, residual_poset
 from .graphs import MarginalSpec
 from .spectra import fc_entropy, mp_entropy
 from .weingarten import wg_exact
-
-TUPLES_BUDGET_DEFAULT = 5_000_000
-TERMS_BUDGET_DEFAULT = 10_000_000
-TUPLES_BUDGET_ENV = "GRAPHSTATE_BUDGET_TUPLES"
-TERMS_BUDGET_ENV = "GRAPHSTATE_BUDGET_TERMS"
-
-
-class BudgetSettingError(ValueError):
-    """A budget environment variable does not hold an integer."""
-
-
-def tuples_budget(override=None) -> int:
-    return _budget(override, TUPLES_BUDGET_ENV, TUPLES_BUDGET_DEFAULT)
-
-
-def terms_budget(override=None) -> int:
-    return _budget(override, TERMS_BUDGET_ENV, TERMS_BUDGET_DEFAULT)
-
-
-def _budget(override, env, default) -> int:
-    if override is not None:
-        return int(override)
-    raw = os.environ.get(env, str(default))
-    try:
-        if float(raw).is_integer():     # any integer-valued notation, such as 5e6
-            return int(float(raw))
-    except ValueError:
-        pass
-    raise BudgetSettingError(f"{env} must be an integer such as 5e6, got {raw!r}")
-
 
 # ---------------------------------------------------------------------------
 # the max flow, solved once per marginal
@@ -192,11 +163,11 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
     cross = {pair: len(bonds) for pair, bonds in marginal.cross_bonds.items()}
 
     est = catalan(p) ** len(free) + (catalan(p) ** 2 if cross else 0)
-    cap = tuples_budget(budget)
+    cap = work_budget(budget)
     if est > cap:
         raise BudgetExceededError(
             f"minimizer search needs ~{est} table entries (> budget {cap}); "
-            f"lower p or raise {TUPLES_BUDGET_ENV}", est)
+            f"lower p or raise {BUDGET_ENV}", est)
     parts = enumerate_nc(p)
     _, ncyc, ncyc_gamma, idx_zero, idx_one = _label_table(p, True)
     pair_ncyc = _pair_arrays(p, True)[0].tolist() if cross else None
@@ -277,10 +248,12 @@ def _labeling_sum(marginal: MarginalSpec, p: int, N: int, haar: bool, budget) ->
     free = [i for i in range(marginal.k) if i not in pins]
     # without free blocks no label table is built
     n_labels = math.factorial(p) if free else 0
-    # a free Haar block needs a Weingarten column per label
-    columns = len(free) * n_labels ** 2 if haar and n_labels > 1 else 0
-    order = _plan(free, n_labels, marginal.cross_bonds, terms_budget(budget), TERMS_BUDGET_ENV,
-                  n_labels + columns)
+    # free Haar blocks read one class table of n_labels^2 entries, and each
+    # weighs a column of n_labels entries per label group (#a, #(gamma a^-1)):
+    # one per i + j <= p + 1 of the parity of p + 1, so (p + 1)^2 // 4 groups
+    groups = (p + 1) ** 2 // 4
+    columns = n_labels * (n_labels + len(free) * groups) if haar and n_labels > 1 else 0
+    order = _plan(free, n_labels, marginal.cross_bonds, work_budget(budget), n_labels + columns)
 
     def powers(e, d):
         """(d N^e)^t at t = 0..p, a Python-int array."""
@@ -376,20 +349,20 @@ def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentRepo
     a b^p prod_c x_c^(#sigma_c) (`_Solved.weights`).  A recursively rooted
     poset sums them by `_rooted_moments`, with no table and no budget
     refusal at any p; any other by the class contraction `_poset_sum`,
-    gated by the tuples budget and NC_CAP, whose least cost (violated
+    gated by the work budget and NC_CAP, whose least cost (violated
     relations) must be 0.  `minimizer_count` is the count at every x_c = 1.
     p=1 always reports (0, 1).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    cap = tuples_budget(budget)     # a malformed budget setting is refused on either path
+    cap = work_budget(budget)   # a malformed budget setting is refused on either path
     solved = _solved(marginal)
     x, a, b = solved.weights
     sums = solved.rooted_sums(p)
     if sums is not None:
         weighted, count = sums[0][p], sums[1][p]
     else:
-        cost, weighted, count = _poset_sum(solved.poset[0], p, x, cap, TUPLES_BUDGET_ENV)
+        cost, weighted, count = _poset_sum(solved.poset[0], p, x, cap)
         if cost != 0:
             raise MinimizerConsistencyError(f"least violated relations {cost} != 0 at p={p}")
     return MomentReport(p=p, exponent=-solved.flow.value * (p - 1),

@@ -9,7 +9,7 @@ the Haar integration weight at every dimension n >= 1.  For n >= p it
 inverts sigma -> n^(#sigma) under convolution on S_p; for n < p that map
 is singular and the table is its pseudo-inverse.  Characters come from
 the Murnaghan-Nakayama rule on partitions, so S_p is never built.
-`wg_asym` is the leading 1/n term used by the asymptotic moment engine.
+`wg_asym` is the leading 1/n term, which no engine uses: a public reference.
 """
 
 from __future__ import annotations

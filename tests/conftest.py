@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
 from graphstate import moments
 from graphstate.catalog import random_marginal, star_graph
 from graphstate.montecarlo import estimate
+
+
+@pytest.fixture(autouse=True)
+def default_budget(monkeypatch):
+    """Every test starts at the default work budget, whatever the calling shell sets."""
+    for name in [name for name in os.environ if name.startswith("GRAPHSTATE_BUDGET_")]:
+        monkeypatch.delenv(name)
 
 
 @pytest.fixture(scope="session")

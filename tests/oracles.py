@@ -380,7 +380,7 @@ def nc_labeling_sum(marginal: MarginalSpec, p: int):
         else:
             factors.append(((i, j), *entry(e, d, at["pair"]), ones((n, n))))
     factors += [((i,), c, w, ones(n)) for i, (c, w) in unary.items()]
-    order = _plan(free, n, marginal.cross_bonds, math.inf, None)
+    order = _plan(free, n, marginal.cross_bonds, math.inf)
     cost, weight, count = _contract(factors, order, n)
     return cost, prefactor * weight, count
 

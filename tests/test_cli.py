@@ -249,7 +249,7 @@ class TestRun:
         # the class contraction of the N-shaped poset at d = 2 is gated;
         # exotic's residual poset is rooted and counted at every dimension,
         # which refuses nothing
-        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "10")
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "10")
         path = write_graph(tmp_path, graph_to_dict(with_dims(n_shaped_marginal(), 2)))
         code, text = run(["analyze", path, "--pmax", "4"])
         assert code == 3
@@ -266,10 +266,10 @@ class TestRun:
         # malformed budget setting is still refused
         argv = ["analyze", str(DATA / "one_loop.json"), "--pmax", "3"]
         assert run(argv)[0] == 0
-        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "lots")
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "lots")
         code, text = run(argv)
         assert code == 1
-        assert "GRAPHSTATE_BUDGET_TUPLES" in text
+        assert "GRAPHSTATE_BUDGET_TERMS" in text
 
     @pytest.mark.parametrize("argv", [
         ["analyze", str(DATA / "exotic.json"), "--pmax", "6"],
@@ -293,7 +293,7 @@ class TestRun:
     def test_enumeration_cap_exit_3(self, tmp_path, monkeypatch):
         # the N-shaped poset's class contraction at p = 11 plans 1.0e10
         # entries; with the budget lifted, NC_CAP still refuses it
-        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "1e12")
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "1e12")
         path = write_graph(tmp_path, graph_to_dict(with_dims(n_shaped_marginal(), 2)))
         code, text = run(["analyze", path, "--pmax", "11"])
         assert code == 3
@@ -317,7 +317,7 @@ class TestRun:
         monkeypatch.setattr(combinatorics, "_contract", summed)
         code, text = run(["exact", str(DATA / "exotic.json"), "--N", "2", "--pmax", "8"])
         assert code == 3 and "budget" in text
-        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "1e12")
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "1e12")
         path = write_graph(tmp_path, graph_to_dict(with_dims(n_shaped_marginal(), 2)))
         code, text = run(["analyze", path, "--pmax", "11"])
         assert code == 3 and "enumeration cap" in text
@@ -345,7 +345,7 @@ class TestRun:
         (["--pmax", "11"], one_loop)], ids=["exotic-9", "exotic-30", "one_loop-11"])
     def test_analyze_d2_rooted_runs_ungated(self, tmp_path, argv, oracle):
         # the d = 2 copies count their rooted residual posets with class
-        # weights, which neither the tuples budget nor NC_CAP gates
+        # weights, which neither the work budget nor NC_CAP gates
         marginal = with_dims(oracle(), 2)
         code, text = run(["analyze", write_graph(tmp_path, graph_to_dict(marginal)), *argv])
         assert code == 0, text
@@ -370,21 +370,22 @@ class TestRun:
         assert [row["value"] for row in json.loads(text)["moments"]] == ["1", "1", "1"]
 
     def test_env_budget_override_allows_more(self, monkeypatch):
-        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "100000000")
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "100000000")
         code, _ = run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])
         assert code == 0
 
     def test_env_budget_accepts_exponent_notation(self, monkeypatch):
-        monkeypatch.setenv("GRAPHSTATE_BUDGET_TUPLES", "5e6")
-        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "1e7")
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "5e6")
         assert run(["analyze", str(DATA / "exotic.json"), "--pmax", "4"])[0] == 0
+        monkeypatch.setenv("GRAPHSTATE_BUDGET_TERMS", "1e7")
         assert run(["exact", str(DATA / "one_loop.json"), "--N", "4"])[0] == 0
 
+    # both commands read the one budget variable
     @pytest.mark.parametrize("env,argv", [
-        ("GRAPHSTATE_BUDGET_TUPLES", ["analyze", str(DATA / "one_loop.json")]),
+        ("GRAPHSTATE_BUDGET_TERMS", ["analyze", str(DATA / "one_loop.json")]),
         ("GRAPHSTATE_BUDGET_TERMS", ["exact", str(DATA / "one_loop.json"), "--N", "4"]),
     ])
-    @pytest.mark.parametrize("value", ["lots", "2.5", "inf", ""])
+    @pytest.mark.parametrize("value", ["lots", "2.5", "inf", "", "-1"])
     def test_env_budget_not_an_integer_exit_1(self, monkeypatch, env, argv, value):
         monkeypatch.setenv(env, value)
         code, text = run(argv)

@@ -233,16 +233,27 @@ def test_wick_matches_joint_sum(small_corpus):
 
 
 def test_exact_gate_counts_planned_entries():
-    # TSRR pins T and S; the two R blocks need one Weingarten column per
-    # label (2 * 24^2 entries) and one joint table (24^2 entries), on top
-    # of the S_4 label table (24 entries)
+    # TSRR pins T and S; its two R blocks read the S_4 label table (24
+    # entries) and the class table (24^2), each weighs a Weingarten column
+    # of 24 entries per label group (6 at p = 4), and eliminating the
+    # first fills one joint table (24^2)
     with pytest.raises(BudgetExceededError) as err:
         exact_moment(cycle_graph("TSRR"), 4, 4, budget=1000)
-    assert err.value.estimated == 3 * 24 ** 2 + 24
+    assert err.value.estimated == 24 + 24 ** 2 + 24 ** 2 + 2 * 6 * 24 == 1464
     # within the default budget; the value the joint sum gives with its
     # gate lifted
     assert exact_moment(cycle_graph("TSRR"), 4, 5) == Fraction(
         13975385029, 80212078857421875)
+
+
+def test_free_block_chain_within_default_budget():
+    # twelve free Haar blocks in a chain at p = 6: the S_6 label and class
+    # tables (720 + 720^2), a column of 12 label groups * 720 per block and
+    # eleven joint tables of 720^2, within the default 1e7; plan only
+    with pytest.raises(BudgetExceededError) as err:
+        exact_moment(poset_marginal(12, [(i, i + 1) for i in range(11)]), 6, 2, budget=0)
+    assert err.value.estimated == 720 + 12 * 720 ** 2 + 12 * 12 * 720 == 6_325_200
+    assert err.value.estimated <= combinatorics.BUDGET_DEFAULT
 
 
 def test_exotic_p7_within_default_budget():
