@@ -380,23 +380,22 @@ BUDGET_DEFAULT = 10_000_000
 
 
 class BudgetSettingError(ValueError):
-    """The budget environment variable does not hold a non-negative integer."""
+    """A work budget, the `budget=` argument or BUDGET_ENV, that is not a non-negative integer."""
 
 
 def work_budget(override=None) -> int:
-    """The cap on planned table entries of every gate: `override`, else
-    BUDGET_ENV in any integer-valued notation (such as 1e7), else BUDGET_DEFAULT."""
-    if override is not None:
-        return int(override)
-    raw = os.environ.get(BUDGET_ENV, str(BUDGET_DEFAULT))
+    """The cap on planned table entries of every gate: the `budget=`
+    argument `override`, else BUDGET_ENV, else BUDGET_DEFAULT; either one
+    a non-negative integer in any integer-valued notation (such as 1e7)."""
+    raw = os.environ.get(BUDGET_ENV, str(BUDGET_DEFAULT)) if override is None else override
     try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if value.is_integer() and value >= 0:
-        return int(value)
-    raise BudgetSettingError(
-        f"{BUDGET_ENV} must be a non-negative integer such as 1e7, got {raw!r}")
+        value = float(raw) if isinstance(raw, str) else raw
+        if value >= 0 and value == int(value):    # int() refuses inf and nan
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BudgetSettingError(f"{BUDGET_ENV if override is None else 'budget'} must be a "
+                             f"non-negative integer such as 1e7, got {raw!r}")
 
 
 def _plan(blocks, size, scopes, cap, extra=0):

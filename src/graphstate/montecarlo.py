@@ -18,11 +18,17 @@ the frame V maps the cross-bond legs into the block space.  For Haar U,
 W is a Haar isometry of shape block_dim x prod(cross legs); for a
 normalized Gaussian U it is a thin Gaussian divided by sqrt(block_dim).
 The sampler draws W directly; the isometries, joined along the cross
-bonds with 1/sqrt(D) per bond, are the state, which no trial contracts
-to amplitudes: rho on the smaller side comes from the doubled network
-psi (x) conj(psi), or from psi where that costs fewer multiply-adds.  No
-product state and no full unitary is formed: a one-vertex graph at
-N = 64 costs the QR of one vector.
+bonds with 1/sqrt(D) per bond, are the state.  No product state and no
+full unitary is formed: a one-vertex graph at N = 64 costs the QR of
+one vector.
+
+Reduction.  rho on the smaller side is one contraction tree of psi (x)
+conj(psi) over the isometries, planned once per network shape: the
+copy of any part of psi is that part's conj(), so psi first and then
+psi psi^dagger is one tree among the others.  Where some tree builds
+nothing larger than rho (side^2 entries), the plan is the cheapest such
+tree.  Its last step writes rho, copied once into C order where its axes
+do not already read (side, side), and no intermediate outlives it.
 
 Haar fold.  A Haar unitary on a fully traced (T) or fully kept (S) block
 leaves the reduced spectrum unchanged (the graphical-calculus rule of
@@ -36,14 +42,14 @@ leaves the nonzero spectrum unchanged.  The S/T blocks shrink to their
 remaining members.  Ginibre mode folds nothing, because a Gaussian on an
 S/T block changes the spectrum.
 
-MAX_AMPLITUDES bounds every isometry, intermediate and the state of
-psi's own contraction order, after any fold, whether or not a trial
-builds the state, and every array the reduction builds; MAX_DENSITY_DIM
-bounds the side of rho.
+MAX_AMPLITUDES bounds every array of psi's own plan, after any fold,
+whether or not a trial builds psi, and every array of the reduction's
+plan; MAX_DENSITY_DIM bounds the side of rho.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -114,7 +120,8 @@ class StateVector:
     @property
     def tensor(self) -> np.ndarray:
         """The amplitudes, one axis per subsystem (id order)."""
-        return _contract(self.operands, _order(self.operands)[0], range(1, len(self.dims) + 1))
+        array, labels = _contract(self.operands, _order(self.operands)[0])
+        return np.transpose(array, [labels.index(x) for x in range(1, len(self.dims) + 1)])
 
     @property
     def total_dim(self) -> int:
@@ -149,7 +156,8 @@ def assemble_state(marginal: MarginalSpec, N: int, rng=None, mode: str = "haar",
     for block_legs in legs.values():
         size.update((label, dim[x]) for x, label in block_legs)
     network = tuple(labels for _, labels in specs)
-    _, largest, _ = _search(network, tuple(tuple(size[x] for x in labels) for labels in network))
+    shapes = tuple(tuple(size[x] for x in labels) for labels in network)
+    _, largest, _ = _search(network, shapes, None)
     if largest > MAX_AMPLITUDES:
         raise ResourceCapError(f"state assembly needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
 
@@ -216,68 +224,116 @@ def _frame(graph, idx, block_legs, dim):
     parts = [(np.eye(dim[a], dtype=complex) / math.sqrt(dim[a]), (a, b))
              for a, b in graph.bonds if a in members and b in members]
     parts += [(np.eye(dim[x], dtype=complex), (x, -x)) for x, _ in block_legs]
-    frame = _contract(parts, range(len(parts)), members + tuple(-x for x, _ in block_legs))
+    frame, labels = _contract(parts, _order(parts)[0])
+    out = members + tuple(-x for x, _ in block_legs)
+    frame = np.transpose(frame, [labels.index(x) for x in out])
     return frame.reshape(math.prod(dim[x] for x in members), -1)
 
 
-def _contraction_order(operand_labels, shapes):
-    """Pairwise contraction order, the largest array it builds, and its cost.
+def _contraction_order(operand_labels, shapes, summed=None):
+    """Tree of psi, or with `summed` of rho = psi (x) conj(psi): tree, largest array, multiply-adds.
 
-    Greedy from each start, absorbing next the operand that gives the
-    smallest result; of those orders, the one with the fewest
-    multiply-adds (a step costs the product of the sizes of every label
-    it touches).  Labels shared by two operands are summed, the others
-    are axes of the result.
+    Per connected set S of psi's operands the search keeps the best tree of
+    P(S), their contraction, and of D(S), P(S) joined to its copy: P(S)
+    joins two P parts; D(S) joins P(S) to its copy, two D parts, or a D part
+    to a P part and then to that part's copy.  Whole components meet last.
+    Best is no array larger than the result where some tree meets that, else
+    the least largest array; then the fewest multiply-adds, a step costing
+    the product of its labels' sizes (Pfeifer, Haegeman and Verstraete, PRE
+    90, 033315, 2014).  `_contract` runs the tree.
     """
+    if not operand_labels:
+        return (), 1, 0
     size = {x: n for labels, shape in zip(operand_labels, shapes) for x, n in zip(labels, shape)}
+    sets = [frozenset(labels) for labels in operand_labels]
+    once = {x for x, n in collections.Counter(x for s in sets for x in s).items() if n == 1}
+    if summed is not None:
+        once = {y for x in once.difference(summed) for y in (x, -x)}
+        size.update({-x: n for x, n in size.items()})
+    limit, k = math.prod(size[x] for x in once), len(sets)
 
-    def volume(labels):
-        return math.prod(size[label] for label in labels)
+    def join(x, y, tree):   # parts are (largest, multiply-adds, labels, tree)
+        if x[2] & y[2] or x[2] | y[2] <= once:    # a shared label, or two whole results
+            return (max(x[0], y[0], math.prod(size[z] for z in x[2] ^ y[2])),
+                    x[1] + y[1] + math.prod(size[z] for z in x[2] | y[2]), x[2] ^ y[2], tree)
 
-    largest = max((volume(labels) for labels in operand_labels), default=1)
-    best = (0, (), 0)    # no operands
-    for start in range(len(operand_labels)):
-        acc, order, cost, peak = set(operand_labels[start]), [start], 0, 0
-        rest = [i for i in range(len(operand_labels)) if i != start]
-        while rest:
-            nxt = min(rest, key=lambda i: (volume(acc ^ set(operand_labels[i])), i))
-            rest.remove(nxt)
-            cost += volume(acc | set(operand_labels[nxt]))
-            acc ^= set(operand_labels[nxt])
-            order.append(nxt)
-            peak = max(peak, volume(acc))
-        if start == 0 or cost < best[0]:
-            best = (cost, tuple(order), peak)
-    return best[1], max(largest, best[2]), best[0]
+    def then_copy(x, y):    # x joined to y (y alone if x is None), then to y's copy
+        first = y if x is None else join(x, y, None)
+        copy = (y[0], 0, frozenset(_mirror(y[2], summed)))
+        return first and join(first, copy, (x and x[3], y[3], True))
+
+    def rank(part):    # the limit clamps the size, so cost decides among parts within it
+        return max(part[0], limit), part[1]
+
+    def keep(table, s, part):
+        if part and (s not in table or rank(part) < rank(table[s])):
+            table[s] = part
+
+    near = [sum(1 << j for j in range(k) if j != i and sets[i] & sets[j]) for i in range(k)]
+    P, D = {1 << i: (math.prod(shape), 0, sets[i], i) for i, shape in enumerate(shapes)}, {}
+    layer = set(P)
+    while layer:
+        for s in layer:
+            low = s & -s
+            sub = rest = s ^ low
+            while sub:    # each split of s in two, once
+                sub = (sub - 1) & rest
+                a, b = low | sub, rest ^ sub
+                if a in P and b in P:    # both connected
+                    keep(P, s, join(P[a], P[b], (P[a][3], P[b][3], False)))
+                    if summed is not None:
+                        both = a in D and b in D
+                        keep(D, s, both and join(D[a], D[b], (D[a][3], D[b][3], False)))
+                        keep(D, s, a in D and then_copy(D[a], P[b]))
+                        keep(D, s, b in D and then_copy(D[b], P[a]))
+            if summed is not None:
+                keep(D, s, then_copy(None, P[s]))
+        layer = {s | 1 << j for s in layer for j in range(k) if near[j] & s and not s >> j & 1}
+    whole = [(P if summed is None else D)[s] for s in sorted(P)
+             if all(s >> j & 1 or not near[j] & s for j in range(k))]
+    largest, cost, _, tree = functools.reduce(lambda x, y: join(x, y, (x[3], y[3], False)), whole)
+    return tree, largest, cost
 
 
-# `_contraction_order`, searched once per (labels, shapes)
-_search = functools.lru_cache(maxsize=64)(lambda labels, shapes: _contraction_order(labels, shapes))
+# `_contraction_order`, searched once per (labels, shapes, summed)
+_search = functools.lru_cache(maxsize=64)(lambda *network: _contraction_order(*network))
 
 
-def _order(operands):
-    """`_search` of (array, labels) operands: order, largest array, multiply-adds."""
-    return _search(tuple(labels for _, labels in operands), tuple(a.shape for a, _ in operands))
+def _order(operands, summed=None):
+    """`_search` of (array, labels) operands: tree, largest array, multiply-adds."""
+    labels, shapes = tuple(l for _, l in operands), tuple(a.shape for a, _ in operands)
+    return _search(labels, shapes, summed)
 
 
-def _contract(operands, order, out):
-    """Contract (array, labels) operands pairwise in `order`.
+def _mirror(labels, summed):
+    """The copy's labels: the `summed` ones shared, the others negated."""
+    return tuple(x if x in summed else -x for x in labels)
 
-    Labels shared by two operands are summed; the result's axes follow
-    `out`.  No operands contract to the scalar 1.
+
+def _contract(operands, tree, summed=None):
+    """Run a `_contraction_order` tree on (array, labels) operands: (array, labels).
+
+    A tree is an operand index, () for no operands, or (a, b, copy): a's
+    result joined to b's (b's alone if a is None), then with `copy` to b's
+    copy, the conj() of b's result with `_mirror`ed labels.
     """
-    if not operands:
-        return np.ones((), dtype=complex)
-    first, *rest = order
-    acc, acc_labels = operands[first][0], list(operands[first][1])
-    for i in rest:
-        t, labels = operands[i]
-        shared = [label for label in acc_labels if label in labels]
-        acc = np.tensordot(acc, t, axes=([acc_labels.index(label) for label in shared],
-                                         [labels.index(label) for label in shared]))
-        acc_labels = ([label for label in acc_labels if label not in shared]
-                      + [label for label in labels if label not in shared])
-    return np.transpose(acc, [acc_labels.index(label) for label in out])
+    if not isinstance(tree, tuple):
+        return operands[tree]
+    if not tree:
+        return np.ones((), dtype=complex), ()
+    a, b, copy = tree
+    right = _contract(operands, b, summed)
+    acc = right if a is None else _join(_contract(operands, a, summed), right)
+    return _join(acc, (right[0].conj(), _mirror(right[1], summed))) if copy else acc
+
+
+def _join(x, y):
+    """tensordot of two (array, labels) operands over the labels they share."""
+    (a, la), (b, lb) = x, y
+    shared = [label for label in la if label in lb]
+    return (np.tensordot(a, b, axes=([la.index(label) for label in shared],
+                                     [lb.index(label) for label in shared])),
+            tuple(label for label in la + lb if label not in shared))
 
 
 @dataclass(frozen=True)
@@ -338,21 +394,14 @@ def reduced_spectrum(state: StateVector, traced) -> np.ndarray:
     small = math.prod(state.dims[x - 1] for x in side)
     if small > MAX_DENSITY_DIM:
         raise ResourceCapError(f"spectral side {small} over cap {MAX_DENSITY_DIM}")
-    network = _doubled(state.operands, other)
-    order, largest, cost = _order(network)
-    psi_order, _, psi_cost = _order(state.operands)
-    if largest > MAX_AMPLITUDES or psi_cost + small * state.total_dim <= cost:
-        psi = np.ascontiguousarray(_contract(state.operands, psi_order, side + other))
-        network, order = _doubled([(psi, tuple(side + other))], other), (0, 1)
-    rho = _contract(network, order, side + [-x for x in side])
+    tree, largest, _ = _order(state.operands, tuple(other))
+    if largest > MAX_AMPLITUDES:
+        raise ResourceCapError(f"reduction needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
+    rho, labels = _contract(state.operands, tree, tuple(other))
+    rows = [x for x in labels if x in side]     # C order already after psi psi^dagger
+    order = [labels.index(x) for x in rows + [-x for x in rows]]
+    rho = np.ascontiguousarray(np.transpose(rho, order))
     return np.linalg.eigvalsh(rho.reshape(small, small))[::-1]
-
-
-def _doubled(operands, summed):
-    """psi (x) conj(psi): the copy shares the `summed` legs, its others are negated."""
-    summed = set(summed)
-    return operands + [(array.conj(), tuple(x if x in summed else -x for x in labels))
-                       for array, labels in operands]
 
 
 # ---------------------------------------------------------------------------

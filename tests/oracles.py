@@ -9,9 +9,10 @@ functional f_beta; the asymptotic labeling sum over blocks with N formal,
 and the labeling sum with one Python lookup per entry; the law round
 trip; partition joins of the coupling structure; max-flow duality and
 axioms; Hankel windows; a graph's copy at other dimension factors, and a
-graph for any poset; and the full reduced density matrix, and its
-spectrum from the dense amplitudes.  None of them is used by `graphstate`
-itself.
+graph for any poset; the full reduced density matrix, and its spectrum
+from the dense amplitudes; and the shapes of a sampled state's network
+with the greedy chain search that ordered its reduction before tree
+plans.  None of them is used by `graphstate` itself.
 """
 
 from __future__ import annotations
@@ -41,7 +42,14 @@ from graphstate.combinatorics import (
 from graphstate.flow import FlowNetwork, MaxFlowResult
 from graphstate.graphs import GraphSpec, MarginalSpec
 from graphstate.moments import DistributionId, marginal_max_flow
-from graphstate.montecarlo import MAX_DENSITY_DIM, ResourceCapError, StateVector
+from graphstate.montecarlo import (
+    MAX_DENSITY_DIM,
+    ResourceCapError,
+    StateVector,
+    _bond_legs,
+    _mirror,
+    haar_fold,
+)
 from graphstate.weingarten import _character, _content_product, _partitions, wg_exact
 
 
@@ -618,3 +626,62 @@ def partial_trace(state: StateVector, traced) -> DensityMatrixSample:
         raise ResourceCapError(f"density matrix dim {dim_s} over cap {MAX_DENSITY_DIM}")
     rho = mat @ mat.conj().T
     return DensityMatrixSample(matrix=rho, kept=tuple(kept))
+
+
+def sampled_network(marginal: MarginalSpec, N: int, mode: str):
+    """The network `estimate` samples in `mode`, shapes only, as `assemble_state` lays it out.
+
+    Returns (operand labels, operand shapes, subsystem dims, traced ids):
+    Haar mode samples the `haar_fold` with its S/T blocks pinned.
+    """
+    pinned = ()
+    if mode == "haar":
+        fold = haar_fold(marginal, N)
+        marginal, pinned = fold.marginal, fold.pinned
+    graph = marginal.graph
+    dim = {x: graph.dim_of[x] * N for x in range(1, graph.n + 1)}
+    legs, pairs, _ = _bond_legs(graph, pinned, dim)
+    labels = [members + tuple(label for _, label in legs[idx])
+              for idx, members in enumerate(graph.vertex_blocks) if idx not in pinned] + pairs
+    size = dict(dim)
+    for block_legs in legs.values():
+        size.update((label, dim[x]) for x, label in block_legs)
+    return (tuple(labels), tuple(tuple(size[x] for x in l) for l in labels),
+            tuple(dim[x] for x in sorted(dim)), marginal.traced)
+
+
+def doubled_network(labels, shapes, summed):
+    """psi (x) conj(psi) as one network: the copy shares the `summed` labels, negates the others."""
+    return tuple(labels) + tuple(_mirror(l, summed) for l in labels), tuple(shapes) * 2
+
+
+def chain_order(operand_labels, shapes):
+    """Greedy chain contraction order, the largest array it builds, and its cost.
+
+    Greedy from each start, absorbing next the operand that gives the
+    smallest result; of those orders, the one with the fewest
+    multiply-adds (a step costs the product of the sizes of every label
+    it touches).  Labels shared by two operands are summed, the others
+    are axes of the result.  Reductions took this order on the doubled
+    network, or psi first where this one cost more, before tree plans.
+    """
+    size = {x: n for labels, shape in zip(operand_labels, shapes) for x, n in zip(labels, shape)}
+
+    def volume(labels):
+        return math.prod(size[label] for label in labels)
+
+    largest = max((volume(labels) for labels in operand_labels), default=1)
+    best = (0, (), 0)    # no operands
+    for start in range(len(operand_labels)):
+        acc, order, cost, peak = set(operand_labels[start]), [start], 0, 0
+        rest = [i for i in range(len(operand_labels)) if i != start]
+        while rest:
+            nxt = min(rest, key=lambda i: (volume(acc ^ set(operand_labels[i])), i))
+            rest.remove(nxt)
+            cost += volume(acc | set(operand_labels[nxt]))
+            acc ^= set(operand_labels[nxt])
+            order.append(nxt)
+            peak = max(peak, volume(acc))
+        if start == 0 or cost < best[0]:
+            best = (cost, tuple(order), peak)
+    return best[1], max(largest, best[2]), best[0]

@@ -221,6 +221,21 @@ class TestExactMoment:
         with pytest.raises(BudgetExceededError):
             exact_moment(cycle_graph("TSRR"), 4, 4, budget=1000)
 
+    @pytest.mark.parametrize("engine,args", [
+        (exact_moment, (one_loop(), 3, 2)), (exact_moment_gaussian, (one_loop(), 3, 2)),
+        (asymptotic_moment, (exotic_graph(), 5)), (minimizer_set, (exotic_graph(), 3))],
+        ids=["exact", "gaussian", "asymptotic", "minimizer_set"])
+    def test_budget_argument_checked_like_the_variable(self, engine, args):
+        # the variable's rule: a non-negative integer in any integer-valued notation
+        for value in (-1, 2.5, "many"):
+            with pytest.raises(ValueError, match=f"^budget must be a non-negative .*{value!r}"):
+                engine(*args, budget=value)
+        for value in (10 ** 9, 1e9, "1e9"):
+            engine(*args, budget=value)
+        if engine is not asymptotic_moment:    # plans no entries on this graph
+            with pytest.raises(BudgetExceededError):
+                engine(*args, budget=0)
+
     def test_gate_refuses_before_the_label_table(self, monkeypatch):
         # patched at the table itself, since the S_p labels come straight
         # from itertools and not from all_perms

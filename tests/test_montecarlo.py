@@ -1,7 +1,9 @@
 """Monte Carlo oracle: Haar sampling, state assembly, spectral estimates."""
 
 import concurrent.futures
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +35,13 @@ from graphstate.montecarlo import (
 )
 from graphstate.weingarten import wg_exact
 from graphstate.combinatorics import Perm
-from oracles import dense_reduced_spectrum, partial_trace
+from oracles import (
+    chain_order,
+    dense_reduced_spectrum,
+    doubled_network,
+    partial_trace,
+    sampled_network,
+)
 
 
 def kron_state(graph, N, unitaries):
@@ -58,6 +66,13 @@ def kron_state(graph, N, unitaries):
 def block_unitaries(marginal, N, rng):
     return {idx: haar_unitary(view.dim_block * N ** len(view.members), rng)
             for idx, view in enumerate(marginal.blocks)}
+
+
+def smaller_side(dims, traced):
+    """The kept and traced ids, the smaller side first, as `reduced_spectrum` splits them."""
+    ids = range(1, len(dims) + 1)
+    return sorted(([x for x in ids if x not in traced], [x for x in ids if x in traced]),
+                  key=lambda xs: math.prod(dims[x - 1] for x in xs))
 
 
 def padded(lam, length):
@@ -256,16 +271,78 @@ class TestReducedSpectrum:
         # with the cap at psi's own largest array, no reduction builds more
         for state, traced in cases:
             largest = montecarlo._order(state.operands)[1]
-            unbounded = reduce(state, traced)[1]
             monkeypatch.setattr(montecarlo, "MAX_AMPLITUDES", largest)
             lam, built, _ = reduce(state, traced)
             monkeypatch.setattr(montecarlo, "MAX_AMPLITUDES", MAX_AMPLITUDES)
             assert built <= largest
             ref = dense_reduced_spectrum(state, traced)
             assert np.abs(lam - ref).max() <= 1e-10 * ref.max()
-        assert unbounded > largest    # the last case took the fallback
+        # the last case: the greedy chain over the doubled network builds more
+        # than psi's largest array, and the plan builds nothing larger than rho
+        labels, shapes = zip(*[(l, a.shape) for a, l in state.operands])
+        summed = smaller_side(state.dims, traced)[1]
+        chain_largest = chain_order(*doubled_network(labels, shapes, summed))[1]
+        assert chain_largest > largest > built == len(lam) ** 2
         rep = estimate(exotic_graph(), 4, 2, p_list=(1,), seed=0)
         assert rep.moment_mean[1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_plan_within_the_chain_route(self):
+        # shapes only, no array built: on every doubled network of this corpus
+        # the plan builds no larger array than the route before tree plans (the
+        # greedy chain, or psi first where the chain overran the cap or cost no
+        # less), and costs at most psi's own plan plus the product psi psi^dagger
+        rng = np.random.default_rng(1)
+        count = over = 0
+        for m in [random_marginal(rng, max_bonds=5, max_dim=3) for _ in range(400)]:
+            for N, mode in itertools.product((2, 3, 4), ("haar", "ginibre")):
+                labels, shapes, dims, traced = sampled_network(m, N, mode)
+                _, psi_largest, psi_cost = montecarlo._search(labels, shapes, None)
+                for kept in (traced, set(range(1, len(dims) + 1)) - set(traced)):
+                    side, other = smaller_side(dims, kept)
+                    small, total = math.prod(dims[x - 1] for x in side), math.prod(dims)
+                    if psi_largest > MAX_AMPLITUDES or small > montecarlo.MAX_DENSITY_DIM:
+                        continue    # assemble_state or reduced_spectrum refuses these
+                    _, largest, cost = montecarlo._search(labels, shapes, tuple(other))
+                    _, chain_psi_largest, chain_psi_cost = chain_order(labels, shapes)
+                    doubled = doubled_network(labels, shapes, other)
+                    _, chain_largest, chain_cost = chain_order(*doubled)
+                    fallback = (chain_largest > MAX_AMPLITUDES
+                                or chain_psi_cost + small * total <= chain_cost)
+                    route = chain_psi_largest if fallback else chain_largest
+                    assert largest <= route
+                    assert cost <= psi_cost + small * total
+                    count += 1
+                    if chain_largest > chain_psi_largest:
+                        over += 1
+                        assert largest <= chain_psi_largest
+        assert count >= 300 and over > 0
+
+    def test_sampled_network_is_the_assembled_one(self):
+        rng = np.random.default_rng(1)
+        for m in [random_marginal(rng, max_bonds=5, max_dim=3) for _ in range(10)]:
+            for mode in ("haar", "ginibre"):
+                labels, shapes, dims, _ = sampled_network(m, 2, mode)
+                fold = haar_fold(m, 2)
+                state = (assemble_state(fold.marginal, 2, rng, pinned=fold.pinned) if mode == "haar"
+                         else assemble_state(m, 2, rng, mode="ginibre"))
+                assert [(l, a.shape) for a, l in state.operands] == list(zip(labels, shapes))
+                assert state.dims == dims
+
+    def test_reduction_peak_memory(self):
+        # tracemalloc sees numpy's arrays, not eigvalsh's LAPACK copy: rho is
+        # 16 MiB for exotic at N = 4, and at most one more rho-sized array is
+        # alive at a time (three were before tree plans); fc2_template at N = 8
+        # stays within the 12.2 MiB of the route before tree plans
+        for marginal, N, mib in ((exotic_graph(), 4, 2 * 16 + 1), (fc_template(2), 8, 12.2)):
+            state = assemble_state(marginal, N, np.random.default_rng(0))
+            reduced_spectrum(state, marginal.traced)    # the plan, searched once
+            tracemalloc.start()
+            try:
+                reduced_spectrum(state, marginal.traced)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= mib * 2 ** 20
 
     def test_one_order_search_per_estimate(self, monkeypatch):
         calls = []
