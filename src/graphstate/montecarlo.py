@@ -20,15 +20,10 @@ normalized Gaussian U it is a thin Gaussian divided by sqrt(block_dim).
 The sampler draws W directly; the isometries, joined along the cross
 bonds with 1/sqrt(D) per bond, are the state.  No product state and no
 full unitary is formed: a one-vertex graph at N = 64 costs the QR of
-one vector.
-
-Reduction.  rho on the smaller side is one contraction tree of psi (x)
-conj(psi) over the isometries, planned once per network shape: the
-copy of any part of psi is that part's conj(), so psi first and then
-psi psi^dagger is one tree among the others.  Where some tree builds
-nothing larger than rho (side^2 entries), the plan is the cheapest such
-tree.  Its last step writes rho, copied once into C order where its axes
-do not already read (side, side), and no intermediate outlives it.
+one vector.  rho on the smaller side is one contraction tree of psi (x)
+conj(psi), planned once per network shape, where the copy of any part
+of psi is its conj(): the cheapest tree that builds nothing larger than
+rho where one does.  No intermediate outlives rho into `eigvalsh`.
 
 Haar fold.  A Haar unitary on a fully traced (T) or fully kept (S) block
 leaves the reduced spectrum unchanged (the graphical-calculus rule of
@@ -52,6 +47,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -121,7 +117,8 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         """The amplitudes, one axis per subsystem (id order)."""
         array, labels = _contract(self.operands, _order(self.operands)[0])
-        return np.transpose(array, [labels.index(x) for x in range(1, len(self.dims) + 1)])
+        ids = [x for x in range(1, len(self.dims) + 1) if x in labels]
+        return np.transpose(array, [labels.index(x) for x in ids]).reshape(self.dims)
 
     @property
     def total_dim(self) -> int:
@@ -157,7 +154,9 @@ def assemble_state(marginal: MarginalSpec, N: int, rng=None, mode: str = "haar",
         size.update((label, dim[x]) for x, label in block_legs)
     network = tuple(labels for _, labels in specs)
     shapes = tuple(tuple(size[x] for x in labels) for labels in network)
-    _, largest, _ = _search(network, shapes, None)
+    largest = max([math.prod(dim.values()), *map(math.prod, shapes)])    # any plan builds these
+    if largest <= MAX_AMPLITUDES:    # so only a network within the cap is searched
+        largest = _search(network, shapes, None)[1]
     if largest > MAX_AMPLITUDES:
         raise ResourceCapError(f"state assembly needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
 
@@ -226,41 +225,54 @@ def _frame(graph, idx, block_legs, dim):
     parts += [(np.eye(dim[x], dtype=complex), (x, -x)) for x, _ in block_legs]
     frame, labels = _contract(parts, _order(parts)[0])
     out = members + tuple(-x for x, _ in block_legs)
-    frame = np.transpose(frame, [labels.index(x) for x in out])
+    frame = np.transpose(frame, [labels.index(x) for x in out if x in labels])
     return frame.reshape(math.prod(dim[x] for x in members), -1)
 
 
 def _contraction_order(operand_labels, shapes, summed=None):
     """Tree of psi, or with `summed` of rho = psi (x) conj(psi): tree, largest array, multiply-adds.
 
-    Per connected set S of psi's operands the search keeps the best tree of
-    P(S), their contraction, and of D(S), P(S) joined to its copy: P(S)
-    joins two P parts; D(S) joins P(S) to its copy, two D parts, or a D part
-    to a P part and then to that part's copy.  Whole components meet last.
-    Best is no array larger than the result where some tree meets that, else
-    the least largest array; then the fewest multiply-adds, a step costing
-    the product of its labels' sizes (Pfeifer, Haegeman and Verstraete, PRE
-    90, 033315, 2014).  `_contract` runs the tree.
+    A dynamic program over the connected sets S of psi's operands, each
+    split in two connected halves, where labels of size 1 join nothing
+    (Pfeifer, Haegeman and Verstraete, PRE 90, 033315, 2014).  P(S), their
+    contraction, joins two P parts; D(S), P(S) joined to its copy, joins
+    two D parts, or nothing or a D part to a P part and then to that part's
+    copy.  Whole components meet last.  Best is no array larger than the
+    result where some tree meets that, else the least largest; then the
+    fewest multiply-adds, a step costing the product of its labels' sizes.
     """
     if not operand_labels:
         return (), 1, 0
-    size = {x: n for labels, shape in zip(operand_labels, shapes) for x, n in zip(labels, shape)}
-    sets = [frozenset(labels) for labels in operand_labels]
+    size = {x: n for labels, shape in zip(operand_labels, shapes)
+            for x, n in zip(labels, shape) if n > 1}
+    sets = [frozenset(labels) & size.keys() for labels in operand_labels]
     once = {x for x, n in collections.Counter(x for s in sets for x in s).items() if n == 1}
     if summed is not None:
         once = {y for x in once.difference(summed) for y in (x, -x)}
         size.update({-x: n for x, n in size.items()})
     limit, k = math.prod(size[x] for x in once), len(sets)
+    near = [sum(1 << j for j in range(k) if j != i and sets[i] & sets[j]) for i in range(k)]
 
-    def join(x, y, tree):   # parts are (largest, multiply-adds, labels, tree)
-        if x[2] & y[2] or x[2] | y[2] <= once:    # a shared label, or two whole results
-            return (max(x[0], y[0], math.prod(size[z] for z in x[2] ^ y[2])),
-                    x[1] + y[1] + math.prod(size[z] for z in x[2] | y[2]), x[2] ^ y[2], tree)
+    def out(s):    # the operands bonded to s, outside it
+        return functools.reduce(operator.or_, (near[j] for j in range(k) if s >> j & 1)) & ~s
+
+    def grow(s, allowed):    # each connected superset of s within s | allowed, once
+        yield s
+        sub = new = allowed & out(s)
+        while sub:
+            yield from grow(s | sub, allowed & ~new)
+            sub = (sub - 1) & new
+
+    def join(x, y, tree=None):   # parts are (largest, multiply-adds, labels, tree, size)
+        if x and y and (x[2] & y[2] or x[2] | y[2] <= once):    # shared labels, or two whole parts
+            shared = math.prod(size[z] for z in x[2] & y[2])
+            volume = x[4] * y[4] // shared
+            return (max(x[0], y[0], volume // shared), x[1] + y[1] + volume, x[2] ^ y[2],
+                    tree or (x[3], y[3], False), volume // shared)
 
     def then_copy(x, y):    # x joined to y (y alone if x is None), then to y's copy
-        first = y if x is None else join(x, y, None)
-        copy = (y[0], 0, frozenset(_mirror(y[2], summed)))
-        return first and join(first, copy, (x and x[3], y[3], True))
+        copy = (y[0], 0, frozenset(_mirror(y[2], summed)), None, y[4])
+        return join(y if x is None else join(x, y), copy, (x and x[3], y[3], True))
 
     def rank(part):    # the limit clamps the size, so cost decides among parts within it
         return max(part[0], limit), part[1]
@@ -269,29 +281,27 @@ def _contraction_order(operand_labels, shapes, summed=None):
         if part and (s not in table or rank(part) < rank(table[s])):
             table[s] = part
 
-    near = [sum(1 << j for j in range(k) if j != i and sets[i] & sets[j]) for i in range(k)]
-    P, D = {1 << i: (math.prod(shape), 0, sets[i], i) for i, shape in enumerate(shapes)}, {}
-    layer = set(P)
-    while layer:
-        for s in layer:
-            low = s & -s
-            sub = rest = s ^ low
-            while sub:    # each split of s in two, once
-                sub = (sub - 1) & rest
-                a, b = low | sub, rest ^ sub
-                if a in P and b in P:    # both connected
-                    keep(P, s, join(P[a], P[b], (P[a][3], P[b][3], False)))
-                    if summed is not None:
-                        both = a in D and b in D
-                        keep(D, s, both and join(D[a], D[b], (D[a][3], D[b][3], False)))
-                        keep(D, s, a in D and then_copy(D[a], P[b]))
-                        keep(D, s, b in D and then_copy(D[b], P[a]))
+    connected = sorted((s for j in range(k) for s in grow(1 << j, (1 << k) - (2 << j))),
+                       key=int.bit_count)    # smaller sets first
+    halves = collections.defaultdict(list)    # S -> its splits in two connected halves
+    for a in connected:
+        bonded = out(a)
+        for v in (v for v in range(k) if bonded >> v & 1):    # v: b's first operand bonded to a
+            for b in grow(1 << v, ((1 << k) - 1) & ~a & ~(bonded & ((2 << v) - 1))):
+                if a & -a < b & -b:    # each split once, a holding its first operand
+                    halves[a | b].append((a, b))
+    P, D = {1 << i: (n, 0, sets[i], i, n) for i, n in enumerate(map(math.prod, shapes))}, {}
+    for s in connected:
+        for a, b in halves[s]:
+            keep(P, s, join(P[a], P[b]))
             if summed is not None:
-                keep(D, s, then_copy(None, P[s]))
-        layer = {s | 1 << j for s in layer for j in range(k) if near[j] & s and not s >> j & 1}
-    whole = [(P if summed is None else D)[s] for s in sorted(P)
-             if all(s >> j & 1 or not near[j] & s for j in range(k))]
-    largest, cost, _, tree = functools.reduce(lambda x, y: join(x, y, (x[3], y[3], False)), whole)
+                keep(D, s, join(D.get(a, False), D.get(b, False)))
+                keep(D, s, then_copy(D.get(a, False), P[b]))
+                keep(D, s, then_copy(D.get(b, False), P[a]))
+        if summed is not None:
+            keep(D, s, then_copy(None, P[s]))
+    whole = [(P if summed is None else D)[s] for s in connected if not out(s)]
+    largest, cost, _, tree, _ = functools.reduce(join, whole)
     return tree, largest, cost
 
 
@@ -317,8 +327,9 @@ def _contract(operands, tree, summed=None):
     result joined to b's (b's alone if a is None), then with `copy` to b's
     copy, the conj() of b's result with `_mirror`ed labels.
     """
-    if not isinstance(tree, tuple):
-        return operands[tree]
+    if not isinstance(tree, tuple):    # an operand, its axes of size 1 dropped
+        array, labels = operands[tree]
+        return array.squeeze(), tuple(x for x, n in zip(labels, array.shape) if n > 1)
     if not tree:
         return np.ones((), dtype=complex), ()
     a, b, copy = tree

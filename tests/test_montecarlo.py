@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,21 @@ class TestAssembleState:
         with pytest.raises(ResourceCapError):
             assemble_state(m, 8, np.random.default_rng(0))
         assert MAX_AMPLITUDES == 2 ** 22
+
+    def test_large_networks_refused_or_planned_at_once(self):
+        # over the cap at N = 2, refused before any order search (the 20-star
+        # alone has 2^20 connected sets to search); at N = 1 with unit
+        # dimensions no cap applies, and labels of size 1 join nothing
+        for m in (cycle_graph("R" * 25), star_graph(20, 10, 10)):
+            for mode in ("haar", "ginibre"):
+                start = time.perf_counter()
+                with pytest.raises(ResourceCapError):
+                    estimate(m, 2, 1, mode=mode)
+                assert time.perf_counter() - start < 2.0
+            start = time.perf_counter()
+            rep = estimate(m, 1, 2, mode="ginibre")
+            assert time.perf_counter() - start < 2.0
+            assert rep.moment_mean[2] == pytest.approx(1.0)
 
 
 class TestPartialTrace:
