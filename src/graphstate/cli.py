@@ -196,10 +196,11 @@ def cmd_verify(marginal: MarginalSpec, N: int, trials: int, seed: int,
     "budget".  Deviations above 4 standard errors are flagged; a gap
     within the absolute floor reports a deviation of 0.  An optional
     N-ladder reports the rescaled drift toward the asymptotic coefficient.
+    No entropy is sampled: its report entry is null, with the reason.
     """
     analysis = cmd_analyze(marginal, p_max=p_max)
     rep = estimate(marginal, N, trials, p_list=tuple(range(1, p_max + 1)),
-                   seed=seed, threads=threads)
+                   seed=seed, threads=threads, entropy=False)
     x = analysis["max_flow"]
 
     checks = []
@@ -243,10 +244,12 @@ def cmd_verify(marginal: MarginalSpec, N: int, trials: int, seed: int,
         "checks": checks,
         "all_ok": all_ok,
     }
+    out["estimate"]["entropy"]["skipped"] = "verify checks moments only"
     if ladder:
         drift = []
         for n_i in ladder:
-            r_i = estimate(marginal, n_i, trials, p_list=(2,), seed=seed, threads=threads)
+            r_i = estimate(marginal, n_i, trials, p_list=(2,), seed=seed, threads=threads,
+                           entropy=False)
             drift.append({"N": n_i, "rescaled_m2": r_i.moment_mean[2] * n_i ** x,
                           "stderr": r_i.moment_stderr[2] * n_i ** x})
         out["drift_ladder"] = drift

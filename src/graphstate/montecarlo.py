@@ -23,7 +23,8 @@ full unitary is formed: a one-vertex graph at N = 64 costs the QR of
 one vector.  rho on the smaller side is one contraction tree of psi (x)
 conj(psi), planned once per network shape, where the copy of any part
 of psi is its conj(): the cheapest tree that builds nothing larger than
-rho where one does.  No intermediate outlives rho into `eigvalsh`.
+rho where one does.  No intermediate outlives rho into `eigvalsh`, or
+into the power sums tr rho^p that replace it where no entropy is asked.
 
 Haar fold.  A Haar unitary on a fully traced (T) or fully kept (S) block
 leaves the reduced spectrum unchanged (the graphical-calculus rule of
@@ -395,9 +396,14 @@ def haar_fold(marginal: MarginalSpec, N: int) -> HaarFold:
 # reduction and spectra
 # ---------------------------------------------------------------------------
 
-def reduced_spectrum(state: StateVector, traced) -> np.ndarray:
+def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
     """Nonzero-part spectrum of the reduced state, from rho on the smaller
-    side (the kept and the traced side share their nonzero eigenvalues)."""
+    side (the kept and the traced side share their nonzero eigenvalues).
+
+    With `powers` (each p >= 1) it returns tr rho^p for each p in place of
+    the eigenvalues, as the Frobenius product of the Hermitian
+    rho^floor(p/2) and rho^ceil(p/2): ceil(max/2) - 1 matrix products.
+    """
     ids = range(1, len(state.dims) + 1)
     traced = {int(x) for x in traced}
     side, other = sorted(([x for x in ids if x not in traced], [x for x in ids if x in traced]),
@@ -411,8 +417,14 @@ def reduced_spectrum(state: StateVector, traced) -> np.ndarray:
     rho, labels = _contract(state.operands, tree, tuple(other))
     rows = [x for x in labels if x in side]     # C order already after psi psi^dagger
     order = [labels.index(x) for x in rows + [-x for x in rows]]
-    rho = np.ascontiguousarray(np.transpose(rho, order))
-    return np.linalg.eigvalsh(rho.reshape(small, small))[::-1]
+    rho = np.ascontiguousarray(np.transpose(rho, order)).reshape(small, small)
+    if powers is None:
+        return np.linalg.eigvalsh(rho)[::-1]
+    power = [None, rho]     # power[k] = rho^k, up to the larger half of max(powers)
+    for _ in range((max(powers) + 1) // 2 - 1):
+        power.append(power[-1] @ rho)
+    return np.array([np.trace(rho).real if p == 1 else
+                     np.vdot(power[p // 2], power[p - p // 2]).real for p in powers])
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +439,9 @@ class EstimateReport:
     each sample by its trace, so its first moment is exactly 1);
     `raw_moment_*` skips that division and is the quantity the finite-N
     moment formulas predict.  The two coincide for Haar samples.
-    Entropies are natural-log, with a base-2 copy for display; stderr is
-    the sample standard deviation over sqrt(trials).
+    Entropies are natural-log, with a base-2 copy for display, and None
+    where `estimate` skipped them; stderr is the sample standard deviation
+    over sqrt(trials).
     """
 
     N: int
@@ -467,7 +480,7 @@ def trial_rngs(seed: int, trials: int):
 
 
 def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
-             mode: str = "haar", threads: int = 1) -> EstimateReport:
+             mode: str = "haar", threads: int = 1, entropy: bool = True) -> EstimateReport:
     """Sample the marginal and report moment and entropy statistics.
 
     Trials are independent with their own RNG streams, so the report is
@@ -475,7 +488,9 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
     min(threads, trials, cpu count) threads run.  In Haar mode every
     trial samples the `haar_fold` of the marginal and puts its flat factor
     back.  In Ginibre mode each sampled spectrum is normalized to unit
-    trace.
+    trace, its moments tr rho^p / (tr rho)^p.  With `entropy` false no
+    entropy is reported, and where every p is 1..6 (at most two matrix
+    products) the moments are power sums of rho, with no eigensolve.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -488,16 +503,24 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
         target, pinned, flat = fold.marginal, fold.pinned, fold.flat_dim
     else:
         target, pinned, flat = marginal, (), 1
+    powers = None if entropy or not set(p_list) <= set(range(1, 7)) else sorted({1, *p_list})
 
     def one_trial(t):
         state = assemble_state(target, N, rngs[t], mode=mode, pinned=pinned)
-        raw = np.clip(reduced_spectrum(state, target.traced), 0.0, None)
-        raw_moments = [float(np.sum(raw ** p)) * flat ** (1 - p) for p in p_list]
-        lam = raw / raw.sum() if mode == "ginibre" else raw
-        moments = [float(np.sum(lam ** p)) * flat ** (1 - p) for p in p_list]
-        pos = lam[lam > 0]
-        entropy = float(-np.sum(pos * np.log(pos))) + math.log(flat)
-        return moments, raw_moments, entropy
+        h = None
+        if powers:
+            raw = dict(zip(powers, map(float, reduced_spectrum(state, target.traced, powers))))
+            unit = {p: raw[p] / raw[1] ** p for p in p_list} if mode == "ginibre" else raw
+        else:
+            lam = np.clip(reduced_spectrum(state, target.traced), 0.0, None)
+            raw = {p: float(np.sum(lam ** p)) for p in p_list}
+            lam = lam / lam.sum() if mode == "ginibre" else lam
+            unit = {p: float(np.sum(lam ** p)) for p in p_list}
+            if entropy:
+                pos = lam[lam > 0]
+                h = float(-np.sum(pos * np.log(pos))) + math.log(flat)
+        return ([unit[p] * flat ** (1 - p) for p in p_list],
+                [raw[p] * flat ** (1 - p) for p in p_list], h)
 
     workers = min(threads, trials, os.cpu_count() or 1)
     if workers > 1:
@@ -518,12 +541,13 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
     for j, p in enumerate(p_list):
         moment_mean[p], moment_stderr[p] = mean_stderr(moment_rows[:, j])
         raw_mean[p], raw_stderr[p] = mean_stderr(raw_rows[:, j])
-    h_mean, h_err = mean_stderr(entropies)
+    h_mean, h_err = mean_stderr(entropies) if entropy else (None, None)
 
     return EstimateReport(
         N=N, trials=trials, seed=seed, mode=mode, p_list=p_list,
         moment_mean=moment_mean, moment_stderr=moment_stderr,
-        entropy_mean=h_mean, entropy_stderr=h_err, entropy_bits_mean=h_mean / math.log(2.0),
+        entropy_mean=h_mean, entropy_stderr=h_err,
+        entropy_bits_mean=h_mean and h_mean / math.log(2.0),
         purity_mean=moment_mean.get(2), purity_stderr=moment_stderr.get(2),
         raw_moment_mean=raw_mean, raw_moment_stderr=raw_stderr)
 

@@ -31,8 +31,8 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def star_estimate():
-    """Haar estimate of star(1,1) at N = 16: 300 trials, p = 1, 2, seed 11."""
-    return estimate(star_graph(2, 1, 1), 16, 300, p_list=(1, 2), seed=11)
+    """Haar estimate of star(1,1) at N = 16: 300 trials, p = 1, 2, seed 11, no entropy."""
+    return estimate(star_graph(2, 1, 1), 16, 300, p_list=(1, 2), seed=11, entropy=False)
 
 
 @pytest.fixture

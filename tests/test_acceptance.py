@@ -174,8 +174,9 @@ def test_criterion_09_cycle_theorem():
     haar = {}
     gin = {}
     for N in (3, 4, 5):
-        haar[N] = estimate(marginal, N, 120, p_list=(1, 2), seed=20 + N)
-        gin[N] = estimate(marginal, N, 120, p_list=(1, 2), seed=120 + N, mode="ginibre")
+        haar[N] = estimate(marginal, N, 120, p_list=(1, 2), seed=20 + N, entropy=False)
+        gin[N] = estimate(marginal, N, 120, p_list=(1, 2), seed=120 + N, mode="ginibre",
+                          entropy=False)
 
     rescaled = {N: N ** 4 * haar[N].moment_mean[2] for N in haar}
     gaps = [abs(rescaled[N] - 3.0) for N in (3, 4, 5)]

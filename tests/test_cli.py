@@ -1,12 +1,14 @@
 """Command-line surface: parsing, commands, formats, exit codes, budgets."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphstate import flow, moments
@@ -424,6 +426,37 @@ class TestRun:
         code, text = run(["verify", path, "--N", "8", "--trials", "12", "--pmax", "2"])
         assert code == 0, text
         assert json.loads(text)["all_ok"]
+
+    def test_verify_runs_no_eigensolve(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify ran an eigensolve")
+
+        def no_constant(name):
+            raise ValueError(f"{name} in the JSON output")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        tsrr = write_graph(tmp_path, graph_to_dict(cycle_graph("TSRR")))
+        for path, n in ((str(DATA / "one_loop.json"), "16"), (tsrr, "3")):
+            code, text = run(["verify", path, "--N", n, "--trials", "20", "--pmax", "3",
+                              "--ladder", "2,3"])
+            assert code == 0, text
+            report = json.loads(text, parse_constant=no_constant)
+            assert report["all_ok"]
+            assert report["estimate"]["entropy"] == {
+                "mean": None, "stderr": None, "bits": None,
+                "skipped": "verify checks moments only"}
+
+    def test_verify_past_p6_and_simulate_take_the_eigenvalue_route(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        code, text = run(["verify", str(DATA / "one_loop.json"), "--N", "16", "--trials", "10",
+                          "--seed", "0", "--pmax", "7"])
+        assert code == 0, text
+        assert json.loads(text)["all_ok"] and len(calls) == 10
+        code, text = run(["simulate", str(DATA / "one_loop.json"), "--N", "4", "--trials", "10"])
+        assert code == 0, text
+        assert math.isfinite(json.loads(text)["estimate"]["entropy"]["mean"])
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_threads_below_one_exit_1(self, command):

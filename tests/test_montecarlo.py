@@ -250,6 +250,32 @@ class TestReducedSpectrum:
                 for traced in (m.traced, m.kept):
                     self.assert_matches_dense(state, traced)
 
+    def test_power_sums_equal_eigenvalue_sums(self, reduction_corpus):
+        rng = np.random.default_rng(32)
+        powers = range(1, 8)
+        for m, N in reduction_corpus:
+            for state, target in sampled_states(m, N, rng):
+                for traced in (target.traced, target.kept):
+                    lam = reduced_spectrum(state, traced)
+                    sums = reduced_spectrum(state, traced, powers=powers)
+                    ref = [math.fsum(lam ** p) for p in powers]
+                    np.testing.assert_allclose(sums, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", ["haar", "ginibre"])
+    def test_estimate_without_entropy_equals_eigenvalue_route(self, mode):
+        for marginal, N in ((cycle_graph("TSRR"), 3), (exotic_graph(), 2), (fc_template(2), 3)):
+            full = estimate(marginal, N, 12, p_list=range(1, 7), seed=41, mode=mode)
+            moments = estimate(marginal, N, 12, p_list=range(1, 7), seed=41, mode=mode,
+                               entropy=False)
+            for p in range(1, 7):
+                assert moments.moment_mean[p] == pytest.approx(full.moment_mean[p], rel=1e-12)
+                assert moments.raw_moment_mean[p] == pytest.approx(full.raw_moment_mean[p],
+                                                                   rel=1e-12)
+            assert (moments.entropy_mean, moments.entropy_stderr,
+                    moments.entropy_bits_mean) == (None, None, None)
+            if mode == "ginibre":
+                assert (moments.moment_mean[1], moments.moment_stderr[1]) == (1.0, 0.0)
+
     def test_reduction_within_cap_and_gram_route_cost(self, reduction_corpus, monkeypatch):
         # every array the reduction builds stays within MAX_AMPLITUDES, and it
         # does no more multiply-adds than contracting psi and then psi psi^dagger
