@@ -449,8 +449,9 @@ class DistributionId:
     def entropy_constant(self):
         """Constant of the leading entropy E H ~ x ln N + constant, or None.
 
-        None for the laws without a closed form: poset laws, unknown
-        sequences and products with such a factor.
+        A classical product adds its factors' constants.  None for the
+        laws without a closed form: poset laws, unknown sequences and
+        products with such a factor.
         """
         if self.kind == "dirac":
             return 0.0
@@ -463,15 +464,8 @@ class DistributionId:
         if self.kind == "fuss_catalan":
             return float(fc_entropy(self.s))
         if self.kind == "classical_product":
-            total = 0.0
-            for f in self.factors:
-                if f.kind == "free_poisson":
-                    total += mp_entropy(f.c)
-                elif f.kind == "fuss_catalan":
-                    total += float(fc_entropy(f.s))
-                else:
-                    return None
-            return total
+            parts = [f.entropy_constant() for f in self.factors]
+            return None if None in parts else sum(parts)
         return None
 
     def describe(self) -> str:

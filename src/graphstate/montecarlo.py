@@ -38,9 +38,10 @@ leaves the nonzero spectrum unchanged.  The S/T blocks shrink to their
 remaining members.  Ginibre mode folds nothing, because a Gaussian on an
 S/T block changes the spectrum.
 
-MAX_AMPLITUDES bounds every array of psi's own plan, after any fold,
-whether or not a trial builds psi, and every array of the reduction's
-plan; MAX_DENSITY_DIM bounds the side of rho.
+MAX_AMPLITUDES bounds psi's size and each isometry, after any fold,
+whether or not a trial builds psi (no tree of psi builds more than psi),
+and every array of the reduction's plan; MAX_DENSITY_DIM bounds the side
+of rho.
 """
 
 from __future__ import annotations
@@ -153,11 +154,11 @@ def assemble_state(marginal: MarginalSpec, N: int, rng=None, mode: str = "haar",
     size = dict(dim)
     for block_legs in legs.values():
         size.update((label, dim[x]) for x, label in block_legs)
-    network = tuple(labels for _, labels in specs)
-    shapes = tuple(tuple(size[x] for x in labels) for labels in network)
-    largest = max([math.prod(dim.values()), *map(math.prod, shapes)])    # any plan builds these
-    if largest <= MAX_AMPLITUDES:    # so only a network within the cap is searched
-        largest = _search(network, shapes, None)[1]
+    shapes = [tuple(size[x] for x in labels) for _, labels in specs]
+    # psi and each isometry bound every tree of psi: a set of operands keeps
+    # open its members and one leg per cross bond leaving it, and each such
+    # leg matches a subsystem of the same size outside the set
+    largest = max([math.prod(dim.values()), *map(math.prod, shapes)])
     if largest > MAX_AMPLITUDES:
         raise ResourceCapError(f"state assembly needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
 

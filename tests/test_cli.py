@@ -125,6 +125,10 @@ class TestCommands:
         assert report["checks"][2]["reference_kind"] == "asymptotic"
         assert report["checks"][2]["reference_reason"] == "budget"
         assert report["checks"][1]["reference_reason"] is None
+        # a leading-term row keeps its deviation but is not judged
+        assert report["checks"][2]["ok"] is None
+        assert isinstance(report["checks"][2]["deviation_stderr"], float)
+        assert report["all_ok"]
 
     def test_verify_deviation_zero_within_floor(self):
         # at N = 1 every moment is 1 and the sample stderr is rounding noise
@@ -505,6 +509,7 @@ class TestRun:
         *(["dist", "mp", "--c", c] for c in ("1/0", "1e400", "abc", "inf", "nan", "0", "-1",
                                               "1e300", "1e-300")),
         ["dist", "fc", "--s", "0"],
+        ["dist", "fc", "--s", "3"],
     ], ids=" ".join)
     def test_bad_dist_parameter_exit_1(self, argv):
         # 1e300 and 1e-300 are valid rationals, but the float support

@@ -1,9 +1,9 @@
 """`import graphstate` loads only what the commands run.
 
 Each CLI command is its own process, so every module the package imports
-is paid on every command.  scipy serves only the quadrature behind
-`DensityFn.integrate`, which no command calls, and `concurrent.futures`
-only `estimate` with more than one thread.  Two modules stay eager on
+is paid on every command.  The package never loads scipy, not even for
+the quadrature behind `DensityFn.integrate`, and `concurrent.futures`
+serves only `estimate` with more than one thread.  Two modules stay eager on
 purpose: `numpy.random`, which numpy otherwise loads on first use (inside
 the first sampled trial), and `locale`, which argparse's gettext imports
 on every parse.  And the CLI builds its argument parsers when it runs, one
@@ -59,9 +59,9 @@ def test_commands_import_no_scipy():
     assert out["cli"] == {"scipy": False, "locale": True}
     assert out["codes"] == [0] * 5
     assert out["commands"] == {"scipy": False, "concurrent.futures": False}
-    # the quadrature still works, and loads scipy when it runs
+    # the quadrature is numpy alone
     assert abs(out["mass"] - 1.0) <= 1e-8
-    assert out["quadrature"] == {"scipy": True}
+    assert out["quadrature"] == {"scipy": False}
 
 
 PARSERS = """

@@ -168,6 +168,18 @@ class TestAssembleState:
             assert sv.dims == ref.dims
             assert np.abs(sv.tensor - ref.tensor).max() < 1e-12
 
+    def test_assembly_searches_no_order(self, monkeypatch):
+        # psi and each isometry bound every tree of psi: no plan to check
+        def refuse(*args):
+            raise AssertionError("assemble_state searched a contraction order")
+
+        monkeypatch.setattr(montecarlo, "_contraction_order", refuse)
+        montecarlo._search.cache_clear()
+        for m in (exotic_graph(), cycle_graph("TSRR"), fc_template(2)):
+            for mode in ("haar", "ginibre"):
+                sv = assemble_state(m, 2, np.random.default_rng(0), mode=mode)
+                assert sv.dims == tuple(2 * m.graph.dim_of[x] for x in range(1, m.graph.n + 1))
+
     def test_memory_cap(self):
         m = star_graph(6, 3, 3)   # N^12 amplitudes at N=8: over the cap
         with pytest.raises(ResourceCapError):

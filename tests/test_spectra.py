@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphstate.catalog import exotic_poset
-from graphstate.combinatorics import ConstraintPoset, catalan, enumerate_nc, mp_moment
+from graphstate.combinatorics import ConstraintPoset, catalan, enumerate_nc, fuss_catalan, mp_moment
 from graphstate.moments import DistributionId
 from graphstate.spectra import (
     fc2_density,
@@ -94,6 +94,29 @@ class TestMPEntropy:
         assert mp_density(c).entropy() == pytest.approx(mp_entropy(c), abs=1e-6)
 
 
+class TestQuadrature:
+    """The tanh-sinh rule against closed forms: mass, moments 1..6, entropy."""
+
+    @staticmethod
+    def _errors(density, moment, entropy):
+        yield abs(density.total_mass() - 1.0)
+        for p in range(1, 7):
+            yield abs(density.moment(p) / float(moment(p)) - 1.0)
+        yield abs(density.entropy() - entropy)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2),
+                                   Fraction(9, 2)])
+    def test_mp_to_1e_11(self, c):
+        errors = self._errors(mp_density(c), lambda p: mp_moment(c, p), mp_entropy(c))
+        assert max(errors) <= 1e-11
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fc2_to_1e_11(self):
+        errors = self._errors(fc2_density(), lambda p: fuss_catalan(2, p), float(fc_entropy(2)))
+        assert max(errors) <= 1e-11
+
+
 class TestFussCatalan:
     def test_moments_are_fc_numbers(self):
         assert _moments(_fc(2), 4) == [1, 3, 12, 55]
@@ -149,6 +172,19 @@ class TestProducts:
         law = DistributionId(kind="classical_product",
                              factors=(_fc(2), DistributionId(kind="free_poisson", c=1)))
         assert _moments(law, 3) == [1, 6, 60]
+
+    def test_entropy_constant_adds_factor_constants(self):
+        # each factor's constant is that of its mean-1 law: for MP(2) that is
+        # -int (x/2) ln(x/2) dMP(2) = -1/4, not mp_entropy(2)
+        mp2 = DistributionId(kind="free_poisson", c=Fraction(2))
+        law = DistributionId(kind="classical_product", factors=(mp2, _fc(2)))
+        assert law.entropy_constant() == pytest.approx(-1 / 4 - 5 / 6, abs=1e-12)
+        scaled = mp_density(2).integrate(lambda x: -(x / 2) * np.log(x / 2))
+        assert mp2.entropy_constant() == pytest.approx(scaled, abs=1e-12)
+        assert scaled == pytest.approx(-1 / 4, abs=1e-12)
+        with_poset = DistributionId(kind="classical_product",
+                                    factors=(mp2, _poset_law(exotic_poset())))
+        assert with_poset.entropy_constant() is None
 
     def test_identity_factor(self):
         dirac = DistributionId(kind="dirac", rank_coeff=Fraction(1))
