@@ -23,8 +23,11 @@ full unitary is formed: a one-vertex graph at N = 64 costs the QR of
 one vector.  rho on the smaller side is one contraction tree of psi (x)
 conj(psi), planned once per network shape, where the copy of any part
 of psi is its conj(): the cheapest tree that builds nothing larger than
-rho where one does.  No intermediate outlives rho into `eigvalsh`, or
-into the power sums tr rho^p that replace it where no entropy is asked.
+rho where one does.  No intermediate outlives rho into `eigvalsh`.  The
+power sums tr rho^p that replace `eigvalsh` where no entropy is asked
+need no rho: each is one closed network of p copies of psi and p
+conjugates, contracted to a scalar where that costs less than rho and
+its products.
 
 Haar fold.  A Haar unitary on a fully traced (T) or fully kept (S) block
 leaves the reduced spectrum unchanged (the graphical-calculus rule of
@@ -40,8 +43,9 @@ S/T block changes the spectrum.
 
 MAX_AMPLITUDES bounds psi's size and each isometry, after any fold,
 whether or not a trial builds psi (no tree of psi builds more than psi),
-and every array of the reduction's plan; MAX_DENSITY_DIM bounds the side
-of rho.
+and every array of the reduction's plan: rho's tree, or the trace
+networks, which also stay within the largest array of rho's tree.
+MAX_DENSITY_DIM bounds the smaller side on either route.
 """
 
 from __future__ import annotations
@@ -322,12 +326,18 @@ def _mirror(labels, summed):
     return tuple(x if x in summed else -x for x in labels)
 
 
-def _contract(operands, tree, summed=None):
+# one join's fixed cost in multiply-adds: both power-sum routes count it per join,
+# and `_join` copies, not slices, an input smaller than this
+_JOIN_COST = 2 ** 15
+
+
+def _contract(operands, tree, summed=None, side=None):
     """Run a `_contraction_order` tree on (array, labels) operands: (array, labels).
 
     A tree is an operand index, () for no operands, or (a, b, copy): a's
     result joined to b's (b's alone if a is None), then with `copy` to b's
-    copy, the conj() of b's result with `_mirror`ed labels.
+    copy, the conj() of b's result with `_mirror`ed labels.  With `side`
+    the tree's last join writes rho (`_join`).
     """
     if not isinstance(tree, tuple):    # an operand, its axes of size 1 dropped
         array, labels = operands[tree]
@@ -336,17 +346,46 @@ def _contract(operands, tree, summed=None):
         return np.ones((), dtype=complex), ()
     a, b, copy = tree
     right = _contract(operands, b, summed)
+    if not copy:
+        return _join(_contract(operands, a, summed), right, side)
     acc = right if a is None else _join(_contract(operands, a, summed), right)
-    return _join(acc, (right[0].conj(), _mirror(right[1], summed))) if copy else acc
+    return _join(acc, (right[0].conj(), _mirror(right[1], summed)), side)
 
 
-def _join(x, y):
-    """tensordot of two (array, labels) operands over the labels they share."""
+def _join(x, y, side=None):
+    """tensordot of two (array, labels) operands over the labels they share.
+
+    tensordot copies an operand whose shared legs are not one run at
+    either end.  With `side` the join is rho's last; where the operand it
+    would copy is as large as rho and has at least `_JOIN_COST` entries,
+    it is joined instead by slices of its leading legs, none over a
+    sixteenth of it, each written straight into rho with the `side` legs
+    first and their negatives after: no third rho-sized array is made.
+    """
     (a, la), (b, lb) = x, y
     shared = [label for label in la if label in lb]
-    return (np.tensordot(a, b, axes=([la.index(label) for label in shared],
-                                     [lb.index(label) for label in shared])),
-            tuple(label for label in la + lb if label not in shared))
+    axes = [[la.index(label) for label in shared], [lb.index(label) for label in shared]]
+    labels = tuple(label for label in la + lb if label not in shared)
+    if side is None:
+        return np.tensordot(a, b, axes), labels
+    big = int(b.size > a.size)    # the larger operand: 0 for a, 1 for b
+    array, legs, k = (a, b)[big], (la, lb)[big], len(shared)
+    if (array.size < _JOIN_COST
+            or array.size < a.size * b.size // math.prod(a.shape[i] for i in axes[0]) ** 2
+            or axes[big] in (list(range(k)), list(range(array.ndim - k, array.ndim)))):
+        return np.tensordot(a, b, axes), labels
+    lead = 0    # the larger operand's leading legs, sliced
+    while legs[lead] not in shared and 16 * math.prod(array.shape[lead:]) > array.size:
+        lead += 1
+    rows = [label for label in labels if label in side]
+    order = tuple(rows + [-label for label in rows])
+    rho = np.empty([(a.shape + b.shape)[(la + lb).index(x)] for x in order], np.result_type(a, b))
+    view = np.transpose(rho, [order.index(x) for x in labels])
+    head = (slice(None),) * (len(la) - k) * big
+    axes[big] = [i - lead for i in axes[big]]
+    for index in np.ndindex(array.shape[:lead]):
+        view[head + index] = np.tensordot(*((a, b[index]) if big else (a[index], b)), axes)
+    return rho, order
 
 
 @dataclass(frozen=True)
@@ -402,8 +441,15 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
     side (the kept and the traced side share their nonzero eigenvalues).
 
     With `powers` (each p >= 1) it returns tr rho^p for each p in place of
-    the eigenvalues, as the Frobenius product of the Hermitian
-    rho^floor(p/2) and rho^ceil(p/2): ceil(max/2) - 1 matrix products.
+    the eigenvalues, by the cheaper of two routes.  Trace networks
+    (`tracenet.power_sums`) form no rho: tr rho is <psi|psi>, tr rho^p is
+    p copies of psi and p conjugates joined in a ring, and no array of
+    their plans is larger than the largest of rho's.  The rho route takes
+    the Frobenius product of the Hermitian rho^floor(p/2) and
+    rho^ceil(p/2), with ceil(max/2) - 1 matrix products.  The networks
+    run where their multiply-adds, with `_JOIN_COST` per join, are fewer
+    than rho's plan and side^3 per product, its joins counted alike; or
+    where rho's plan is over MAX_AMPLITUDES and theirs are not.
     """
     ids = range(1, len(state.dims) + 1)
     traced = {int(x) for x in traced}
@@ -412,17 +458,26 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
     small = math.prod(state.dims[x - 1] for x in side)
     if small > MAX_DENSITY_DIM:
         raise ResourceCapError(f"spectral side {small} over cap {MAX_DENSITY_DIM}")
-    tree, largest, _ = _order(state.operands, tuple(other))
+    tree, largest, cost = _order(state.operands, tuple(other))
+    if powers is not None:
+        products = (max(powers) + 1) // 2 - 1
+        joins = 2 * len(state.operands) + products
+        rho_work = (math.inf if largest > MAX_AMPLITUDES else
+                    cost + products * small ** 3 + joins * _JOIN_COST)
+        from .tracenet import power_sums    # compiled only where power sums are asked for
+        sums = power_sums(state, side, other, powers, min(largest, MAX_AMPLITUDES), rho_work)
+        if sums is not None:
+            return sums
     if largest > MAX_AMPLITUDES:
         raise ResourceCapError(f"reduction needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
-    rho, labels = _contract(state.operands, tree, tuple(other))
-    rows = [x for x in labels if x in side]     # C order already after psi psi^dagger
+    rho, labels = _contract(state.operands, tree, tuple(other), frozenset(side))
+    rows = [x for x in labels if x in side]     # C order after psi psi^dagger or a sliced join
     order = [labels.index(x) for x in rows + [-x for x in rows]]
     rho = np.ascontiguousarray(np.transpose(rho, order)).reshape(small, small)
     if powers is None:
         return np.linalg.eigvalsh(rho)[::-1]
     power = [None, rho]     # power[k] = rho^k, up to the larger half of max(powers)
-    for _ in range((max(powers) + 1) // 2 - 1):
+    for _ in range(products):
         power.append(power[-1] @ rho)
     return np.array([np.trace(rho).real if p == 1 else
                      np.vdot(power[p // 2], power[p - p // 2]).real for p in powers])
@@ -490,8 +545,10 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
     trial samples the `haar_fold` of the marginal and puts its flat factor
     back.  In Ginibre mode each sampled spectrum is normalized to unit
     trace, its moments tr rho^p / (tr rho)^p.  With `entropy` false no
-    entropy is reported, and where every p is 1..6 (at most two matrix
-    products) the moments are power sums of rho, with no eigensolve.
+    entropy is reported, and where every p is 1..6 the moments are the
+    power sums tr rho^p, with no eigensolve: from trace networks that form
+    no rho, or from rho and at most two matrix products, whichever
+    `reduced_spectrum` counts cheaper.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -2,8 +2,9 @@
 
 Each CLI command is its own process, so every module the package imports
 is paid on every command.  The package never loads scipy, not even for
-the quadrature behind `DensityFn.integrate`, and `concurrent.futures`
-serves only `estimate` with more than one thread.  Two modules stay eager on
+the quadrature behind `DensityFn.integrate`; `concurrent.futures`
+serves only `estimate` with more than one thread, and `graphstate.tracenet`
+only power sums, which `verify` takes.  Two modules stay eager on
 purpose: `numpy.random`, which numpy otherwise loads on first use (inside
 the first sampled trial), and `locale`, which argparse's gettext imports
 on every parse.  And the CLI builds its argument parsers when it runs, one
@@ -26,7 +27,7 @@ def loaded(*names):
     return {name: name in sys.modules for name in names}
 
 import graphstate
-out = {"import": loaded("scipy", "concurrent.futures", "numpy.random")}
+out = {"import": loaded("scipy", "concurrent.futures", "numpy.random", "graphstate.tracenet")}
 from graphstate import cli
 out["cli"] = loaded("scipy", "locale")
 one_loop = sys.argv[1]
@@ -36,7 +37,7 @@ commands = [["analyze", one_loop, "--pmax", "3"],
             ["simulate", one_loop, "--N", "4", "--trials", "4", "--pmax", "2"],
             ["dist", "mp", "--c", "1"]]
 out["codes"] = [cli.run(argv)[0] for argv in commands]
-out["commands"] = loaded("scipy", "concurrent.futures")
+out["commands"] = loaded("scipy", "concurrent.futures", "graphstate.tracenet")
 out["mass"] = graphstate.mp_density(1).total_mass()
 out["quadrature"] = loaded("scipy")
 print(json.dumps(out))
@@ -55,10 +56,12 @@ def _fresh_process(script):
 
 def test_commands_import_no_scipy():
     out = _fresh_process(SCRIPT)
-    assert out["import"] == {"scipy": False, "concurrent.futures": False, "numpy.random": True}
+    assert out["import"] == {"scipy": False, "concurrent.futures": False, "numpy.random": True,
+                             "graphstate.tracenet": False}
     assert out["cli"] == {"scipy": False, "locale": True}
     assert out["codes"] == [0] * 5
-    assert out["commands"] == {"scipy": False, "concurrent.futures": False}
+    assert out["commands"] == {"scipy": False, "concurrent.futures": False,
+                               "graphstate.tracenet": True}    # verify's power sums
     # the quadrature is numpy alone
     assert abs(out["mass"] - 1.0) <= 1e-8
     assert out["quadrature"] == {"scipy": False}

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphstate import montecarlo
+from graphstate import montecarlo, tracenet
 from graphstate.catalog import (
     bell_pair,
     cycle_graph,
@@ -273,6 +273,43 @@ class TestReducedSpectrum:
                     ref = [math.fsum(lam ** p) for p in powers]
                     np.testing.assert_allclose(sums, ref, rtol=1e-12, atol=0)
 
+    def test_trace_networks_equal_eigenvalue_sums(self, reduction_corpus):
+        # the network route forced on every network, whichever route the cost
+        # picks: each tr rho^p within 1e-12 of sum lambda^p, and no greedy
+        # search over 0.25 s
+        rng = np.random.default_rng(33)
+        powers = range(1, 7)
+        slowest = 0.0
+        for m, N in reduction_corpus:
+            for state, target in sampled_states(m, N, rng):
+                for traced in (target.traced, target.kept):
+                    side, other = smaller_side(state.dims, traced)
+                    limit = min(montecarlo._order(state.operands, tuple(other))[1], MAX_AMPLITUDES)
+                    sums = tracenet.power_sums(state, side, other, powers, limit, math.inf)
+                    lam = reduced_spectrum(state, traced)
+                    ref = [math.fsum(lam ** p) for p in powers]
+                    np.testing.assert_allclose(sums, ref, rtol=1e-12, atol=0)
+                    labels = tuple(l for _, l in state.operands)
+                    network = tracenet.trace_network(labels, set(side), set(other), 6)
+                    start = time.perf_counter()
+                    tracenet.greedy_order(network, tuple(a.shape for a, _ in state.operands) * 12,
+                                             limit)
+                    slowest = max(slowest, time.perf_counter() - start)
+        assert slowest < 0.25
+
+    def test_greedy_order_edge_networks(self):
+        # no operands is the empty product 1; legs of size 1 join nothing, so
+        # pieces that share only those are scalars, joined in turn; None where
+        # no pair fits the limit
+        assert tracenet.greedy_order((), (), 1) == ((), 1, 0)
+        labels, shapes = ((1, 2), (1, 3), (2, 3), (4,), (4,)), ((2, 1), (2, 1), (1, 1), (1,), (1,))
+        tree, largest, _ = tracenet.greedy_order(labels, shapes, 1)
+        arrays = [np.full(shape, 1.0 + i) for i, shape in enumerate(shapes)]
+        value, legs = montecarlo._contract(list(zip(arrays, labels)), tree)
+        assert (value, legs, largest) == ((1 * 2 + 1 * 2) * 3 * 4 * 5, (), 2)
+        assert tracenet.greedy_order(((1, 2), (1, 2)), ((3, 3), (3, 3)), 1)[1:] == (9, 9)
+        assert tracenet.greedy_order(((1, 2), (2, 3), (3, 1)), ((3, 3),) * 3, 8) is None
+
     @pytest.mark.parametrize("mode", ["haar", "ginibre"])
     def test_estimate_without_entropy_equals_eigenvalue_route(self, mode):
         for marginal, N in ((cycle_graph("TSRR"), 3), (exotic_graph(), 2), (fc_template(2), 3)):
@@ -386,32 +423,61 @@ class TestReducedSpectrum:
         # tracemalloc sees numpy's arrays, not eigvalsh's LAPACK copy: rho is
         # 16 MiB for exotic at N = 4, and at most one more rho-sized array is
         # alive at a time (three were before tree plans); fc2_template at N = 8
-        # stays within the 12.2 MiB of the route before tree plans
-        for marginal, N, mib in ((exotic_graph(), 4, 2 * 16 + 1), (fc_template(2), 8, 12.2)):
+        # holds rho (4 MiB) and its last join's rho-sized input, which the
+        # join takes in slices rather than copying; tr rho^p for p <= 3 on
+        # exotic at N = 4 comes from trace networks, largest array 65,536
+        for marginal, N, powers, mib in ((exotic_graph(), 4, None, 2 * 16 + 1),
+                                         (fc_template(2), 8, None, 8.5),
+                                         (exotic_graph(), 4, (1, 2, 3), 4)):
             state = assemble_state(marginal, N, np.random.default_rng(0))
-            reduced_spectrum(state, marginal.traced)    # the plan, searched once
+            reduced_spectrum(state, marginal.traced, powers)    # the plans, searched once
             tracemalloc.start()
             try:
-                reduced_spectrum(state, marginal.traced)
+                reduced_spectrum(state, marginal.traced, powers)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= mib * 2 ** 20
 
+    def test_trace_builds_nothing_larger_than_an_isometry(self, reduction_corpus, monkeypatch):
+        # tr rho alone is <psi|psi>: no array larger than psi's largest operand
+        built = []
+        tensordot = np.tensordot
+
+        def recording(a, b, axes):
+            out = tensordot(a, b, axes)
+            built.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "tensordot", recording)
+        rng = np.random.default_rng(34)
+        cases = [(s, t.traced) for m, N in reduction_corpus for s, t in sampled_states(m, N, rng)]
+        cases.append((assemble_state(exotic_graph(), 4, rng), exotic_graph().traced))
+        for state, traced in cases:
+            built.clear()
+            trace = reduced_spectrum(state, traced, powers=(1,))
+            assert max(built, default=1) <= max((a.size for a, _ in state.operands), default=1)
+        assert trace[0] == pytest.approx(1.0, abs=1e-10)    # exotic's Haar state, the last
+
     def test_one_order_search_per_estimate(self, monkeypatch):
+        # each network shape, and each (shape, p) of the trace networks, is
+        # searched once per process
         calls = []
-        search = montecarlo._contraction_order
+        for module, name in ((montecarlo, "_contraction_order"), (tracenet, "greedy_order")):
+            def counting(*args, search=getattr(module, name)):
+                calls.append(args)
+                return search(*args)
 
-        def counting(*args):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(montecarlo, "_contraction_order", counting)
+            monkeypatch.setattr(module, name, counting)
         montecarlo._search.cache_clear()
-        for mode in ("haar", "ginibre"):
-            calls.clear()
-            estimate(cycle_graph("TSRR"), 3, 20, p_list=(2,), seed=8, mode=mode)
-            assert 0 < len(calls) <= 2
+        tracenet._greedy.cache_clear()
+        for entropy, searches in ((True, 2), (False, 3)):
+            for mode in ("haar", "ginibre"):
+                calls.clear()
+                estimate(cycle_graph("TSRR"), 3, 20, p_list=(2,), seed=8, mode=mode,
+                         entropy=entropy)
+                assert 0 < len(calls) <= searches
+                assert len(set(calls)) == len(calls)
 
 
 class TestHaarFold:
@@ -475,6 +541,11 @@ class TestEstimate:
         b = estimate(one_loop(), 16, 24, p_list=(1, 2), seed=6, threads=4)
         assert a.moment_mean == b.moment_mean
         assert a.raw_moment_mean == b.raw_moment_mean
+        # power sums: trace networks (exotic at N = 3) and rho's (TSRR at N = 4)
+        for marginal, N in ((exotic_graph(), 3), (cycle_graph("TSRR"), 4)):
+            a, b = (estimate(marginal, N, 12, p_list=(1, 2, 3), seed=9, threads=threads,
+                             entropy=False).to_json() for threads in (1, 2))
+            assert a == b
 
     def test_star_purity(self, star_estimate):
         rep = star_estimate
