@@ -23,11 +23,13 @@ full unitary is formed: a one-vertex graph at N = 64 costs the QR of
 one vector.  rho on the smaller side is one contraction tree of psi (x)
 conj(psi), planned once per network shape, where the copy of any part
 of psi is its conj(): the cheapest tree that builds nothing larger than
-rho where one does.  No intermediate outlives rho into `eigvalsh`.  The
-power sums tr rho^p that replace `eigvalsh` where no entropy is asked
-need no rho: each is one closed network of p copies of psi and p
-conjugates, contracted to a scalar where that costs less than rho and
-its products.
+rho where one does.  Each tree runs as a program compiled once per
+shape: flat steps on buffers that pass to a later step once their last
+reader has run, one set per thread, kept for the route it last ran and
+freed when `estimate` returns; nothing returned lives in one.  The power
+sums tr rho^p that replace `eigvalsh` where no entropy is asked need no
+rho: each is one closed network of p copies of psi and p conjugates,
+contracted to a scalar where that costs less than rho and its products.
 
 Haar fold.  A Haar unitary on a fully traced (T) or fully kept (S) block
 leaves the reduced spectrum unchanged (the graphical-calculus rule of
@@ -55,6 +57,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,65 +330,21 @@ def _mirror(labels, summed):
 
 
 # one join's fixed cost in multiply-adds: both power-sum routes count it per join,
-# and `_join` copies, not slices, an input smaller than this
+# and rho's last join copies, not slices, an input smaller than this
 _JOIN_COST = 2 ** 15
 
 
-def _contract(operands, tree, summed=None, side=None):
-    """Run a `_contraction_order` tree on (array, labels) operands: (array, labels).
-
-    A tree is an operand index, () for no operands, or (a, b, copy): a's
-    result joined to b's (b's alone if a is None), then with `copy` to b's
-    copy, the conj() of b's result with `_mirror`ed labels.  With `side`
-    the tree's last join writes rho (`_join`).
-    """
-    if not isinstance(tree, tuple):    # an operand, its axes of size 1 dropped
-        array, labels = operands[tree]
-        return array.squeeze(), tuple(x for x, n in zip(labels, array.shape) if n > 1)
-    if not tree:
-        return np.ones((), dtype=complex), ()
-    a, b, copy = tree
-    right = _contract(operands, b, summed)
-    if not copy:
-        return _join(_contract(operands, a, summed), right, side)
-    acc = right if a is None else _join(_contract(operands, a, summed), right)
-    return _join(acc, (right[0].conj(), _mirror(right[1], summed)), side)
+def _network(operands):
+    """The labels, shapes and dtypes of (array, labels) operands: a program's key."""
+    return (tuple(l for _, l in operands), tuple(a.shape for a, _ in operands),
+            tuple(a.dtype for a, _ in operands))
 
 
-def _join(x, y, side=None):
-    """tensordot of two (array, labels) operands over the labels they share.
-
-    tensordot copies an operand whose shared legs are not one run at
-    either end.  With `side` the join is rho's last; where the operand it
-    would copy is as large as rho and has at least `_JOIN_COST` entries,
-    it is joined instead by slices of its leading legs, none over a
-    sixteenth of it, each written straight into rho with the `side` legs
-    first and their negatives after: no third rho-sized array is made.
-    """
-    (a, la), (b, lb) = x, y
-    shared = [label for label in la if label in lb]
-    axes = [[la.index(label) for label in shared], [lb.index(label) for label in shared]]
-    labels = tuple(label for label in la + lb if label not in shared)
-    if side is None:
-        return np.tensordot(a, b, axes), labels
-    big = int(b.size > a.size)    # the larger operand: 0 for a, 1 for b
-    array, legs, k = (a, b)[big], (la, lb)[big], len(shared)
-    if (array.size < _JOIN_COST
-            or array.size < a.size * b.size // math.prod(a.shape[i] for i in axes[0]) ** 2
-            or axes[big] in (list(range(k)), list(range(array.ndim - k, array.ndim)))):
-        return np.tensordot(a, b, axes), labels
-    lead = 0    # the larger operand's leading legs, sliced
-    while legs[lead] not in shared and 16 * math.prod(array.shape[lead:]) > array.size:
-        lead += 1
-    rows = [label for label in labels if label in side]
-    order = tuple(rows + [-label for label in rows])
-    rho = np.empty([(a.shape + b.shape)[(la + lb).index(x)] for x in order], np.result_type(a, b))
-    view = np.transpose(rho, [order.index(x) for x in labels])
-    head = (slice(None),) * (len(la) - k) * big
-    axes[big] = [i - lead for i in axes[big]]
-    for index in np.ndindex(array.shape[:lead]):
-        view[head + index] = np.tensordot(*((a, b[index]) if big else (a[index], b)), axes)
-    return rho, order
+def _contract(operands, tree):
+    """Run a tree on (array, labels) operands, on buffers of its own: (array, labels)."""
+    from .contraction import compiled
+    program = compiled(*_network(operands), tree)
+    return program.run([a for a, _ in operands]), program.labels
 
 
 @dataclass(frozen=True)
@@ -442,7 +401,7 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
 
     With `powers` (each p >= 1) it returns tr rho^p for each p in place of
     the eigenvalues, by the cheaper of two routes.  Trace networks
-    (`tracenet.power_sums`) form no rho: tr rho is <psi|psi>, tr rho^p is
+    (`tracenet.ring_programs`) form no rho: tr rho is <psi|psi>, tr rho^p is
     p copies of psi and p conjugates joined in a ring, and no array of
     their plans is larger than the largest of rho's.  The rho route takes
     the Frobenius product of the Hermitian rho^floor(p/2) and
@@ -458,29 +417,51 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
     small = math.prod(state.dims[x - 1] for x in side)
     if small > MAX_DENSITY_DIM:
         raise ResourceCapError(f"spectral side {small} over cap {MAX_DENSITY_DIM}")
-    tree, largest, cost = _order(state.operands, tuple(other))
-    if powers is not None:
-        products = (max(powers) + 1) // 2 - 1
-        joins = 2 * len(state.operands) + products
-        rho_work = (math.inf if largest > MAX_AMPLITUDES else
-                    cost + products * small ** 3 + joins * _JOIN_COST)
-        from .tracenet import power_sums    # compiled only where power sums are asked for
-        sums = power_sums(state, side, other, powers, min(largest, MAX_AMPLITUDES), rho_work)
-        if sums is not None:
-            return sums
-    if largest > MAX_AMPLITUDES:
-        raise ResourceCapError(f"reduction needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
-    rho, labels = _contract(state.operands, tree, tuple(other), frozenset(side))
-    rows = [x for x in labels if x in side]     # C order after psi psi^dagger or a sliced join
-    order = [labels.index(x) for x in rows + [-x for x in rows]]
-    rho = np.ascontiguousarray(np.transpose(rho, order)).reshape(small, small)
+    route = _reduction(*_network(state.operands), tuple(side), tuple(other), small,
+                       None if powers is None else tuple(powers))
+    held = getattr(_held, "route", None)    # the thread's buffers: one set, for the route last run
+    if held is None or held[0] is not route:
+        _held.route = None    # the old set freed before the new one is made
+        from .contraction import buffers
+        raws = buffers(route[1])
+        _held.route = held = route, [program.bind(raws) for program in route[1]]
+    arrays = [a for a, _ in state.operands]
+    if route[0] is not None:    # trace networks: each value read before the next runs
+        conj = [a.conj() for a in arrays]
+        return np.array([float(program.run(arrays if p == 1 else arrays * p + conj * p, vals).real)
+                         for p, program, vals in zip(route[0], route[1], held[1])])
+    rho = route[1][0].run(arrays, held[1][0]).reshape(small, small)
     if powers is None:
         return np.linalg.eigvalsh(rho)[::-1]
     power = [None, rho]     # power[k] = rho^k, up to the larger half of max(powers)
-    for _ in range(products):
+    for _ in range((max(powers) + 1) // 2 - 1):
         power.append(power[-1] @ rho)
     return np.array([np.trace(rho).real if p == 1 else
                      np.vdot(power[p // 2], power[p - p // 2]).real for p in powers])
+
+
+_held = threading.local()    # .route: the thread's last route and each program's buffer views
+
+
+@functools.lru_cache(maxsize=64)
+def _reduction(labels, shapes, dtypes, side, other, small, powers):
+    """`reduced_spectrum`'s route for one network shape and `powers`, chosen once:
+    the networks' p values and programs, or None and rho's program."""
+    tree, largest, cost = _search(labels, shapes, other)
+    if powers is not None:
+        products = (max(powers) + 1) // 2 - 1
+        joins = 2 * len(labels) + products
+        rho_work = (math.inf if largest > MAX_AMPLITUDES else
+                    cost + products * small ** 3 + joins * _JOIN_COST)
+        from .tracenet import ring_programs    # compiled only where power sums are asked for
+        rings = ring_programs(labels, shapes, dtypes, side, other, powers,
+                              min(largest, MAX_AMPLITUDES), rho_work)
+        if rings is not None:
+            return powers, rings
+    if largest > MAX_AMPLITUDES:
+        raise ResourceCapError(f"reduction needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
+    from .contraction import Program    # compiled on the first contraction
+    return None, [Program(labels, shapes, dtypes, tree, other, frozenset(side))]
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +562,16 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
                 [raw[p] * flat ** (1 - p) for p in p_list], h)
 
     workers = min(threads, trials, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor   # with logging, ~10 ms per process
+    try:
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor   # with logging, ~10 ms per process
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
+            with ThreadPoolExecutor(max_workers=workers) as pool:   # its threads' buffers end with them
+                results = list(pool.map(one_trial, range(trials)))
+        else:
+            results = [one_trial(t) for t in range(trials)]
+    finally:
+        _held.route = None
 
     moment_rows, raw_rows, entropies = (np.array(column) for column in zip(*results))
 

@@ -14,9 +14,8 @@ import collections
 import functools
 import math
 
-import numpy as np
-
-from .montecarlo import _JOIN_COST, _contract, _order
+from .contraction import Program
+from .montecarlo import _JOIN_COST, _search
 
 
 def greedy_order(operand_labels, shapes, limit):
@@ -72,29 +71,25 @@ def trace_network(labels, side, other, p):
                                  for x in ls) for k in range(p) for ls in labels])
 
 
-def power_sums(state, side, other, powers, limit, rho_work):
-    """tr rho^p for each p from closed networks, without rho; or None.
+def ring_programs(labels, shapes, dtypes, side, other, powers, limit, rho_work):
+    """Programs of tr rho^p for each p from closed networks, without rho; or None.
 
-    p = 1 is <psi|psi>, planned like rho with every subsystem summed;
-    p >= 2 is its `trace_network` on a `greedy_order`.  None where some
-    p has no plan whose arrays stay within `limit`, or where the networks'
+    p = 1 is <psi|psi>, planned like rho with every subsystem summed, on
+    psi's operands; p >= 2 is its `trace_network` on a `greedy_order`, on
+    p copies of psi's operands and then p conjugates.  None where some p
+    has no plan whose arrays stay within `limit`, or where the networks'
     multiply-adds, with `_JOIN_COST` per join, reach `rho_work`.
     """
-    labels = tuple(l for _, l in state.operands)
-    shapes = tuple(a.shape for a, _ in state.operands)
-    ids = tuple(range(1, len(state.dims) + 1))
+    ids = tuple(sorted(side + other))
     plans, work = [], 0
     for p in powers:
         network = trace_network(labels, frozenset(side), frozenset(other), p)
-        plan = _order(state.operands, ids) if p == 1 else _greedy(network, shapes * 2 * p, limit)
+        plan = _search(labels, shapes, ids) if p == 1 else _greedy(network, shapes * 2 * p, limit)
         if plan is None or plan[1] > limit:
             return None
         work += plan[2] + (2 * p * len(labels) - 1) * _JOIN_COST
         plans.append((p, plan[0], network))
     if work >= rho_work:
         return None
-    arrays = [a for a, _ in state.operands]
-    conj = [a.conj() for a in arrays]
-    return np.array([(_contract(state.operands, tree, ids) if p == 1 else
-                      _contract(list(zip(arrays * p + conj * p, network)), tree))[0].real
-                     for p, tree, network in plans])
+    return [Program(labels, shapes, dtypes, tree, ids) if p == 1 else
+            Program(network, shapes * 2 * p, dtypes * 2 * p, tree) for p, tree, network in plans]

@@ -3,8 +3,9 @@
 Each CLI command is its own process, so every module the package imports
 is paid on every command.  The package never loads scipy, not even for
 the quadrature behind `DensityFn.integrate`; `concurrent.futures`
-serves only `estimate` with more than one thread, and `graphstate.tracenet`
-only power sums, which `verify` takes.  Two modules stay eager on
+serves only `estimate` with more than one thread, `graphstate.contraction`
+only commands that sample, and `graphstate.tracenet` only power sums,
+which `verify` takes.  Two modules stay eager on
 purpose: `numpy.random`, which numpy otherwise loads on first use (inside
 the first sampled trial), and `locale`, which argparse's gettext imports
 on every parse.  And the CLI builds its argument parsers when it runs, one
@@ -27,7 +28,8 @@ def loaded(*names):
     return {name: name in sys.modules for name in names}
 
 import graphstate
-out = {"import": loaded("scipy", "concurrent.futures", "numpy.random", "graphstate.tracenet")}
+out = {"import": loaded("scipy", "concurrent.futures", "numpy.random", "graphstate.tracenet",
+                        "graphstate.contraction")}
 from graphstate import cli
 out["cli"] = loaded("scipy", "locale")
 one_loop = sys.argv[1]
@@ -36,7 +38,9 @@ commands = [["analyze", one_loop, "--pmax", "3"],
             ["verify", one_loop, "--N", "4", "--trials", "4", "--pmax", "2"],
             ["simulate", one_loop, "--N", "4", "--trials", "4", "--pmax", "2"],
             ["dist", "mp", "--c", "1"]]
-out["codes"] = [cli.run(argv)[0] for argv in commands]
+out["codes"] = [cli.run(argv)[0] for argv in commands[:2]]
+out["analytic"] = loaded("graphstate.contraction")
+out["codes"] += [cli.run(argv)[0] for argv in commands[2:]]
 out["commands"] = loaded("scipy", "concurrent.futures", "graphstate.tracenet")
 out["mass"] = graphstate.mp_density(1).total_mass()
 out["quadrature"] = loaded("scipy")
@@ -57,7 +61,8 @@ def _fresh_process(script):
 def test_commands_import_no_scipy():
     out = _fresh_process(SCRIPT)
     assert out["import"] == {"scipy": False, "concurrent.futures": False, "numpy.random": True,
-                             "graphstate.tracenet": False}
+                             "graphstate.tracenet": False, "graphstate.contraction": False}
+    assert out["analytic"] == {"graphstate.contraction": False}    # analyze and exact sample nothing
     assert out["cli"] == {"scipy": False, "locale": True}
     assert out["codes"] == [0] * 5
     assert out["commands"] == {"scipy": False, "concurrent.futures": False,

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphstate import montecarlo, tracenet
+from graphstate import contraction, montecarlo, tracenet
 from graphstate.catalog import (
     bell_pair,
     cycle_graph,
@@ -74,6 +74,17 @@ def smaller_side(dims, traced):
     ids = range(1, len(dims) + 1)
     return sorted(([x for x in ids if x not in traced], [x for x in ids if x in traced]),
                   key=lambda xs: math.prod(dims[x - 1] for x in xs))
+
+
+def network_power_sums(state, side, other, powers, limit):
+    """tr rho^p for each p from the trace networks, whatever rho would cost."""
+    arrays = [a for a, _ in state.operands]
+    programs = tracenet.ring_programs(
+        tuple(l for _, l in state.operands), tuple(a.shape for a in arrays),
+        tuple(a.dtype for a in arrays), tuple(side), tuple(other), powers, limit, math.inf)
+    conj = [a.conj() for a in arrays]
+    return [program.run(arrays if p == 1 else arrays * p + conj * p).real
+            for p, program in zip(powers, programs)]
 
 
 def padded(lam, length):
@@ -285,7 +296,7 @@ class TestReducedSpectrum:
                 for traced in (target.traced, target.kept):
                     side, other = smaller_side(state.dims, traced)
                     limit = min(montecarlo._order(state.operands, tuple(other))[1], MAX_AMPLITUDES)
-                    sums = tracenet.power_sums(state, side, other, powers, limit, math.inf)
+                    sums = network_power_sums(state, side, other, powers, limit)
                     lam = reduced_spectrum(state, traced)
                     ref = [math.fsum(lam ** p) for p in powers]
                     np.testing.assert_allclose(sums, ref, rtol=1e-12, atol=0)
@@ -329,18 +340,17 @@ class TestReducedSpectrum:
         # every array the reduction builds stays within MAX_AMPLITUDES, and it
         # does no more multiply-adds than contracting psi and then psi psi^dagger
         steps = []
-        tensordot = np.tensordot
+        dot = np.dot
 
-        def recording(a, b, axes):
-            out = tensordot(a, b, axes)
-            steps.append((out.size, a.size * b.size // math.prod(a.shape[i] for i in axes[0])))
-            return out
+        def recording(a, b, out=None):    # each join of a program is one matrix product
+            steps.append((a.shape[0] * b.shape[1], a.size * b.shape[1]))
+            return dot(a, b, out=out)
 
         def reduce(state, traced):
             steps.clear()
-            monkeypatch.setattr(np, "tensordot", recording)
+            monkeypatch.setattr(np, "dot", recording)
             lam = reduced_spectrum(state, traced)
-            monkeypatch.setattr(np, "tensordot", tensordot)
+            monkeypatch.setattr(np, "dot", dot)
             return lam, max((size for size, _ in steps), default=1), sum(n for _, n in steps)
 
         # Ginibre blocks on this graph at N = 1: the doubled network's order is
@@ -442,14 +452,13 @@ class TestReducedSpectrum:
     def test_trace_builds_nothing_larger_than_an_isometry(self, reduction_corpus, monkeypatch):
         # tr rho alone is <psi|psi>: no array larger than psi's largest operand
         built = []
-        tensordot = np.tensordot
+        dot = np.dot
 
-        def recording(a, b, axes):
-            out = tensordot(a, b, axes)
-            built.append(out.size)
-            return out
+        def recording(a, b, out=None):    # each join of a program is one matrix product
+            built.append(a.shape[0] * b.shape[1])
+            return dot(a, b, out=out)
 
-        monkeypatch.setattr(np, "tensordot", recording)
+        monkeypatch.setattr(np, "dot", recording)
         rng = np.random.default_rng(34)
         cases = [(s, t.traced) for m, N in reduction_corpus for s, t in sampled_states(m, N, rng)]
         cases.append((assemble_state(exotic_graph(), 4, rng), exotic_graph().traced))
@@ -469,6 +478,7 @@ class TestReducedSpectrum:
                 return search(*args)
 
             monkeypatch.setattr(module, name, counting)
+        montecarlo._reduction.cache_clear()
         montecarlo._search.cache_clear()
         tracenet._greedy.cache_clear()
         for entropy, searches in ((True, 2), (False, 3)):
@@ -478,6 +488,96 @@ class TestReducedSpectrum:
                          entropy=entropy)
                 assert 0 < len(calls) <= searches
                 assert len(set(calls)) == len(calls)
+
+    def test_route_chosen_once_per_shape(self, monkeypatch):
+        # the route and its programs are kept per (shape, side, powers): each
+        # trace network is built once, not once per trial
+        built = []
+        network = tracenet.trace_network
+
+        def counting(labels, side, other, p):
+            built.append(p)
+            return network(labels, side, other, p)
+
+        monkeypatch.setattr(tracenet, "trace_network", counting)
+        montecarlo._reduction.cache_clear()
+        estimate(cycle_graph("TSRR"), 4, 20, p_list=(1, 2, 3), seed=0, entropy=False)
+        assert 0 < len(built) == len(set(built)) <= 3
+
+    def test_steps_copy_exactly_where_tensordot_copies(self, reduction_corpus):
+        # an input is copied into a buffer exactly where tensordot's reshape
+        # copies it, so every product sees tensordot's layouts and its bits
+        rng = np.random.default_rng(35)
+        checked = 0
+        for m, N in reduction_corpus[::3]:
+            for state, target in sampled_states(m, N, rng):
+                side, other = smaller_side(state.dims, target.traced)
+                labels = tuple(l for _, l in state.operands)
+                shapes = tuple(a.shape for a, _ in state.operands)
+                tree = montecarlo._search(labels, shapes, tuple(other))[0]
+                program = contraction.Program(labels, shapes, (np.dtype(complex),) * len(labels),
+                                              tree, tuple(other), frozenset(side))
+                for _, inputs, outputs, *join in program.steps:
+                    if not join:    # a conj()
+                        continue
+                    lead = len(join[3][0][0])    # the larger input's sliced legs
+                    for v, skip, (perm, shape), copy in zip(inputs, (0, lead), join[1:3], outputs[1:3]):
+                        dummy = np.empty([n for _, n in program.values[v][skip:]])
+                        matrix = dummy.transpose(perm).reshape(shape)
+                        assert np.shares_memory(matrix, dummy) == (copy is None)
+                        checked += 1
+        assert checked > 100
+
+    def test_results_do_not_alias_reused_buffers(self):
+        # each call on s1, then the same call on a same-shape s2: s1's result
+        # is unchanged and equals a fresh einsum of s1's operands
+        for marginal, N, mode in ((cycle_graph("TSRR"), 4, "ginibre"), (exotic_graph(), 3, "haar")):
+            fold = haar_fold(marginal, N)
+            target, pinned = (fold.marginal, fold.pinned) if mode == "haar" else (marginal, ())
+            rng = np.random.default_rng(36)
+            s1, s2 = (assemble_state(target, N, rng, mode=mode, pinned=pinned) for _ in range(2))
+            index = {}
+            args = [x for a, labels in s1.operands
+                    for x in (a, [index.setdefault(l, len(index)) for l in labels])]
+            psi = np.einsum(*args, [index[x] for x in range(1, len(s1.dims) + 1)], optimize=True)
+            side, other = smaller_side(s1.dims, target.traced)
+            half = np.transpose(psi, [x - 1 for x in side + other]).reshape(
+                math.prod(s1.dims[x - 1] for x in side), -1)
+            lam = np.linalg.eigvalsh(half @ half.conj().T)[::-1]
+            sums = np.array([math.fsum(lam ** p) for p in (1, 2, 3)])
+            for call, ref in ((lambda s: s.tensor, psi),
+                              (lambda s: reduced_spectrum(s, target.traced), lam),
+                              (lambda s: reduced_spectrum(s, target.traced, (1, 2, 3)), sums)):
+                first = call(s1)
+                kept = first.copy()
+                call(s2)
+                assert np.array_equal(first, kept)
+                assert np.abs(first - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_buffers_kept_between_same_shape_calls(self):
+        # TSRR at N = 4, Ginibre (rho side 256): the first call allocates the
+        # buffers, within the 4.0 MiB a call took before; a second call on a
+        # same-shape state allocates under 0.1 MiB; estimate frees them
+        m, mib = cycle_graph("TSRR"), 2 ** 20
+        estimate(m, 4, 1, mode="ginibre")    # plans searched, no buffers held after
+        rng = np.random.default_rng(37)
+        s1, s2 = (assemble_state(m, 4, rng, mode="ginibre") for _ in range(2))
+        tracemalloc.start()
+        try:
+            peaks = []
+            for state in (s1, s2):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                reduced_spectrum(state, m.traced)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            estimate(m, 4, 5, mode="ginibre")
+            start = tracemalloc.get_traced_memory()[0]
+            estimate(m, 4, 5, mode="ginibre")
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 4.1 * mib and peaks[1] < 0.1 * mib
+        assert abs(held) < 0.1 * mib
 
 
 class TestHaarFold:
@@ -541,10 +641,13 @@ class TestEstimate:
         b = estimate(one_loop(), 16, 24, p_list=(1, 2), seed=6, threads=4)
         assert a.moment_mean == b.moment_mean
         assert a.raw_moment_mean == b.raw_moment_mean
-        # power sums: trace networks (exotic at N = 3) and rho's (TSRR at N = 4)
-        for marginal, N in ((exotic_graph(), 3), (cycle_graph("TSRR"), 4)):
-            a, b = (estimate(marginal, N, 12, p_list=(1, 2, 3), seed=9, threads=threads,
-                             entropy=False).to_json() for threads in (1, 2))
+        # power sums: trace networks (exotic at N = 3) and rho's (TSRR at N = 4); then
+        # rho and eigvalsh (TSRR at N = 4, Ginibre); each thread on buffers of its own
+        for marginal, N, mode, entropy in ((exotic_graph(), 3, "haar", False),
+                                           (cycle_graph("TSRR"), 4, "haar", False),
+                                           (cycle_graph("TSRR"), 4, "ginibre", True)):
+            a, b = (estimate(marginal, N, 12, p_list=(1, 2, 3), seed=9, mode=mode,
+                             threads=threads, entropy=entropy).to_json() for threads in (1, 2))
             assert a == b
 
     def test_star_purity(self, star_estimate):

@@ -61,6 +61,7 @@ TRACED_LAYERS = {
     ("asymptotic", "analyze-one_loop-p6"),
     ("exact", "exact_moment-cycle_TSRR-p4-N5"),
     ("sampling", "verify-one_loop-N64-t50-p3"),
+    ("sampling", "simulate-cycle_TSRR-N4-t40-p3"),
 ])
 def test_traced_worker_op_passes_check(workload, op_id):
     op = next(op for op in ops.workload_ops(workload, 1) if op["id"] == op_id)
@@ -72,9 +73,15 @@ def test_traced_worker_op_passes_check(workload, op_id):
     assert proc.returncode == 0, proc.stderr[-2000:]
     record = json.loads(proc.stdout)
     assert ops.check(op, record, REFERENCE, ROOT) == []
-    assert record["spans"] and record["gates"]
+    assert record["spans"]
+    assert record["gates"] or op["id"].startswith("simulate")    # simulate computes no reference
     # the traced run reads its layer times off these spans: a span the
     # package stops producing reads 0 here or fails the run
     metrics = run.layer_metrics([record])
     layers = {name: metrics[name] for name in TRACED_LAYERS[workload]}
     assert all(layers.values()), layers
+    if workload == "sampling":    # one assembly and one reduction per trial, on either route
+        trials = int(op["argv"][op["argv"].index("--trials") + 1])
+        names = [span["name"] for span in record["spans"]]
+        assert (names.count("montecarlo.assemble_state") == trials
+                and names.count("montecarlo.reduced_spectrum") == trials)
