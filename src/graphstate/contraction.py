@@ -11,9 +11,9 @@ Verstraete, PRE 90, 033315, 2014; Gray and Kourtis, Quantum 5, 410,
 command that samples nothing never compiles it.
 """
 
-import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -68,12 +68,12 @@ class Program:
             order, lead, dest = rows + [(-label, n) for label, n in rows], 0, None
             big = int(size(pair[1]) > size(pair[0]))
             array, k = pair[big], len(shared)
-            if side is not None and order != legs:
+            if side is not None and not (size(array) < max(_JOIN_COST, size(legs)) or axes[big] in (
+                    list(range(k)), list(range(len(array) - k, len(array))))):
+                while array[lead][0] not in shared and 16 * size(array[lead:]) > size(array):
+                    lead += 1    # the larger input's leading legs, sliced
+            if side is not None and (order != legs or lead):
                 dest = [order.index(leg) for leg in legs]
-                if not (size(array) < max(_JOIN_COST, size(legs)) or axes[big] in (
-                        list(range(k)), list(range(len(array) - k, len(array))))):
-                    while array[lead][0] not in shared and 16 * size(array[lead:]) > size(array):
-                        lead += 1    # the larger input's leading legs, sliced
             small = matrix(pair[1 - big], axes[1 - big], big)
             sliced = matrix(array[lead:], [i - lead for i in axes[big]], not big)
             cut = (len(pair[0]) - k) * big    # where the sliced legs sit among the join's
@@ -117,7 +117,7 @@ class Program:
                     free.remove(s)
                 self.slot[v], self.sizes[s] = s, max(self.sizes[s], n)
 
-        def release(values):    # those no later step reads
+        def retire(values):    # those no later step reads
             for v in values:
                 if v in self.slot and v not in done and last.get(v, i) == i:
                     done.add(v)
@@ -132,8 +132,8 @@ class Program:
                           if piece is not None and one else [(cs, cb), copied, (out, piece), ()])
             for values, freed in zip(phases[::2], phases[1::2]):
                 place(values)
-                release(freed)
-            release(inputs + outputs)
+                retire(freed)
+            retire(inputs + outputs)
 
     def bind(self, raws=None):
         """Each value's view on `raws` (buffers of its own if None), None for the operands."""
@@ -182,5 +182,24 @@ def buffers(programs):
     return [np.empty(n, dtype=programs[0].dtype) for n in sizes]
 
 
-# `Program`, compiled once per (labels, shapes, dtypes, tree)
-compiled = functools.lru_cache(maxsize=64)(Program)
+_held = threading.local()    # .views: the thread's last programs and each one's buffer views
+
+
+def views(programs):
+    """Each program's `bind` views on the calling thread's one set of buffers.
+
+    The set is kept for `programs` until the thread asks for other
+    programs' views, when it is freed before the new one is made, or
+    calls `release`.
+    """
+    held = getattr(_held, "views", None)
+    if held is None or held[0] is not programs:
+        release()
+        raws = buffers(programs)
+        _held.views = held = programs, [program.bind(raws) for program in programs]
+    return held[1]
+
+
+def release():
+    """Free the calling thread's buffers."""
+    _held.views = None

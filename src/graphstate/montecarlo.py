@@ -57,7 +57,6 @@ import functools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -342,8 +341,8 @@ def _network(operands):
 
 def _contract(operands, tree):
     """Run a tree on (array, labels) operands, on buffers of its own: (array, labels)."""
-    from .contraction import compiled
-    program = compiled(*_network(operands), tree)
+    from .contraction import Program
+    program = Program(*_network(operands), tree)
     return program.run([a for a, _ in operands]), program.labels
 
 
@@ -419,18 +418,13 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
         raise ResourceCapError(f"spectral side {small} over cap {MAX_DENSITY_DIM}")
     route = _reduction(*_network(state.operands), tuple(side), tuple(other), small,
                        None if powers is None else tuple(powers))
-    held = getattr(_held, "route", None)    # the thread's buffers: one set, for the route last run
-    if held is None or held[0] is not route:
-        _held.route = None    # the old set freed before the new one is made
-        from .contraction import buffers
-        raws = buffers(route[1])
-        _held.route = held = route, [program.bind(raws) for program in route[1]]
+    from .contraction import views
+    vals = views(route[1])    # the thread's buffers, kept for the route last run
     arrays = [a for a, _ in state.operands]
-    if route[0] is not None:    # trace networks: each value read before the next runs
-        conj = [a.conj() for a in arrays]
-        return np.array([float(program.run(arrays if p == 1 else arrays * p + conj * p, vals).real)
-                         for p, program, vals in zip(route[0], route[1], held[1])])
-    rho = route[1][0].run(arrays, held[1][0]).reshape(small, small)
+    if route[0] is not None:
+        from .tracenet import power_sums
+        return np.array(power_sums(route[0], route[1], arrays, vals))
+    rho = route[1][0].run(arrays, vals[0]).reshape(small, small)
     if powers is None:
         return np.linalg.eigvalsh(rho)[::-1]
     power = [None, rho]     # power[k] = rho^k, up to the larger half of max(powers)
@@ -438,9 +432,6 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
         power.append(power[-1] @ rho)
     return np.array([np.trace(rho).real if p == 1 else
                      np.vdot(power[p // 2], power[p - p // 2]).real for p in powers])
-
-
-_held = threading.local()    # .route: the thread's last route and each program's buffer views
 
 
 @functools.lru_cache(maxsize=64)
@@ -571,7 +562,8 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
         else:
             results = [one_trial(t) for t in range(trials)]
     finally:
-        _held.route = None
+        from .contraction import release
+        release()
 
     moment_rows, raw_rows, entropies = (np.array(column) for column in zip(*results))
 

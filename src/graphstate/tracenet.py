@@ -93,3 +93,15 @@ def ring_programs(labels, shapes, dtypes, side, other, powers, limit, rho_work):
         return None
     return [Program(labels, shapes, dtypes, tree, ids) if p == 1 else
             Program(network, shapes * 2 * p, dtypes * 2 * p, tree) for p, tree, network in plans]
+
+
+def power_sums(powers, programs, arrays, views=None):
+    """tr rho^p for each p, from `ring_programs`' programs on psi's operand arrays.
+
+    p = 1 runs on the arrays, p >= 2 on p copies of them and then p
+    conjugates; each program on its `views` (buffers of its own if None),
+    each value read before the next program runs.
+    """
+    conj = [a.conj() for a in arrays]
+    return [float(program.run(arrays if p == 1 else arrays * p + conj * p, vals).real)
+            for p, program, vals in zip(powers, programs, views or [None] * len(programs))]

@@ -82,9 +82,7 @@ def network_power_sums(state, side, other, powers, limit):
     programs = tracenet.ring_programs(
         tuple(l for _, l in state.operands), tuple(a.shape for a in arrays),
         tuple(a.dtype for a in arrays), tuple(side), tuple(other), powers, limit, math.inf)
-    conj = [a.conj() for a in arrays]
-    return [program.run(arrays if p == 1 else arrays * p + conj * p).real
-            for p, program in zip(powers, programs)]
+    return tracenet.power_sums(powers, programs, arrays)
 
 
 def padded(lam, length):
@@ -435,15 +433,23 @@ class TestReducedSpectrum:
         # alive at a time (three were before tree plans); fc2_template at N = 8
         # holds rho (4 MiB) and its last join's rho-sized input, which the
         # join takes in slices rather than copying; tr rho^p for p <= 3 on
-        # exotic at N = 4 comes from trace networks, largest array 65,536
-        for marginal, N, powers, mib in ((exotic_graph(), 4, None, 2 * 16 + 1),
-                                         (fc_template(2), 8, None, 8.5),
-                                         (exotic_graph(), 4, (1, 2, 3), 4)):
-            state = assemble_state(marginal, N, np.random.default_rng(0))
-            reduced_spectrum(state, marginal.traced, powers)    # the plans, searched once
+        # exotic at N = 4 comes from trace networks, largest array 65,536;
+        # a dense psi of 1 MiB, its traced legs no run at either end, is
+        # copied once, for its conj(), and taken in slices, with rho 64 KiB.
+        # Each peak counts the call's buffers: the warm-up's are released
+        psi = np.random.default_rng(0).standard_normal((4,) * 8) + 0j
+        cases = [(assemble_state(m, N, np.random.default_rng(0)), m.traced, powers, mib)
+                 for m, N, powers, mib in ((exotic_graph(), 4, None, 2 * 16 + 1),
+                                           (fc_template(2), 8, None, 8.5),
+                                           (exotic_graph(), 4, (1, 2, 3), 4))]
+        cases.append((StateVector(tensor=psi / np.linalg.norm(psi), dims=psi.shape),
+                      (1, 4, 7), None, 2.4))
+        for state, traced, powers, mib in cases:
+            reduced_spectrum(state, traced, powers)    # the plans, searched once
+            contraction.release()
             tracemalloc.start()
             try:
-                reduced_spectrum(state, marginal.traced, powers)
+                reduced_spectrum(state, traced, powers)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
