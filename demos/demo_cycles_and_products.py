@@ -9,28 +9,37 @@ hub-and-leaves graph escapes the family entirely.
 """
 
 import math
+import re
 
 from graphstate import (
+    ConstraintPoset,
     DistributionId,
     classify,
     count_poset_tuples,
     cycle_graph,
-    cycle_marginal,
     estimate,
     exact_moment,
     exotic_graph,
-    exotic_poset,
     marginal_max_flow,
     minimizer_set,
     moment_table,
 )
 
+
+def arc_lengths(types):
+    """Interior lengths of the arcs that join a T and an S vertex through R vertices alone."""
+    ring = types * 2
+    return [len(m[2]) for m in re.finditer(r"(?=([TS])(R*)([TS]))", ring)
+            if m.start() < len(types) and m[1] != m[3]]
+
+
 print("=== a tour of trace patterns ===")
 for types in ("TS", "TRS", "TSRR", "TRRS", "TRSRT", "TTSS", "RRRR"):
-    report = cycle_marginal(types)
-    engine_x = marginal_max_flow(cycle_graph(types))
-    print(f"  {types:6s}: X={report.flow} (engine {engine_x}), "
-          f"law: {report.law.describe()}")
+    # the paper's closed form: X counts the R vertices and the arcs
+    x = types.count("R") + len(arc_lengths(types))
+    marginal = cycle_graph(types)
+    print(f"  {types:6s}: X={x} (engine {marginal_max_flow(marginal)}), "
+          f"law: {classify(marginal, 4).describe()}")
 print()
 
 print("=== the TSRR 4-cycle in detail ===")
@@ -46,10 +55,11 @@ print()
 
 print("=== entropy forecast: X ln N minus harmonic arc sums ===")
 for types in ("TSRR", "TRSRT"):
-    report = cycle_marginal(types)
+    marginal = cycle_graph(types)
+    x, constant = marginal_max_flow(marginal), classify(marginal, 4).entropy_constant()
     n = 64
-    print(f"  {types}: E H ~ {report.flow} ln N + ({report.entropy_constant:.4f})"
-          f" = {report.entropy(n):.3f} at N={n}")
+    print(f"  {types}: E H ~ {x} ln N + ({constant:.4f})"
+          f" = {x * math.log(n) + constant:.3f} at N={n}")
 print()
 
 print("=== products vs a genuinely new law ===")
@@ -59,9 +69,10 @@ print("  MP x MP moments (disjoint chains):", [str(two_mp.moment(p)) for p in ra
 exotic = exotic_graph()
 print("  exotic hub-and-leaves: X =", marginal_max_flow(exotic))
 print("  engine coefficients:", [str(r.coefficient) for r in moment_table(exotic, 4)])
-exotic_law = DistributionId(kind="poset_law", poset=exotic_poset())
+exotic_poset = ConstraintPoset(k=3, relations=[(0, 1), (0, 2)])     # hub <= each leaf
+exotic_law = DistributionId(kind="poset_law", poset=exotic_poset)
 print("  label-poset counts:  ", [str(exotic_law.moment(p)) for p in range(1, 5)])
 print("  classify:", classify(exotic, 4).describe())
 print("  (free x classical mix: not a plain product, "
       "p=3 gives 38 rather than MP x MP's 25 or FC(4)'s 35)")
-assert count_poset_tuples(exotic_poset(), 3) == len(minimizer_set(exotic, 3)) == 38
+assert count_poset_tuples(exotic_poset, 3) == len(minimizer_set(exotic, 3)) == 38

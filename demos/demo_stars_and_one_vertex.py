@@ -7,34 +7,48 @@ subsystems sit inside one vertex the same trichotomy is controlled by
 the kept/traced balance of that vertex alone.
 """
 
+import math
 from fractions import Fraction
 
 from graphstate import (
+    DistributionId,
+    GraphSpec,
     classify,
     estimate,
     exact_moment,
     marginal_max_flow,
     moment_table,
-    one_unitary_marginal,
     star_graph,
-    star_marginal,
 )
+
+
+def one_vertex_law(kept, traced, external, d_kept, d_traced, d_external):
+    """The paper's trichotomy for a vertex with kept and traced subsystems
+    and external bonds to fully traced vertices: flat on the smaller side,
+    free Poisson at balance."""
+    env = traced + external
+    if kept == env:
+        return DistributionId(kind="free_poisson", c=Fraction(d_traced * d_external, d_kept))
+    rank, coeff = (kept, d_kept) if kept < env else (env, d_traced * d_external)
+    return DistributionId(kind="maximally_mixed", rank_coeff=Fraction(coeff), rank_exponent=rank)
+
 
 print("=== the (s,t) phase diagram of the 2-star ===")
 for s in range(3):
     for t in range(3):
         if s == 0 and t == 0:
             continue
-        fam = star_marginal(2, s, t)
-        print(f"  (s={s}, t={t}): {fam.law.describe():45s} "
-              f"purity ~ {fam.purity_coeff}*N^{fam.purity_exponent}")
+        marginal = star_graph(2, s, t)
+        purity = moment_table(marginal, 2)[1]
+        # the paper: with an empty side rho is maximally mixed at every N
+        exact = ", exactly flat at every N" if s == 0 or t == 0 else ""
+        print(f"  (s={s}, t={t}): {classify(marginal, 4).describe():45s} "
+              f"purity ~ {purity.coefficient}*N^{purity.exponent}{exact}")
 print()
 
 print("=== balanced case (1,1): free Poisson, verified three ways ===")
 marginal = star_graph(2, 1, 1)
-fam = star_marginal(2, 1, 1)
-print("  prediction: purity", f"{fam.purity_coeff}*N^{fam.purity_exponent},",
-      "entropy 2 ln N - 1/2")
+print("  prediction: purity 2*N^-2, entropy 2 ln N - 1/2")
 print("  engine:", [(r.p, str(r.coefficient)) for r in moment_table(marginal, 4)],
       "->", classify(marginal, 4).describe())
 rep = estimate(marginal, 16, 200, p_list=(1, 2), seed=11)
@@ -42,7 +56,7 @@ print(f"  sampled purity at N=16: {rep.purity_mean:.5e} "
       f"(exact {float(exact_moment(marginal, 2, 16)):.5e}, "
       f"asymptotic {2 / 256:.5e})")
 print(f"  sampled entropy: {rep.entropy_mean:.4f} "
-      f"(prediction {fam.entropy(16):.4f})")
+      f"(prediction {2 * math.log(16) - 0.5:.4f})")
 print()
 
 print("=== one-vertex marginals: the kept/traced trichotomy ===")
@@ -53,10 +67,16 @@ cases = [
     (3, 2, 1, 1, 2, 2),   # balanced with weights: free Poisson, c = 4
 ]
 for kept, tb, ext, dk, dt, de in cases:
-    fam = one_unitary_marginal(kept, tb, ext, dk, dt, de)
+    law = one_vertex_law(kept, tb, ext, dk, dt, de)
     print(f"  kept={kept} traced={tb} external={ext} "
-          f"dims=({dk},{dt},{de}): {fam.law.describe()}")
-assert one_unitary_marginal(3, 2, 1, 1, 2, 2).law.c == Fraction(4)
+          f"dims=({dk},{dt},{de}): {law.describe()}")
+# the last case as a graph: loops (1 2) and (3 4), and a bond 5-6 of dimension
+# factor 2 to a traced satellite; 1 and 5 are traced, 2, 3 and 4 kept
+weighted = GraphSpec(vertex_blocks=[[1, 2, 3, 4, 5], [6]], bonds=[(1, 2), (3, 4), (5, 6)],
+                     dims={1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}).marginal({1, 5, 6})
+law = classify(weighted, 4)
+print(f"  engine on the last case: {law.describe()}")
+assert law.c == one_vertex_law(*cases[-1]).c == Fraction(4)
 print()
 print("flow values for the star family:",
       {(s, t): marginal_max_flow(star_graph(2, s, t))

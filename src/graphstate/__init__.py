@@ -2,11 +2,13 @@
 
 Graphs of maximally entangled pairs coupled by per-vertex Haar unitaries
 induce random density matrices under partial tracing.  This package
-computes their moments exactly (Weingarten sums) and asymptotically
-(max-flow exponents with residual-poset coefficients), identifies the
-limiting eigenvalue laws (free Poisson, Fuss-Catalan, their products,
-and label-poset laws), and verifies everything against a Monte Carlo
-sampler.
+ships four engines: the max flow of the marginal's network, the leading
+moment coefficient as a weighted count over the flow's residual poset,
+the exact finite-N Weingarten and Wick sums, and a Monte Carlo sampler.
+On top of them it identifies the limiting eigenvalue laws (free Poisson,
+Fuss-Catalan, their products, and label-poset laws).  The paper's closed
+forms and the brute-force references that check the engines are test
+oracles, not part of the package.
 """
 
 from .catalog import (
@@ -14,7 +16,6 @@ from .catalog import (
     broadcast_example,
     cycle_graph,
     exotic_graph,
-    exotic_poset,
     fc_template,
     figure_example,
     one_loop,
@@ -23,14 +24,9 @@ from .catalog import (
 )
 from .combinatorics import (
     ConstraintPoset,
-    NCPartition,
-    Perm,
     catalan,
-    count_chains,
     count_poset_tuples,
-    enumerate_nc,
     fuss_catalan,
-    mobius,
 )
 from .flow import FlowNetwork, MaxFlowResult, build_network, max_flow
 from .graphs import GraphSpec, GraphValidationError, MarginalSpec, validate
@@ -40,22 +36,17 @@ from .moments import (
     MomentReport,
     asymptotic_moment,
     classify,
-    cycle_marginal,
     exact_moment,
     exact_moment_gaussian,
     marginal_max_flow,
     minimizer_set,
     moment_table,
-    one_unitary_marginal,
-    star_marginal,
 )
 from .montecarlo import (
     EstimateReport,
     ResourceCapError,
     assemble_state,
     estimate,
-    ginibre_product_spectra,
-    haar_unitary,
     reduced_spectrum,
 )
 from .spectra import (
@@ -67,6 +58,6 @@ from .spectra import (
     mp_density,
     mp_entropy,
 )
-from .weingarten import WeingartenTable, wg_asym, wg_exact
+from .weingarten import WeingartenTable, wg_exact
 
 __version__ = "0.1.0"

@@ -7,7 +7,6 @@ instances for property-style corpus tests.
 
 from __future__ import annotations
 
-from .combinatorics import ConstraintPoset
 from .graphs import GraphSpec, MarginalSpec
 
 
@@ -121,11 +120,6 @@ def exotic_graph() -> MarginalSpec:
         bonds=[(1, 2), (3, 5), (4, 8), (6, 7), (9, 10)],
     )
     return g.marginal({1, 2, 3, 5, 8})
-
-
-def exotic_poset() -> ConstraintPoset:
-    """Label order matching exotic_graph's minimizer set: 0 <= 1, 0 <= 2."""
-    return ConstraintPoset(k=3, relations=[(0, 1), (0, 2)])
 
 
 def figure_example() -> MarginalSpec:

@@ -1,11 +1,14 @@
-"""Permutations, non-crossing partitions, and the counting engine.
+"""The S_p and NC(p) label tables and the counting engine.
 
 Everything downstream (Weingarten tables, moment coefficients, limit-law
 moments) reduces to counting structures in the symmetric group S_p and in
 the lattice NC(p) of non-crossing partitions of {1..p}, in exact integers
-and Fractions; the label and pair tables are read-only int8 arrays.  Poset
-labelings are counted by the free moment-cumulant recursion, or by the
-bucket elimination `_contract` that the moment engines share.
+and Fractions.  A label is a row of permutation images in a read-only
+int8 table, an NC(p) partition being its geodesic permutation, and the
+pair tables hold #(a^-1 b) over pairs of rows; no label is ever an object
+of its own.  Poset labelings are counted by the free moment-cumulant
+recursion, or by the bucket elimination `_contract` that the moment
+engines share.
 """
 
 from __future__ import annotations
@@ -33,189 +36,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message, estimated):
         super().__init__(message)
         self.estimated = estimated
-
-
-# ---------------------------------------------------------------------------
-# permutations
-# ---------------------------------------------------------------------------
-
-class Perm:
-    """A permutation of {0..p-1} in one-line notation.
-
-    `image[i]` is the image of point i.  Cycle data is computed once and
-    cached; instances are immutable and hashable.
-    """
-
-    __slots__ = ("image", "_cycles", "_hash")
-
-    def __init__(self, image):
-        image = tuple(image)
-        if sorted(image) != list(range(len(image))):
-            raise ValueError(f"not a permutation of 0..{len(image)-1}: {image}")
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "_cycles", None)
-        object.__setattr__(self, "_hash", hash(image))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
-    @classmethod
-    def identity(cls, p: int) -> "Perm":
-        return cls(range(p))
-
-    @classmethod
-    def full_cycle(cls, p: int) -> "Perm":
-        """The canonical long cycle gamma = (1 2 ... p), i.e. i -> i+1 mod p."""
-        return cls((i + 1) % p for i in range(p))
-
-    @classmethod
-    def from_cycles(cls, p: int, cycles) -> "Perm":
-        image = list(range(p))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                image[a] = b
-        return cls(image)
-
-    @property
-    def p(self) -> int:
-        return len(self.image)
-
-    def __len__(self):
-        return len(self.image)
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.image == other.image
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Perm{self.image}"
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        """Composition (self * other)(i) = self(other(i))."""
-        oi = other.image
-        si = self.image
-        return Perm(si[oi[i]] for i in range(len(si)))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.image)
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Perm(inv)
-
-    def cycles(self):
-        """Disjoint cycles, each starting at its minimum, sorted by minimum."""
-        if self._cycles is None:
-            seen = [False] * len(self.image)
-            out = []
-            for start in range(len(self.image)):
-                if seen[start]:
-                    continue
-                cyc = []
-                i = start
-                while not seen[i]:
-                    seen[i] = True
-                    cyc.append(i)
-                    i = self.image[i]
-                out.append(tuple(cyc))
-            object.__setattr__(self, "_cycles", tuple(out))
-        return self._cycles
-
-    @property
-    def num_cycles(self) -> int:
-        """#sigma, the number of disjoint cycles (fixed points included)."""
-        return len(self.cycles())
-
-    @property
-    def length(self) -> int:
-        """|sigma| = p - #sigma, minimal number of transpositions."""
-        return len(self.image) - self.num_cycles
-
-    def cycle_type(self):
-        """Cycle lengths sorted descending; indexes conjugacy classes."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-
-def all_perms(p: int):
-    """All of S_p as Perm objects (cached per p)."""
-    return _all_perms_cached(p)
-
-
-@lru_cache(maxsize=None)
-def _all_perms_cached(p: int):
-    return tuple(Perm(img) for img in itertools.permutations(range(p)))
-
-
-# ---------------------------------------------------------------------------
-# set partitions / non-crossing partitions
-# ---------------------------------------------------------------------------
-
-class NCPartition:
-    """A set partition of {0..p-1}, normally a non-crossing one.
-
-    Blocks are stored sorted internally and ordered by their minima, so two
-    equal partitions compare and hash equal.
-    """
-
-    __slots__ = ("blocks", "p", "_hash")
-
-    def __init__(self, blocks, check: bool = True):
-        norm = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", norm)
-        p = sum(len(b) for b in norm)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_hash", hash(norm))
-        if check:
-            flat = sorted(itertools.chain.from_iterable(norm))
-            if flat != list(range(p)):
-                raise ValueError(f"blocks do not partition 0..{p-1}: {blocks}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPartition is immutable")
-
-    @classmethod
-    def zero(cls, p: int) -> "NCPartition":
-        """The discrete partition 0-hat: all singletons."""
-        return cls(((i,) for i in range(p)), check=False)
-
-    @classmethod
-    def one(cls, p: int) -> "NCPartition":
-        """The full partition 1-hat: a single block."""
-        return cls((tuple(range(p)),), check=False)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        return isinstance(other, NCPartition) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"NCPartition({[list(b) for b in self.blocks]})"
-
-
-def enumerate_nc(p: int):
-    """All non-crossing partitions of {0..p-1}; |result| = catalan(p).
-
-    One per row of `_label_table(p, True)` and in its order: the blocks
-    of each geodesic's cycles, so a label index means the same in both.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return _enumerate_nc_cached(p)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_nc_cached(p: int):
-    images = _label_table(p, True)[0]
-    return tuple(NCPartition(Perm(row).cycles(), check=False) for row in images.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +316,7 @@ _SLICE_ENTRIES = 1 << 13
 _ONE = np.array(1, dtype=object)
 
 # ---------------------------------------------------------------------------
-# Catalan / Fuss-Catalan numbers and the Moebius function
+# Catalan and Fuss-Catalan numbers
 # ---------------------------------------------------------------------------
 
 def catalan(i: int) -> int:
@@ -535,17 +355,8 @@ def mp_moment(c, p: int) -> Fraction:
     return sum(comb(p, k) * comb(p, k - 1) // p * c ** k for k in range(1, p + 1))
 
 
-def mobius(sigma: Perm) -> int:
-    """Moebius function on S_p: each d-cycle contributes (-1)^(d-1) c_(d-1)."""
-    out = 1
-    for cyc in sigma.cycles():
-        d = len(cyc)
-        out *= (-1) ** (d - 1) * catalan(d - 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# chain and poset-tuple counting in NC(p)
+# poset-tuple counting in NC(p)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -593,22 +404,6 @@ class ConstraintPoset:
             return False
 
         return any(state[u] == 0 and visit(u) for u in range(self.k))
-
-    @staticmethod
-    def make_chain(s: int) -> "ConstraintPoset":
-        """1 <= 2 <= ... <= s; tuple count is fuss_catalan(s, p)."""
-        return ConstraintPoset(k=s, relations=tuple((i, i + 1) for i in range(s - 1)))
-
-
-def count_chains(s: int, p: int) -> int:
-    """Number of s-chains sigma_1 <= ... <= sigma_s in NC(p).
-
-    Independent of the Fuss-Catalan binomial formula: a chain is rooted,
-    so this is `count_poset_tuples`' moment-cumulant recursion.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return count_poset_tuples(ConstraintPoset.make_chain(s), p)
 
 
 def count_poset_tuples(poset: ConstraintPoset, p: int) -> int:

@@ -216,10 +216,6 @@ class MarginalSpec:
         """sqrt of prod_i d_i: equals the product of bond dimension factors."""
         return math.prod(self.graph.dim_of[a] for a, _ in self.graph.bonds)
 
-    def swap(self) -> "MarginalSpec":
-        """The dual marginal with kept and traced subsystems exchanged."""
-        return MarginalSpec(self.graph, self.kept)
-
     def describe(self) -> dict:
         return {
             "kept": sorted(self.kept),

@@ -12,7 +12,9 @@ elimination in exact integers.  The Haar engines pin fully traced blocks
 to the identity and fully kept ones to the long cycle, where a Haar
 unitary integrates out; the Wick sum pins nothing, as a Gaussian block
 does not drop out.  `minimizer_set` checks the asymptotic engine by brute
-force, with pins of its own; the law classifiers sit on top.
+force, with pins of its own; the law classifiers sit on top.  The paper's
+closed forms for stars, cycles and one-vertex graphs, which check these
+engines, are oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .combinatorics import (
     _rooted_moments,
     catalan,
     count_poset_tuples,
-    enumerate_nc,
     fuss_catalan,
     mp_moment,
     work_budget,
@@ -124,14 +125,14 @@ def marginal_max_flow(marginal: MarginalSpec) -> int:
 class MinimizerSet:
     """All geodesic tuples achieving the max-flow cost bound.
 
-    `tuples` holds NC(p)-indices per block (into `partitions`); pinned
-    blocks are fixed at the discrete / full partition according to type.
+    `tuples` holds one NC(p) label per block, an index into the rows of
+    `combinatorics._label_table(p, True)`; pinned blocks are fixed at the
+    discrete / full partition according to type.
     """
 
     p: int
     x: int
-    partitions: tuple          # enumerate_nc(p), shared index space
-    tuples: list               # list of tuples of partition indices
+    tuples: list               # list of tuples of label indices
     pinned: dict               # block -> "zero" | "one"
 
     def __len__(self):
@@ -146,6 +147,8 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
     are exactly the tuples whose cost equals X(p-1) where X is the max
     flow; the enumerated minimum is checked against that bound.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
     x = marginal_max_flow(marginal)
     target = x * (p - 1)
 
@@ -168,7 +171,6 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
         raise BudgetExceededError(
             f"minimizer search needs ~{est} table entries (> budget {cap}); "
             f"lower p or raise {BUDGET_ENV}", est)
-    parts = enumerate_nc(p)
     _, ncyc, ncyc_gamma, idx_zero, idx_one = _label_table(p, True)
     pair_ncyc = _pair_arrays(p, True)[0].tolist() if cross else None
     kept_w = [len(v.kept) for v in marginal.blocks]
@@ -188,7 +190,7 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
         if blk in pinned:
             choices.append((idx_zero,) if pinned[blk] == "zero" else (idx_one,))
         else:
-            choices.append(tuple(range(len(parts))))
+            choices.append(range(len(ncyc)))
 
     best = [None]
     hits = []
@@ -221,7 +223,7 @@ def minimizer_set(marginal: MarginalSpec, p: int, budget=None) -> MinimizerSet:
     # restore block order inside each tuple
     unscramble = [pos[blk] for blk in range(k)]
     tuples = [tuple(hit[unscramble[blk]] for blk in range(k)) for hit in hits]
-    return MinimizerSet(p=p, x=x, partitions=parts, tuples=tuples, pinned=pinned)
+    return MinimizerSet(p=p, x=x, tuples=tuples, pinned=pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -599,168 +601,3 @@ def _fc_law(s: int) -> DistributionId:
         return DistributionId(kind="free_poisson", c=Fraction(1))
     return DistributionId(kind="fuss_catalan", s=s)
 
-
-# ---------------------------------------------------------------------------
-# closed-form families
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyReport:
-    """Closed-form prediction for one of the solved families.
-
-    entropy(N) is the leading expression in natural log; purity terms are
-    (coefficient, exponent) for coefficient * N^exponent.  The entropy
-    constant and the purity coefficient are read off the law.
-    """
-
-    law: DistributionId
-    flow: int
-    entropy_log_term: int          # multiplies ln N
-    purity_exponent: int
-    exact_at_finite_n: bool = False
-    rescale_note: str = ""
-
-    @property
-    def entropy_constant(self) -> float:
-        return self.law.entropy_constant()
-
-    @property
-    def purity_coeff(self) -> Fraction:
-        return self.law.moment(2)
-
-    def entropy(self, n: float) -> float:
-        return self.entropy_log_term * math.log(n) + self.entropy_constant
-
-    def purity(self, n: float) -> float:
-        return float(self.purity_coeff) * float(n) ** self.purity_exponent
-
-
-def one_unitary_marginal(kept: int, traced_in_block: int, external: int,
-                         d_kept: int = 1, d_traced: int = 1, d_external: int = 1) -> FamilyReport:
-    """Marginal whose surviving subsystems sit inside a single vertex.
-
-    `kept` and `traced_in_block` count subsystems of the surviving vertex
-    that are kept / traced; `external` counts its bonds to other (fully
-    traced) vertices.  Loop bonds inside the vertex account for the rest.
-    The comparison of kept against traced_in_block + external decides
-    between a flat spectrum on the smaller side and a free Poisson limit
-    at the critical point.
-    """
-    if kept < 0 or traced_in_block < 0 or external < 0:
-        raise ValueError("cardinalities must be nonnegative")
-    if kept == 0:
-        raise ValueError("need at least one kept subsystem")
-
-    env = traced_in_block + external
-    d_env = d_traced * d_external
-
-    if traced_in_block == 0:
-        # nothing of the surviving vertex is traced: rho is exactly a
-        # normalized Haar projector of rank d_external * N^external
-        law = DistributionId(kind="maximally_mixed", rank_coeff=Fraction(d_external),
-                             rank_exponent=external)
-        return FamilyReport(law=law, flow=min(kept, external),
-                            entropy_log_term=external, purity_exponent=-external,
-                            exact_at_finite_n=True)
-
-    if kept < env:
-        law = DistributionId(kind="maximally_mixed", rank_coeff=Fraction(d_kept),
-                             rank_exponent=kept)
-        return FamilyReport(law=law, flow=kept, entropy_log_term=kept, purity_exponent=-kept)
-
-    if kept == env:
-        c = Fraction(d_env, d_kept)
-        law = DistributionId(kind="free_poisson", c=c,
-                             rank_coeff=Fraction(d_kept), rank_exponent=kept)
-        return FamilyReport(law=law, flow=kept, entropy_log_term=kept, purity_exponent=-kept,
-                            rescale_note=f"rescale by {d_env}*N^{kept}")
-
-    law = DistributionId(kind="maximally_mixed", rank_coeff=Fraction(d_env),
-                         rank_exponent=env)
-    return FamilyReport(law=law, flow=env, entropy_log_term=env, purity_exponent=-env)
-
-
-def star_marginal(m: int, s: int, t: int) -> FamilyReport:
-    """Limit law and entropy/purity forecast for an m-star marginal.
-
-    s satellites and t center subsystems survive.  Branches: an empty
-    side is exactly maximally mixed at every N; an unbalanced trace gives
-    a flat limit on the smaller side; the balanced case s+t = m gives the
-    square-case free Poisson law.
-    """
-    if not (0 <= s <= m and 0 <= t <= m):
-        raise ValueError(f"need 0 <= s,t <= m; got s={s}, t={t}")
-    if s == 0 or t == 0:
-        r = max(s, t)
-        law = DistributionId(kind="maximally_mixed", rank_coeff=Fraction(1), rank_exponent=r)
-        return FamilyReport(law=law, flow=r, entropy_log_term=r, purity_exponent=-r,
-                            exact_at_finite_n=True)
-    if s + t < m:
-        law = DistributionId(kind="dirac", rank_coeff=Fraction(1), rank_exponent=s + t)
-        return FamilyReport(law=law, flow=s + t, entropy_log_term=s + t,
-                            purity_exponent=-(s + t),
-                            rescale_note=f"rescale by N^{s+t}")
-    if s + t > m:
-        r = 2 * m - s - t
-        law = DistributionId(kind="dirac", rank_coeff=Fraction(1), rank_exponent=r)
-        return FamilyReport(law=law, flow=r, entropy_log_term=r, purity_exponent=-r,
-                            rescale_note=f"rank N^{r}; rescale by N^{r}")
-    law = DistributionId(kind="free_poisson", c=Fraction(1))
-    return FamilyReport(law=law, flow=m, entropy_log_term=m, purity_exponent=-m,
-                        rescale_note=f"rescale by N^{m}")
-
-
-def cycle_marginal(types: str) -> FamilyReport:
-    """Limit law for a cycle marginal given its vertex type string.
-
-    Arcs are the paths from a fully traced vertex to a fully kept one
-    whose interior vertices each lose exactly one subsystem; every arc
-    contributes an independent Fuss-Catalan factor of order equal to its
-    interior length (length 0 contributes the trivial factor).  The flow
-    is the number of single-loss vertices plus the number of arcs.
-    """
-    m = len(types)
-    if m < 2:
-        raise ValueError("cycle needs at least 2 vertices")
-    if any(ch not in "SRT" for ch in types):
-        raise ValueError(f"types must be over S/R/T, got {types!r}")
-
-    if set(types) == {"R"}:
-        # no fully traced or fully kept vertex pins anything: the block
-        # labels must all coincide but range over the whole lattice, so
-        # the ring behaves like a single square-case vertex
-        law = DistributionId(kind="free_poisson", c=Fraction(1))
-        return FamilyReport(law=law, flow=m, entropy_log_term=m, purity_exponent=-m,
-                            rescale_note=f"rescale by N^{m}")
-
-    arcs = _cycle_arcs(types)
-    k_r = types.count("R")
-    x = k_r + len(arcs)
-
-    orders = sorted((a for a in arcs if a > 0), reverse=True)
-    if not orders:
-        law = DistributionId(kind="dirac", rank_coeff=Fraction(1), rank_exponent=x)
-    elif len(orders) == 1:
-        law = _fc_law(orders[0])
-    else:
-        law = DistributionId(kind="classical_product",
-                             factors=tuple(_fc_law(s) for s in orders))
-    return FamilyReport(law=law, flow=x, entropy_log_term=x, purity_exponent=-x)
-
-
-def _cycle_arcs(types: str):
-    """Interior lengths of all traced-to-kept arcs, scanning both ways."""
-    m = len(types)
-    arcs = []
-    for start_ch, end_ch in (("T", "S"), ("S", "T")):
-        for i, ch in enumerate(types):
-            if ch != start_ch:
-                continue
-            run = 0
-            j = (i + 1) % m
-            while types[j] == "R" and run < m:
-                run += 1
-                j = (j + 1) % m
-            if types[j] == end_ch and j != i:
-                arcs.append(run)
-    return sorted(arcs, reverse=True)

@@ -96,15 +96,6 @@ def haar_isometry(rng, rows: int, cols: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary on C^dim."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if dim > MAX_DENSITY_DIM:
-        raise ResourceCapError(f"unitary dimension {dim} over cap {MAX_DENSITY_DIM}")
-    return haar_isometry(rng, dim, dim)
-
-
 # ---------------------------------------------------------------------------
 # state assembly
 # ---------------------------------------------------------------------------
@@ -131,9 +122,6 @@ class StateVector:
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor))
 
 
 def assemble_state(marginal: MarginalSpec, N: int, rng=None, mode: str = "haar",
@@ -585,43 +573,3 @@ def estimate(marginal, N: int, trials: int, p_list=(1, 2, 3), seed: int = 0,
         purity_mean=moment_mean.get(2), purity_stderr=moment_stderr.get(2),
         raw_moment_mean=raw_mean, raw_moment_stderr=raw_stderr)
 
-
-@dataclass
-class ProductSpectraReport:
-    """Empirical rescaled moments of a product-Wishart spectrum."""
-
-    s: int
-    N: int
-    trials: int
-    seed: int
-    moment_mean: dict
-    moment_stderr: dict
-    max_eigenvalue: float
-
-
-def ginibre_product_spectra(s: int, N: int, trials: int, p_list=(1, 2, 3, 4),
-                            seed: int = 0) -> ProductSpectraReport:
-    """Eigenvalue moments of W = G G* with G a product of s square
-    Ginibre factors, each normalized by sqrt(N).
-
-    The empirical (1/N) tr W^p converge to the order-s Fuss-Catalan
-    moments as N grows.
-    """
-    if N > 1024:
-        raise ResourceCapError("N over product-spectra cap 1024")
-    if s > 4:
-        raise ValueError("s over product-spectra cap 4")
-    rows, max_eig = [], 0.0
-    for rng in trial_rngs(seed, trials):
-        g = np.eye(N, dtype=complex)
-        for _ in range(s):
-            g = g @ (standard_complex_gaussian(rng, N, N) / math.sqrt(N))
-        lam = np.linalg.eigvalsh(g @ g.conj().T)
-        max_eig = max(max_eig, float(lam[-1]))
-        rows.append([float(np.mean(lam ** p)) for p in p_list])
-    arr = np.array(rows)
-    mean = {p: float(np.mean(arr[:, j])) for j, p in enumerate(p_list)}
-    err = {p: float(np.std(arr[:, j], ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-           for j, p in enumerate(p_list)}
-    return ProductSpectraReport(s=s, N=N, trials=trials, seed=seed, moment_mean=mean,
-                                moment_stderr=err, max_eigenvalue=max_eig)

@@ -1,4 +1,4 @@
-"""Exact and first-order Weingarten functions for Haar unitary integration.
+"""Exact Weingarten functions for Haar unitary integration.
 
 `wg_exact` evaluates the character formula of Collins and Sniady,
 
@@ -9,7 +9,7 @@ the Haar integration weight at every dimension n >= 1.  For n >= p it
 inverts sigma -> n^(#sigma) under convolution on S_p; for n < p that map
 is singular and the table is its pseudo-inverse.  Characters come from
 the Murnaghan-Nakayama rule on partitions, so S_p is never built.
-`wg_asym` is the leading 1/n term, which no engine uses: a public reference.
+A table is read by cycle type alone, as the moment engines read it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import Perm, all_perms, mobius
-
 
 @dataclass(frozen=True)
 class WeingartenTable:
@@ -29,9 +27,6 @@ class WeingartenTable:
     p: int
     n: int
     values: dict
-
-    def __call__(self, sigma: Perm) -> Fraction:
-        return self.values[sigma.cycle_type()]
 
     def by_type(self, cycle_type) -> Fraction:
         return self.values[tuple(cycle_type)]
@@ -88,20 +83,3 @@ def wg_exact(p: int, n: int) -> WeingartenTable:
               for rho in sorted(_partitions(p))}
     return WeingartenTable(p=p, n=n, values=values)
 
-
-def wg_asym(p: int, n: float, sigma: Perm) -> float:
-    """First-order asymptotic Wg(n, sigma) ~ n^-(p + |sigma|) Mob(sigma)."""
-    return float(n) ** (-(p + sigma.length)) * mobius(sigma)
-
-
-def convolution_defect(table: WeingartenTable, sigma: Perm) -> Fraction:
-    """sum_tau Wg(sigma tau^-1) n^(#tau) minus its target delta(sigma, id).
-
-    Zero for every sigma when n >= p; below that n^(#tau) is singular and
-    the table is its pseudo-inverse, so the defect need not vanish.
-    """
-    total = Fraction(0)
-    for tau in all_perms(table.p):
-        total += table(sigma * tau.inverse()) * table.n ** tau.num_cycles
-    target = Fraction(1) if sigma.length == 0 else Fraction(0)
-    return total - target

@@ -1,22 +1,28 @@
-"""Brute-force oracles and reference helpers that only the tests call.
+"""Brute-force oracles, closed forms and reference helpers that only the tests call.
 
-They check the library from outside: the refinement order, meets and
-joins of set partitions, the Kreweras complement, the geodesic of a
-partition and the geodesic test on NC(p); the NC(p) order from the pair
-table, and a frontier count of poset labelings; the label, pair and
-Weingarten tables from `Perm` products, one pair at a time; the cost
-functional f_beta; the asymptotic labeling sum over blocks with N formal,
-and the labeling sum with one Python lookup per entry; the law round
-trip; partition joins of the coupling structure; max-flow duality and
-axioms; Hankel windows; a graph's copy at other dimension factors, and a
+They check the library from outside: permutations and set partitions as
+objects (`Perm`, `NCPartition`, S_p and NC(p) enumerated, the Moebius
+function), the refinement order, meets and joins of set partitions, the
+Kreweras complement, the geodesic of a partition and the geodesic test
+on NC(p); the NC(p) order from the pair table, and a frontier count of
+poset labelings; the label, pair and Weingarten tables from `Perm`
+products, one pair at a time, the Weingarten convolution identity and
+the Moebius asymptotics of Wg; the cost functional f_beta; the
+asymptotic labeling sum over blocks with N formal, and the labeling sum
+with one Python lookup per entry; the law round trip; the paper's closed
+forms for one-vertex, star and cycle marginals; partition joins of the
+coupling structure; max-flow duality and axioms; Hankel windows; a
+graph's copy at other dimension factors, its kept/traced swap, and a
 graph for any poset; the full reduced density matrix, and its spectrum
-from the dense amplitudes; and the shapes of a sampled state's network
-with the greedy chain search that ordered its reduction before tree
-plans.  None of them is used by `graphstate` itself.
+from the dense amplitudes; product-Wishart spectra; and the shapes of a
+sampled state's network with the greedy chain search that ordered its
+reduction before tree plans.  None of them is used by `graphstate`
+itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,23 +31,19 @@ from fractions import Fraction
 import numpy as np
 
 from graphstate.combinatorics import (
-    NCPartition,
-    Perm,
+    ConstraintPoset,
     _contract,
     _label_table,
     _pair_arrays,
     _plan,
-    all_perms,
     catalan,
     count_poset_tuples,
-    enumerate_nc,
     fuss_catalan,
-    mobius,
     mp_moment,
 )
 from graphstate.flow import FlowNetwork, MaxFlowResult
 from graphstate.graphs import GraphSpec, MarginalSpec
-from graphstate.moments import DistributionId, marginal_max_flow
+from graphstate.moments import DistributionId, _fc_law, marginal_max_flow
 from graphstate.montecarlo import (
     MAX_DENSITY_DIM,
     ResourceCapError,
@@ -49,8 +51,148 @@ from graphstate.montecarlo import (
     _bond_legs,
     _mirror,
     haar_fold,
+    standard_complex_gaussian,
+    trial_rngs,
 )
 from graphstate.weingarten import _character, _content_product, _partitions, wg_exact
+
+
+# ---------------------------------------------------------------------------
+# permutations and set partitions as objects
+# ---------------------------------------------------------------------------
+
+class Perm:
+    """A permutation of {0..p-1} in one-line notation: `image[i]` is the image of i."""
+
+    def __init__(self, image):
+        self.image = tuple(image)
+        if sorted(self.image) != list(range(len(self.image))):
+            raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
+
+    @classmethod
+    def identity(cls, p: int) -> "Perm":
+        return cls(range(p))
+
+    @classmethod
+    def full_cycle(cls, p: int) -> "Perm":
+        """The long cycle gamma = (1 2 ... p), i -> i + 1 mod p."""
+        return cls((i + 1) % p for i in range(p))
+
+    @classmethod
+    def from_cycles(cls, p: int, cycles) -> "Perm":
+        image = list(range(p))
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                image[a] = b
+        return cls(image)
+
+    @property
+    def p(self) -> int:
+        return len(self.image)
+
+    def __call__(self, i: int) -> int:
+        return self.image[i]
+
+    def __eq__(self, other):
+        return isinstance(other, Perm) and self.image == other.image
+
+    def __hash__(self):
+        return hash(self.image)
+
+    def __repr__(self):
+        return f"Perm{self.image}"
+
+    def __mul__(self, other: "Perm") -> "Perm":
+        """Composition (self * other)(i) = self(other(i))."""
+        return Perm(self.image[j] for j in other.image)
+
+    def inverse(self) -> "Perm":
+        inv = [0] * self.p
+        for i, j in enumerate(self.image):
+            inv[j] = i
+        return Perm(inv)
+
+    def cycles(self):
+        """Disjoint cycles, each starting at its minimum, sorted by minimum."""
+        seen, out = [False] * self.p, []
+        for start in range(self.p):
+            cyc, i = [], start
+            while not seen[i]:
+                seen[i] = True
+                cyc.append(i)
+                i = self.image[i]
+            if cyc:
+                out.append(tuple(cyc))
+        return out
+
+    @property
+    def num_cycles(self) -> int:
+        """#sigma, the number of disjoint cycles (fixed points included)."""
+        return len(self.cycles())
+
+    @property
+    def length(self) -> int:
+        """|sigma| = p - #sigma, the least number of transpositions."""
+        return self.p - self.num_cycles
+
+    def cycle_type(self):
+        """Cycle lengths sorted descending: the conjugacy class, which indexes a Weingarten table."""
+        return tuple(sorted(map(len, self.cycles()), reverse=True))
+
+
+@functools.lru_cache(maxsize=None)
+def all_perms(p: int):
+    """S_p as Perm objects, in the order of `_label_table(p, False)`."""
+    return tuple(map(Perm, itertools.permutations(range(p))))
+
+
+class NCPartition:
+    """A set partition of {0..p-1}, normally a non-crossing one.
+
+    Blocks are stored sorted and ordered by their minima, so two equal
+    partitions compare and hash equal.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+        self.p = sum(map(len, self.blocks))
+        if sorted(itertools.chain.from_iterable(self.blocks)) != list(range(self.p)):
+            raise ValueError(f"blocks do not partition 0..{self.p - 1}: {blocks}")
+
+    @classmethod
+    def zero(cls, p: int) -> "NCPartition":
+        """The discrete partition 0-hat: all singletons."""
+        return cls((i,) for i in range(p))
+
+    @classmethod
+    def one(cls, p: int) -> "NCPartition":
+        """The full partition 1-hat: a single block."""
+        return cls((tuple(range(p)),))
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.blocks)
+
+    def __eq__(self, other):
+        return isinstance(other, NCPartition) and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"NCPartition({[list(b) for b in self.blocks]})"
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_nc(p: int):
+    """NC(p) as partitions, one per row of `_label_table(p, True)` and in its
+    order: the cycles of each geodesic, so a label index means the same in both."""
+    return tuple(cycle_partition(Perm(row)) for row in _label_table(p, True)[0].tolist())
+
+
+def mobius(sigma: Perm) -> int:
+    """Moebius function on S_p: each d-cycle contributes (-1)^(d-1) c_(d-1)."""
+    return math.prod((-1) ** (len(c) - 1) * catalan(len(c) - 1) for c in sigma.cycles())
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +215,7 @@ def is_noncrossing(part: NCPartition) -> bool:
 
 def cycle_partition(sigma: Perm) -> NCPartition:
     """[sigma]: the set partition of {0..p-1} into orbits."""
-    return NCPartition(sigma.cycles(), check=False)
+    return NCPartition(sigma.cycles())
 
 
 def nc_to_geodesic(part: NCPartition) -> Perm:
@@ -110,7 +252,7 @@ def meet(a: NCPartition, b: NCPartition) -> NCPartition:
             common = tuple(sorted(set(x) & set(y)))
             if common:
                 out.append(common)
-    return NCPartition(out, check=False)
+    return NCPartition(out)
 
 
 def join(a: NCPartition, b: NCPartition) -> NCPartition:
@@ -138,7 +280,7 @@ def join(a: NCPartition, b: NCPartition) -> NCPartition:
     groups = {}
     for x in range(a.p):
         groups.setdefault(find(x), []).append(x)
-    return NCPartition(groups.values(), check=False)
+    return NCPartition(groups.values())
 
 
 def nc_join(a: NCPartition, b: NCPartition) -> NCPartition:
@@ -165,7 +307,7 @@ def enumerate_all_partitions(p: int):
         yield from rec(i + 1, blocks)
         blocks.pop()
 
-    return [NCPartition(bs, check=False) for bs in rec(0, [])]
+    return [NCPartition(bs) for bs in rec(0, [])]
 
 
 def is_geodesic(sigma: Perm) -> bool:
@@ -210,6 +352,16 @@ def nc_order(p: int):
     _, ncyc, _, zero, one = _label_table(p, True)
     pair = _pair_arrays(p, True)[0].tolist()
     return (lambda a, b: ncyc[a] + pair[a][b] == p + ncyc[b]), zero, one
+
+
+def chain_poset(s: int) -> ConstraintPoset:
+    """1 <= 2 <= ... <= s; its count in NC(p) is fuss_catalan(s, p)."""
+    return ConstraintPoset(k=s, relations=[(i, i + 1) for i in range(s - 1)])
+
+
+def exotic_poset() -> ConstraintPoset:
+    """The V order 0 <= 1, 0 <= 2 that exotic_graph's minimizers follow."""
+    return ConstraintPoset(k=3, relations=[(0, 1), (0, 2)])
 
 
 def frontier_count(poset, p: int) -> int:
@@ -287,8 +439,29 @@ def perm_weingarten_column(p: int, dim: int, weights, at=None):
     perms = all_perms(p)
     inverses = [a.inverse() for a in perms]
     table = wg_exact(p, dim)
-    return [sum((Fraction(w) * table(a * perms[b]) for w, a in zip(weights, inverses)), Fraction(0))
+    return [sum((Fraction(w) * wg(table, a * perms[b]) for w, a in zip(weights, inverses)), Fraction(0))
             for b in (range(len(perms)) if at is None else at)]
+
+
+def wg(table, sigma: Perm) -> Fraction:
+    """The table's value Wg(n, sigma), read by sigma's cycle type."""
+    return table.by_type(sigma.cycle_type())
+
+
+def wg_asym(p: int, n: float, sigma: Perm) -> float:
+    """First-order asymptotic Wg(n, sigma) ~ n^-(p + |sigma|) Mob(sigma)."""
+    return float(n) ** (-(p + sigma.length)) * mobius(sigma)
+
+
+def convolution_defect(table, sigma: Perm) -> Fraction:
+    """sum_tau Wg(sigma tau^-1) n^(#tau) minus its target delta(sigma, id).
+
+    Zero for every sigma when n >= p; below that n^(#tau) is singular and
+    the table is its pseudo-inverse, so the defect need not vanish.
+    """
+    total = sum(wg(table, sigma * tau.inverse()) * table.n ** tau.num_cycles
+                for tau in all_perms(table.p))
+    return total - (sigma.length == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +513,127 @@ def law_moments(dist: DistributionId, p_max: int):
     if dist.kind == "poset_law":
         return [Fraction(count_poset_tuples(dist.poset, p)) for p in ps]
     raise ValueError(f"no moment rule for tag {dist.kind!r}")
+
+
+@dataclass(frozen=True)
+class FamilyReport:
+    """The paper's closed-form prediction for a solved family of marginals.
+
+    E H ~ entropy_log_term ln N + the law's entropy constant, and the
+    purity ~ the law's second moment times N^-entropy_log_term;
+    `exact_at_finite_n` when the spectrum is flat at every N.
+    """
+
+    law: DistributionId
+    flow: int
+    entropy_log_term: int
+    exact_at_finite_n: bool = False
+
+    @property
+    def entropy_constant(self) -> float:
+        return self.law.entropy_constant()
+
+    @property
+    def purity_coeff(self) -> Fraction:
+        return self.law.moment(2)
+
+    @property
+    def purity_exponent(self) -> int:
+        return -self.entropy_log_term
+
+    def entropy(self, n: float) -> float:
+        return self.entropy_log_term * math.log(n) + self.entropy_constant
+
+
+def _flat(rank_coeff, rank_exponent, kind="maximally_mixed"):
+    return DistributionId(kind=kind, rank_coeff=Fraction(rank_coeff), rank_exponent=rank_exponent)
+
+
+def one_unitary_marginal(kept: int, traced_in_block: int, external: int,
+                         d_kept: int = 1, d_traced: int = 1, d_external: int = 1) -> FamilyReport:
+    """Marginal whose surviving subsystems sit inside a single vertex.
+
+    `kept` and `traced_in_block` count subsystems of the surviving vertex
+    that are kept / traced; `external` counts its bonds to other (fully
+    traced) vertices.  Loop bonds inside the vertex account for the rest.
+    With nothing of the vertex traced, rho is a normalized Haar projector
+    of rank d_external N^external.  Otherwise kept against traced_in_block
+    + external decides between a flat spectrum on the smaller side and a
+    free Poisson limit at the critical point.
+    """
+    if min(kept, traced_in_block, external) < 0:
+        raise ValueError("cardinalities must be nonnegative")
+    if kept == 0:
+        raise ValueError("need at least one kept subsystem")
+    env = traced_in_block + external
+    if traced_in_block == 0:
+        law = _flat(d_external, external)
+        return FamilyReport(law, min(kept, external), external, exact_at_finite_n=True)
+    if kept == env:
+        law = DistributionId(kind="free_poisson", c=Fraction(d_traced * d_external, d_kept),
+                             rank_coeff=Fraction(d_kept), rank_exponent=kept)
+        return FamilyReport(law, kept, kept)
+    rank, coeff = (kept, d_kept) if kept < env else (env, d_traced * d_external)
+    return FamilyReport(_flat(coeff, rank), rank, rank)
+
+
+def star_marginal(m: int, s: int, t: int) -> FamilyReport:
+    """Limit law and entropy/purity forecast for an m-star marginal.
+
+    s satellites and t center subsystems survive.  An empty side is
+    exactly maximally mixed at every N; an unbalanced trace gives a flat
+    limit on the smaller side; the balanced case s + t = m gives the
+    square-case free Poisson law.
+    """
+    if not (0 <= s <= m and 0 <= t <= m):
+        raise ValueError(f"need 0 <= s,t <= m; got s={s}, t={t}")
+    if s == 0 or t == 0:
+        return FamilyReport(_flat(1, max(s, t)), max(s, t), max(s, t), exact_at_finite_n=True)
+    if s + t == m:
+        return FamilyReport(DistributionId(kind="free_poisson", c=Fraction(1)), m, m)
+    rank = min(s + t, 2 * m - s - t)
+    return FamilyReport(_flat(1, rank, "dirac"), rank, rank)
+
+
+def cycle_marginal(types: str) -> FamilyReport:
+    """Limit law for a cycle marginal given its vertex type string.
+
+    Arcs are the paths from a fully traced vertex to a fully kept one
+    whose interior vertices each lose exactly one subsystem; every arc
+    contributes an independent Fuss-Catalan factor of order equal to its
+    interior length (length 0 contributes the trivial factor).  The flow
+    is the number of single-loss vertices plus the number of arcs.  With
+    no fully traced or fully kept vertex the block labels coincide but
+    range over the whole lattice: the ring is one square-case vertex.
+    """
+    m = len(types)
+    if m < 2 or set(types) - set("SRT"):
+        raise ValueError(f"need at least 2 vertices over S/R/T, got {types!r}")
+    if set(types) == {"R"}:
+        return FamilyReport(DistributionId(kind="free_poisson", c=Fraction(1)), m, m)
+    arcs = _cycle_arcs(types)
+    x = types.count("R") + len(arcs)
+    orders = [a for a in arcs if a > 0]
+    if not orders:
+        law = _flat(1, x, "dirac")
+    elif len(orders) == 1:
+        law = _fc_law(orders[0])
+    else:
+        law = DistributionId(kind="classical_product", factors=tuple(map(_fc_law, orders)))
+    return FamilyReport(law, x, x)
+
+
+def _cycle_arcs(types: str):
+    """Interior lengths of all traced-to-kept arcs, scanning both ways, longest first."""
+    m, arcs = len(types), []
+    for start, end in (("T", "S"), ("S", "T")):
+        for i in (i for i, ch in enumerate(types) if ch == start):
+            run, j = 0, (i + 1) % m
+            while types[j] == "R" and run < m:
+                run, j = run + 1, (j + 1) % m
+            if types[j] == end and j != i:
+                arcs.append(run)
+    return sorted(arcs, reverse=True)
 
 
 def nc_labeling_sum(marginal: MarginalSpec, p: int):
@@ -500,9 +794,14 @@ def restrict_partition(parts, keep):
     return tuple(sorted((b for b in out if b), key=lambda b: b[0]))
 
 
+def swap(marginal: MarginalSpec) -> MarginalSpec:
+    """The dual marginal with kept and traced subsystems exchanged."""
+    return MarginalSpec(marginal.graph, marginal.kept)
+
+
 def duality_check(marginal: MarginalSpec) -> bool:
     """True iff exchanging kept and traced subsystems preserves the max flow."""
-    return marginal_max_flow(marginal) == marginal_max_flow(marginal.swap())
+    return marginal_max_flow(marginal) == marginal_max_flow(swap(marginal))
 
 
 def with_dims(marginal: MarginalSpec, d: int) -> MarginalSpec:
@@ -626,6 +925,27 @@ def partial_trace(state: StateVector, traced) -> DensityMatrixSample:
         raise ResourceCapError(f"density matrix dim {dim_s} over cap {MAX_DENSITY_DIM}")
     rho = mat @ mat.conj().T
     return DensityMatrixSample(matrix=rho, kept=tuple(kept))
+
+
+def ginibre_product_spectra(s: int, N: int, trials: int, p_list=(1, 2, 3, 4), seed: int = 0):
+    """Mean (1/N) tr W^p for each p in p_list, and the largest eigenvalue seen,
+    of W = G G* with G a product of s square Ginibre factors, each over sqrt(N).
+
+    The means converge to the order-s Fuss-Catalan moments as N grows.
+    """
+    if N > 1024:
+        raise ResourceCapError("N over product-spectra cap 1024")
+    if s > 4:
+        raise ValueError("s over product-spectra cap 4")
+    rows, top = [], 0.0
+    for rng in trial_rngs(seed, trials):
+        g = np.eye(N, dtype=complex)
+        for _ in range(s):
+            g = g @ (standard_complex_gaussian(rng, N, N) / math.sqrt(N))
+        lam = np.linalg.eigvalsh(g @ g.conj().T)
+        top = max(top, float(lam[-1]))
+        rows.append([float(np.mean(lam ** p)) for p in p_list])
+    return dict(zip(p_list, np.mean(rows, axis=0).tolist())), top
 
 
 def sampled_network(marginal: MarginalSpec, N: int, mode: str):

@@ -1,13 +1,15 @@
-"""The library ships no public function or class that only tests use.
+"""The library ships no public function or class that only tests or demos use.
 
 Every public top-level function or class in `src/graphstate` (the
 `catalog` graph builders aside) must be referenced from the library
-itself, the demos or the benchmark harness: as a name, an import, a
-`module.name` attribute or a string constant (the harness looks some up
-by name).  Re-exports in `__init__` do not count, and neither does a
-definition's reference to itself.  Brute-force oracles belong in
-`tests/oracles.py`.  And every name a demo imports from `graphstate`
-must exist, so that removing one cannot break a demo unnoticed.
+itself or the benchmark harness: as a name, an import, a `module.name`
+attribute or a string constant (the harness looks some up by name).
+Re-exports in `__init__` do not count, and neither does a definition's
+reference to itself, nor a demo: demos show the engines, and a closed
+form or sampler that only a demo prints belongs in the demo or, as a
+brute-force oracle, in `tests/oracles.py`.  And every name a demo
+imports from `graphstate` must exist, so that removing one cannot break
+a demo unnoticed.
 """
 
 import ast
@@ -50,7 +52,7 @@ def _referenced_names(path):
 
 def test_every_public_definition_has_a_non_test_caller():
     users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    users += list((ROOT / "demos").glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
+    users += list((ROOT / "perfbench").glob("*.py"))
     referenced = set().union(*map(_referenced_names, users))
     offenders = [f"{module}.{name}" for module, name in _public_definitions()
                  if name not in referenced]

@@ -23,7 +23,7 @@ import pytest
 from graphstate import combinatorics, moments
 from graphstate.catalog import bell_pair, cycle_graph, exotic_graph, one_loop, random_marginal
 from graphstate.cli import graph_to_dict, marginal_from_dict
-from graphstate.combinatorics import ConstraintPoset, Perm, all_perms, catalan
+from graphstate.combinatorics import ConstraintPoset, catalan
 from graphstate.flow import SINK, SOURCE, MaxFlowResult, MinimizerConsistencyError
 from graphstate.moments import (
     BudgetExceededError,
@@ -35,12 +35,17 @@ from graphstate.moments import (
 )
 from graphstate.weingarten import wg_exact
 from oracles import (
+    Perm,
+    all_perms,
+    enumerate_nc,
     frontier_count,
     lookup_contract,
     n_shaped_marginal,
     nc_labeling_sum,
     nc_to_geodesic,
     poset_marginal,
+    swap,
+    wg,
     with_dims,
 )
 
@@ -55,7 +60,7 @@ UNROOTED = {
 def minimizer_sum(marginal, p):
     """(exponent, coefficient, count) summed over the minimizing tuples."""
     mins = minimizer_set(marginal, p)
-    parts = mins.partitions
+    parts = enumerate_nc(p)
     geodesics = [nc_to_geodesic(q) for q in parts]
     total = Fraction(0)
     for t in mins.tuples:
@@ -89,8 +94,8 @@ def joint_sum(marginal, p, N, wick=False):
         if wick:
             factors.append([w / dim ** p for w in weight])
         else:
-            wg = wg_exact(p, dim)
-            factors.append([sum(w * wg(a.inverse() * b) for w, a in zip(weight, perms))
+            table = wg_exact(p, dim)
+            factors.append([sum(w * wg(table, a.inverse() * b) for w, a in zip(weight, perms))
                             for b in perms])
     cross = [(i, j, marginal.cross_dim(i, j) * N ** len(bonds))
              for (i, j), bonds in marginal.cross_bonds.items()]
@@ -186,7 +191,7 @@ def test_one_marginals_flow_never_serves_another(corpus, small_corpus, cold_flow
     for m in graphs:
         doc = json.loads(json.dumps(graph_to_dict(m)))   # as a graph file
         other = sorted(m.traced ^ {1})
-        for marginal in (m, m.swap(), marginal_from_dict(doc),
+        for marginal in (m, swap(m), marginal_from_dict(doc),
                          marginal_from_dict(doc, trace_override=other)):
             reports = moment_table(marginal, 5)
             for p, r in enumerate(reports, start=1):

@@ -11,7 +11,6 @@ from graphstate import combinatorics, moments
 from graphstate.catalog import (
     cycle_graph,
     exotic_graph,
-    exotic_poset,
     fc_template,
     figure_example,
     one_loop,
@@ -19,9 +18,7 @@ from graphstate.catalog import (
 )
 from graphstate.cli import cmd_analyze
 from graphstate.combinatorics import (
-    Perm,
     _label_groups,
-    all_perms,
     catalan,
     count_poset_tuples,
     fuss_catalan,
@@ -35,23 +32,29 @@ from graphstate.moments import (
     asymptotic_moment,
     classify,
     classify_reports,
-    cycle_marginal,
     exact_moment,
     exact_moment_gaussian,
     marginal_max_flow,
     minimizer_set,
     moment_table,
-    one_unitary_marginal,
-    star_marginal,
 )
 from graphstate.spectra import fc_entropy
 from oracles import (
+    NCPartition,
+    Perm,
+    all_perms,
+    cycle_marginal,
+    enumerate_nc,
+    exotic_poset,
     f_beta,
     is_geodesic,
     law_moments,
     n_shaped_marginal,
     nc_to_geodesic,
+    one_unitary_marginal,
     perm_weingarten_column,
+    star_marginal,
+    swap,
     with_dims,
 )
 
@@ -108,7 +111,7 @@ class TestMinimizerSet:
                 ms = minimizer_set(m, p)
                 x = marginal_max_flow(m)
                 assert ms.x == x
-                betas = [ms.partitions[i] for i in ms.tuples[0]]
+                betas = [enumerate_nc(p)[i] for i in ms.tuples[0]]
                 assert len(betas) == m.k
 
     @pytest.mark.parametrize("p", range(2, 6))
@@ -120,6 +123,16 @@ class TestMinimizerSet:
         with pytest.raises(BudgetExceededError) as err:
             minimizer_set(exotic_graph(), 8, budget=10)
         assert err.value.estimated > 10
+
+
+def test_order_below_one_refused():
+    # at p = 0 the NC table has one empty label, which no search may run on
+    for engine, args in ((minimizer_set, (exotic_graph(), 0)),
+                         (asymptotic_moment, (exotic_graph(), 0)),
+                         (exact_moment, (one_loop(), 0, 2)),
+                         (exact_moment_gaussian, (one_loop(), 0, 2))):
+        with pytest.raises(ValueError, match="^p must be >= 1$"):
+            engine(*args)
 
 
 class TestAsymptoticMoment:
@@ -154,7 +167,7 @@ class TestAsymptoticMoment:
     def test_swap_invariance(self, corpus):
         for m in corpus:
             a = [(r.exponent, r.coefficient) for r in moment_table(m, 3)]
-            b = [(r.exponent, r.coefficient) for r in moment_table(m.swap(), 3)]
+            b = [(r.exponent, r.coefficient) for r in moment_table(swap(m), 3)]
             assert a == b
 
 
@@ -175,7 +188,7 @@ class TestExactMoment:
     def test_swap_invariance_exact(self, small_corpus):
         # spectra of the two reductions differ only by zeros
         for m in small_corpus[:8]:
-            assert exact_moment(m, 2, 3) == exact_moment(m.swap(), 2, 3)
+            assert exact_moment(m, 2, 3) == exact_moment(swap(m), 2, 3)
 
     def test_converges_to_asymptotic(self, small_corpus):
         for m in small_corpus[:6]:
@@ -569,12 +582,11 @@ class TestClassify:
         assert counted == [1, 2]
 
     def test_minimizers_are_pinned_geodesics(self):
-        from graphstate.combinatorics import NCPartition
         m = cycle_graph("TSRR")
         ms = minimizer_set(m, 3)
         zero, one = NCPartition.zero(3), NCPartition.one(3)
         for t in ms.tuples:
-            parts = tuple(ms.partitions[i] for i in t)
+            parts = tuple(enumerate_nc(3)[i] for i in t)
             assert all(is_geodesic(nc_to_geodesic(q)) for q in parts)
             for block, pin in ms.pinned.items():
                 assert parts[block] == (zero if pin == "zero" else one)

@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphstate.catalog import exotic_poset
-from graphstate.combinatorics import ConstraintPoset, catalan, enumerate_nc, fuss_catalan, mp_moment
+from graphstate.combinatorics import ConstraintPoset, catalan, fuss_catalan, mp_moment
 from graphstate.moments import DistributionId
 from graphstate.spectra import (
     fc2_density,
@@ -17,7 +16,7 @@ from graphstate.spectra import (
     mp_density,
     mp_entropy,
 )
-from oracles import hankel_matrix
+from oracles import chain_poset, enumerate_nc, exotic_poset, hankel_matrix
 
 
 def _moments(law, p_max):
@@ -194,14 +193,14 @@ class TestProducts:
 
 class TestPosetLaws:
     def test_chain_reduces_to_fc(self):
-        chain = ConstraintPoset.make_chain(2)
+        chain = chain_poset(2)
         assert _moments(_poset_law(chain), 4) == [1, 3, 12, 55]
 
     def test_disjoint_union_factorizes(self):
         two_chains = ConstraintPoset(
             k=5, relations=[(0, 1), (1, 2), (3, 4)])  # lengths 3 and 2
-        left = ConstraintPoset.make_chain(3)
-        right = ConstraintPoset.make_chain(2)
+        left = chain_poset(3)
+        right = chain_poset(2)
         product = DistributionId(kind="classical_product",
                                  factors=(_poset_law(left), _poset_law(right)))
         assert _moments(_poset_law(two_chains), 3) == _moments(product, 3)
