@@ -85,7 +85,11 @@ def marginal_from_dict(doc: dict, source: str = "<graph>", trace_override=None) 
                 for e in entries):
             raise GraphFileError(f"{source}: field 'subsystems' entries need an integer "
                                  f"'id' and, if given, an integer 'd'")
-        dims = {e["id"]: e.get("d", 1) for e in entries}
+        dims = {}
+        for e in entries:
+            if e["id"] in dims:
+                raise GraphFileError(f"{source}: field 'subsystems' lists id {e['id']} twice")
+            dims[e["id"]] = e.get("d", 1)
     try:
         graph = GraphSpec(vertex_blocks=vertices, bonds=[tuple(e) for e in bonds], dims=dims)
     except GraphValidationError as exc:

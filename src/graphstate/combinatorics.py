@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 import numpy as np
+
+from ._record import _Record
 
 NC_CAP = 10
 
@@ -359,21 +360,18 @@ def mp_moment(c, p: int) -> Fraction:
 # poset-tuple counting in NC(p)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstraintPoset:
+class ConstraintPoset(_Record):
     """Order constraints on a tuple of NC(p) labels.
 
     Nodes are 0..k-1; `relations` holds pairs (i, j) meaning label_i <=
     label_j; `pins` forces a node to 0-hat ("zero") or 1-hat ("one").
     """
 
-    k: int
-    relations: tuple = ()
-    pins: dict = field(default_factory=dict)
+    _fields = ("k", "relations", "pins")
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations", tuple((int(a), int(b)) for a, b in self.relations))
-        object.__setattr__(self, "pins", dict(self.pins))
+    def __init__(self, k, relations=(), pins=None):
+        vars(self).update(k=k, relations=tuple((int(a), int(b)) for a, b in relations),
+                          pins={} if pins is None else dict(pins))
         for a, b in self.relations:
             if not (0 <= a < self.k and 0 <= b < self.k):
                 raise ValueError(f"relation ({a},{b}) outside nodes 0..{self.k-1}")
@@ -386,6 +384,9 @@ class ConstraintPoset:
         for a, b in self.relations:
             if self.pins.get(a) == "one" and self.pins.get(b) == "zero":
                 raise ValueError(f"inconsistent pins across relation ({a},{b})")
+
+    def __hash__(self):
+        return hash((self.k, self.relations, tuple(sorted(self.pins.items()))))
 
     def _has_cycle(self) -> bool:
         adj = {i: [] for i in range(self.k)}

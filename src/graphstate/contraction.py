@@ -185,18 +185,20 @@ def buffers(programs):
 _held = threading.local()    # .views: the thread's last programs and each one's buffer views
 
 
-def views(programs):
-    """Each program's `bind` views on the calling thread's one set of buffers.
+def views(programs, extra=()):
+    """Each program's `bind` views on the calling thread's one set of buffers,
+    then one array of the programs' dtype for each shape in `extra`.
 
     The set is kept for `programs` until the thread asks for other
     programs' views, when it is freed before the new one is made, or
-    calls `release`.
+    calls `release`.  `extra` is read only when the set is made.
     """
     held = getattr(_held, "views", None)
     if held is None or held[0] is not programs:
         release()
         raws = buffers(programs)
-        _held.views = held = programs, [program.bind(raws) for program in programs]
+        _held.views = held = programs, [program.bind(raws) for program in programs] + [
+            np.empty(shape, dtype=programs[0].dtype) for shape in extra]
     return held[1]
 
 

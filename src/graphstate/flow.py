@@ -12,8 +12,8 @@ reach that bound (`residual_poset`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
+from ._record import _Record
 from .combinatorics import ConstraintPoset
 from .graphs import MarginalSpec
 
@@ -25,16 +25,18 @@ class MinimizerConsistencyError(AssertionError):
     """The minimizers found disagree with the max-flow bound."""
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class FlowNetwork(_Record):
     """Integer-capacity digraph on {source, sink, 0..k-1}.
 
-    `capacity` maps ordered node pairs to positive integers; absent pairs
-    have capacity zero.  Block-to-block capacities are symmetric.
+    `capacity` holds sorted ((u, v), cap) pairs: ordered node pairs with
+    positive integer capacities; absent pairs have capacity zero.
+    Block-to-block capacities are symmetric.
     """
 
-    k: int
-    capacity: tuple  # sorted ((u, v), cap) pairs
+    _fields = ("k", "capacity")
+
+    def __init__(self, k, capacity):
+        vars(self).update(k=k, capacity=capacity)
 
     @property
     def nodes(self):
@@ -44,8 +46,7 @@ class FlowNetwork:
         return dict(self.capacity)
 
 
-@dataclass
-class MaxFlowResult:
+class MaxFlowResult(_Record):
     """An integral maximum flow plus its residual structure.
 
     flow is skew-symmetric: flow[(u,v)] = -flow[(v,u)].  Component labels
@@ -54,10 +55,15 @@ class MaxFlowResult:
     The labels are advisory hints; nothing downstream depends on them.
     """
 
-    value: int
-    flow: dict
-    residual: dict
-    labels: dict = field(default_factory=dict)
+    _fields = ("value", "flow", "residual", "labels")
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, value, flow, residual, labels=None):
+        self.value = value
+        self.flow = flow
+        self.residual = residual
+        self.labels = {} if labels is None else labels
 
 
 def build_network(marginal: MarginalSpec) -> FlowNetwork:

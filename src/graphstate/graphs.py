@@ -12,7 +12,8 @@ between blocks) is derived here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import _Record
 
 
 class GraphValidationError(ValueError):
@@ -25,8 +26,7 @@ class GraphValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(_Record):
     """An undirected graph over subsystems 1..n with dimension factors.
 
     vertex_blocks: partition of {1..n}, each block one joint unitary.
@@ -35,12 +35,11 @@ class GraphSpec:
     dims: subsystem id -> positive integer d_i.
 
     Instances are canonicalized (blocks sorted by smallest member, bond
-    endpoints ascending) and validated on construction.
+    endpoints ascending) and validated on construction; `dims` is kept as
+    sorted (id, d) pairs.
     """
 
-    vertex_blocks: tuple
-    bonds: tuple
-    dims: tuple
+    _fields = ("vertex_blocks", "bonds", "dims")
 
     def __init__(self, vertex_blocks, bonds, dims=None):
         blocks = tuple(sorted((tuple(sorted(b)) for b in vertex_blocks), key=lambda b: (b[0] if b else -1)))
@@ -49,13 +48,11 @@ class GraphSpec:
         if dims is None:
             dims = {i: 1 for i in ids}
         dim_items = tuple(sorted((int(i), int(d)) for i, d in dict(dims).items()))
-        object.__setattr__(self, "vertex_blocks", blocks)
-        object.__setattr__(self, "bonds", bond_list)
-        object.__setattr__(self, "dims", dim_items)
+        vars(self).update(vertex_blocks=blocks, bonds=bond_list, dims=dim_items)
         errors = validate(self)
         if errors:
             raise GraphValidationError(errors)
-        object.__setattr__(self, "_dim_of", dict(dim_items))
+        vars(self)["_dim_of"] = dict(dim_items)
 
     @property
     def n(self) -> int:
@@ -133,19 +130,25 @@ def validate(spec: GraphSpec):
     return errors
 
 
-@dataclass(frozen=True)
-class BlockView:
-    """Per-block derived data for one marginal."""
+class BlockView(_Record):
+    """Per-block derived data for one marginal.
 
-    members: tuple       # subsystems of the block
-    kept: tuple          # members not traced out
-    traced: tuple        # members traced out
-    kind: str            # "T" fully traced / "S" fully kept / "mixed"
-    loop_bonds: tuple    # internal bonds (both ends in this block)
-    dim_kept: int        # product of d_i over kept
-    dim_traced: int
-    dim_block: int
-    dim_loops: int       # product of d over one end of each internal bond
+    members: subsystems of the block; kept / traced: the members not
+        traced out / traced out.
+    kind: "T" fully traced, "S" fully kept, or "mixed".
+    loop_bonds: internal bonds (both ends in this block).
+    dim_kept, dim_traced, dim_block: products of d_i over kept, traced
+        and members; dim_loops: over one end of each internal bond.
+    """
+
+    _fields = ("members", "kept", "traced", "kind", "loop_bonds",
+               "dim_kept", "dim_traced", "dim_block", "dim_loops")
+
+    def __init__(self, members, kept, traced, kind, loop_bonds,
+                 dim_kept, dim_traced, dim_block, dim_loops):
+        vars(self).update(members=members, kept=kept, traced=traced, kind=kind,
+                          loop_bonds=loop_bonds, dim_kept=dim_kept, dim_traced=dim_traced,
+                          dim_block=dim_block, dim_loops=dim_loops)
 
 
 class MarginalSpec:

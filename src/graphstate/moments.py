@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import _Record
 from .combinatorics import (
     _ONE,
     BUDGET_ENV,
@@ -121,19 +121,24 @@ def marginal_max_flow(marginal: MarginalSpec) -> int:
 # the brute-force minimizer oracle
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MinimizerSet:
+class MinimizerSet(_Record):
     """All geodesic tuples achieving the max-flow cost bound.
 
-    `tuples` holds one NC(p) label per block, an index into the rows of
-    `combinatorics._label_table(p, True)`; pinned blocks are fixed at the
-    discrete / full partition according to type.
+    `tuples` is a list of tuples holding one NC(p) label per block, an
+    index into the rows of `combinatorics._label_table(p, True)`;
+    `pinned` maps each pinned block to "zero" or "one", the discrete or
+    full partition it is fixed at according to type.
     """
 
-    p: int
-    x: int
-    tuples: list               # list of tuples of label indices
-    pinned: dict               # block -> "zero" | "one"
+    _fields = ("p", "x", "tuples", "pinned")
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, p, x, tuples, pinned):
+        self.p = p
+        self.x = x
+        self.tuples = tuples
+        self.pinned = pinned
 
     def __len__(self):
         return len(self.tuples)
@@ -332,14 +337,14 @@ def _weingarten_column(p, dim, weights):
 # the three engines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(_Record):
     """Leading term of the p-th moment: coefficient * N^exponent."""
 
-    p: int
-    exponent: int
-    coefficient: Fraction
-    minimizer_count: int
+    _fields = ("p", "exponent", "coefficient", "minimizer_count")
+
+    def __init__(self, p, exponent, coefficient, minimizer_count):
+        vars(self).update(p=p, exponent=exponent, coefficient=coefficient,
+                          minimizer_count=minimizer_count)
 
 
 def asymptotic_moment(marginal: MarginalSpec, p: int, budget=None) -> MomentReport:
@@ -406,24 +411,25 @@ def exact_moment_gaussian(marginal: MarginalSpec, p: int, N: int, budget=None) -
 # distribution identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistributionId:
+class DistributionId(_Record):
     """Tagged identification of a limiting eigenvalue law.
 
     kind: one of maximally_mixed, dirac, free_poisson, fuss_catalan,
     classical_product, poset_law, unknown.  Payload fields are used per
-    kind; unused ones stay None.  `moment` and `entropy_constant` hold the
-    law formulas of every kind.
+    kind; unused ones stay None: `c` the free Poisson parameter, `s` the
+    Fuss-Catalan order, `factors` the parts of a classical product,
+    `poset` a poset law's ConstraintPoset, `rank_coeff` and
+    `rank_exponent` a flat or Dirac support of ~ coeff * N^exponent
+    states, `moments` an unknown law's raw coefficient sequence.
+    `moment` and `entropy_constant` hold the law formulas of every kind.
     """
 
-    kind: str
-    c: Fraction = None            # free_poisson parameter
-    s: int = None                 # fuss_catalan order
-    factors: tuple = None         # classical_product parts
-    poset: ConstraintPoset = None
-    rank_coeff: Fraction = None   # maximally_mixed/dirac support ~ coeff * N^exp
-    rank_exponent: int = None
-    moments: tuple = None         # unknown: raw coefficient sequence
+    _fields = ("kind", "c", "s", "factors", "poset", "rank_coeff", "rank_exponent", "moments")
+
+    def __init__(self, kind, c=None, s=None, factors=None, poset=None, rank_coeff=None,
+                 rank_exponent=None, moments=None):
+        vars(self).update(kind=kind, c=c, s=s, factors=factors, poset=poset,
+                          rank_coeff=rank_coeff, rank_exponent=rank_exponent, moments=moments)
 
     def moment(self, p: int) -> Fraction:
         """The p-th moment coefficient the law implies, on `moment_table`'s scale.

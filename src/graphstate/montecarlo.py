@@ -57,11 +57,11 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401  (loaded with the module: numpy loads it on first use)
 
+from ._record import _Record
 from .graphs import GraphSpec, MarginalSpec
 
 MAX_AMPLITUDES = 2 ** 22
@@ -334,8 +334,7 @@ def _contract(operands, tree):
     return program.run([a for a, _ in operands]), program.labels
 
 
-@dataclass(frozen=True)
-class HaarFold:
+class HaarFold(_Record):
     """A marginal with its S/T-only bonds taken out, for Haar sampling.
 
     `marginal` is what remains: its subsystems are the original ones in
@@ -344,9 +343,10 @@ class HaarFold:
     the D of the flat factor I/D the removed traced-kept bonds add to rho.
     """
 
-    marginal: MarginalSpec
-    subsystems: tuple
-    flat_dim: int
+    _fields = ("marginal", "subsystems", "flat_dim")
+
+    def __init__(self, marginal, subsystems, flat_dim):
+        vars(self).update(marginal=marginal, subsystems=subsystems, flat_dim=flat_dim)
 
     @property
     def pinned(self) -> tuple:
@@ -407,7 +407,7 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
     route = _reduction(*_network(state.operands), tuple(side), tuple(other), small,
                        None if powers is None else tuple(powers))
     from .contraction import views
-    vals = views(route[1])    # the thread's buffers, kept for the route last run
+    vals = views(*route[1:])    # the thread's buffers, rho's powers' too, kept for the route last run
     arrays = [a for a, _ in state.operands]
     if route[0] is not None:
         from .tracenet import power_sums
@@ -415,9 +415,9 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
     rho = route[1][0].run(arrays, vals[0]).reshape(small, small)
     if powers is None:
         return np.linalg.eigvalsh(rho)[::-1]
-    power = [None, rho]     # power[k] = rho^k, up to the larger half of max(powers)
-    for _ in range((max(powers) + 1) // 2 - 1):
-        power.append(power[-1] @ rho)
+    power = [None, rho, *vals[1:]]     # power[k] = rho^k, up to the larger half of max(powers)
+    for k in range(2, len(power)):
+        np.matmul(power[k - 1], rho, out=power[k])
     return np.array([np.trace(rho).real if p == 1 else
                      np.vdot(power[p // 2], power[p - p // 2]).real for p in powers])
 
@@ -425,10 +425,11 @@ def reduced_spectrum(state: StateVector, traced, powers=None) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _reduction(labels, shapes, dtypes, side, other, small, powers):
     """`reduced_spectrum`'s route for one network shape and `powers`, chosen once:
-    the networks' p values and programs, or None and rho's program."""
+    the networks' p values and programs, or None, rho's program and the
+    shapes of the buffers its power products take."""
     tree, largest, cost = _search(labels, shapes, other)
+    products = 0 if powers is None else (max(powers) + 1) // 2 - 1
     if powers is not None:
-        products = (max(powers) + 1) // 2 - 1
         joins = 2 * len(labels) + products
         rho_work = (math.inf if largest > MAX_AMPLITUDES else
                     cost + products * small ** 3 + joins * _JOIN_COST)
@@ -436,19 +437,19 @@ def _reduction(labels, shapes, dtypes, side, other, small, powers):
         rings = ring_programs(labels, shapes, dtypes, side, other, powers,
                               min(largest, MAX_AMPLITUDES), rho_work)
         if rings is not None:
-            return powers, rings
+            return powers, rings, ()
     if largest > MAX_AMPLITUDES:
         raise ResourceCapError(f"reduction needs {largest} amplitudes, cap {MAX_AMPLITUDES}")
     from .contraction import Program    # compiled on the first contraction
-    return None, [Program(labels, shapes, dtypes, tree, other, frozenset(side))]
+    return (None, [Program(labels, shapes, dtypes, tree, other, frozenset(side))],
+            ((small, small),) * products)
 
 
 # ---------------------------------------------------------------------------
 # estimation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EstimateReport:
+class EstimateReport(_Record):
     """Sampling summary: per-order moment means with standard errors.
 
     `moment_*` comes from unit-trace spectra (the Gaussian mode divides
@@ -460,20 +461,22 @@ class EstimateReport:
     over sqrt(trials).
     """
 
-    N: int
-    trials: int
-    seed: int
-    mode: str
-    p_list: tuple
-    moment_mean: dict
-    moment_stderr: dict
-    entropy_mean: float
-    entropy_stderr: float
-    entropy_bits_mean: float
-    purity_mean: float = None
-    purity_stderr: float = None
-    raw_moment_mean: dict = field(default_factory=dict)
-    raw_moment_stderr: dict = field(default_factory=dict)
+    _fields = ("N", "trials", "seed", "mode", "p_list", "moment_mean", "moment_stderr",
+               "entropy_mean", "entropy_stderr", "entropy_bits_mean", "purity_mean",
+               "purity_stderr", "raw_moment_mean", "raw_moment_stderr")
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, N, trials, seed, mode, p_list, moment_mean, moment_stderr,
+                 entropy_mean, entropy_stderr, entropy_bits_mean, purity_mean=None,
+                 purity_stderr=None, raw_moment_mean=None, raw_moment_stderr=None):
+        self.N, self.trials, self.seed, self.mode, self.p_list = N, trials, seed, mode, p_list
+        self.moment_mean, self.moment_stderr = moment_mean, moment_stderr
+        self.entropy_mean, self.entropy_stderr = entropy_mean, entropy_stderr
+        self.entropy_bits_mean = entropy_bits_mean
+        self.purity_mean, self.purity_stderr = purity_mean, purity_stderr
+        self.raw_moment_mean = {} if raw_moment_mean is None else raw_moment_mean
+        self.raw_moment_stderr = {} if raw_moment_stderr is None else raw_moment_stderr
 
     def to_json(self) -> dict:
         return {

@@ -9,20 +9,23 @@ cross-checked numerically against the exact moments of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import _Record
 
-@dataclass(frozen=True)
-class DensityFn:
-    """A probability density on [lo, hi] plus a point mass at zero."""
 
-    lo: float
-    hi: float
-    atom: float
-    pdf: callable
+class DensityFn(_Record):
+    """A probability density on [lo, hi] plus a point mass at zero.
+
+    `pdf` evaluates the continuous part on an array of points.
+    """
+
+    _fields = ("lo", "hi", "atom", "pdf")
+
+    def __init__(self, lo, hi, atom, pdf):
+        vars(self).update(lo=lo, hi=hi, atom=atom, pdf=pdf)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -15,18 +15,22 @@ A table is read by cycle type alone, as the moment engines read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import _Record
 
-@dataclass(frozen=True)
-class WeingartenTable:
+
+class WeingartenTable(_Record):
     """Wg(n, .) on S_p as a map cycle-type -> exact rational value."""
 
-    p: int
-    n: int
-    values: dict
+    _fields = ("p", "n", "values")
+
+    def __init__(self, p, n, values):
+        vars(self).update(p=p, n=n, values=values)
+
+    def __hash__(self):    # equal tables share (p, n); `values` is a dict
+        return hash((self.p, self.n))
 
     def by_type(self, cycle_type) -> Fraction:
         return self.values[tuple(cycle_type)]

@@ -244,7 +244,9 @@ class TestRun:
         ("vertices", [[1, "x"]]),
         ("subsystems", [{"id": 1, "d": None}, {"id": 2, "d": 1}]),
         ("trace", [1.7]),
-    ], ids=["trace_not_a_list", "vertex_id_string", "d_null", "trace_id_float"])
+        ("subsystems", [{"id": 1, "d": 1}, {"id": 1, "d": 2}, {"id": 2, "d": 2}]),
+    ], ids=["trace_not_a_list", "vertex_id_string", "d_null", "trace_id_float",
+            "subsystem_id_twice"])
     def test_malformed_document_exit_2(self, tmp_path, field, value):
         doc = {"vertices": [[1, 2]], "bonds": [[1, 2]], "trace": [2], field: value}
         code, text = run(["analyze", write_graph(tmp_path, doc), "--pmax", "2"])

@@ -436,13 +436,18 @@ class TestReducedSpectrum:
         # join takes in slices rather than copying; tr rho^p for p <= 3 on
         # exotic at N = 4 comes from trace networks, largest array 65,536;
         # a dense psi of 1 MiB, its traced legs no run at either end, is
-        # copied once, for its conj(), and taken in slices, with rho 64 KiB.
-        # Each peak counts the call's buffers: the warm-up's are released
+        # copied once, for its conj(), and taken in slices, with rho 64 KiB;
+        # tr rho^p for p <= 6 on exotic at N = 4 takes rho^2 and rho^3 from
+        # rho, two more rho-sized buffers.
+        # Each peak counts the call's buffers: the warm-up's are released.
+        # A second call runs on the buffers the first kept, rho's powers
+        # too, and allocates no rho-sized array
         psi = np.random.default_rng(0).standard_normal((4,) * 8) + 0j
         cases = [(assemble_state(m, N, np.random.default_rng(0)), m.traced, powers, mib)
                  for m, N, powers, mib in ((exotic_graph(), 4, None, 2 * 16 + 1),
                                            (fc_template(2), 8, None, 8.5),
-                                           (exotic_graph(), 4, (1, 2, 3), 4))]
+                                           (exotic_graph(), 4, (1, 2, 3), 4),
+                                           (exotic_graph(), 4, (1, 2, 3, 4, 5, 6), 4 * 16 + 1))]
         cases.append((StateVector(tensor=psi / np.linalg.norm(psi), dims=psi.shape),
                       (1, 4, 7), None, 2.4))
         for state, traced, powers, mib in cases:
@@ -452,9 +457,14 @@ class TestReducedSpectrum:
             try:
                 reduced_spectrum(state, traced, powers)
                 peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                reduced_spectrum(state, traced, powers)
+                again = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
             assert peak <= mib * 2 ** 20
+            assert again < 0.1 * 2 ** 20
 
     def test_trace_builds_nothing_larger_than_an_isometry(self, reduction_corpus, monkeypatch):
         # tr rho alone is <psi|psi>: no array larger than psi's largest operand
